@@ -31,12 +31,24 @@ The sign convention for images of elements below their class
 representative is ``f(y) = f(x) - (x - y)``, i.e. offsets are preserved;
 the validation suite enforces strict monotonicity, inverse round-trips,
 anchor correctness and finite-distance transport on every probe pair.
+
+Descriptor protocol: each kind is a frozen dataclass deriving from
+:class:`Descriptor`, with a class attribute ``kind`` (its JSON tag).  It
+implements ``apply(x)`` and ``apply_inverse(y)``, and may override
+``inverse()`` (default ``Inverse(self)``), ``anchors()`` (the ``(x, image)``
+pairs its fields guarantee, checked by :func:`validate`; default none) and
+``flatten()`` (its factors in :func:`compose`; default itself).  Its
+``__post_init__`` raises :class:`~lexarith.errors.InvariantViolation` for
+fields that describe no automorphism, so a descriptor loaded from JSON is
+checked where it is built.  A new kind registers by being listed in
+:data:`KINDS`; :mod:`lexarith.jsonio` then serializes it from its fields,
+annotated ``Element``, ``int``, ``Descriptor`` or ``tuple[Descriptor, ...]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ._backend import kernel as K
 from .errors import (
@@ -57,13 +69,45 @@ from .model import (
 )
 
 
+class Descriptor:
+    """Base of every descriptor kind; the protocol is in the module docstring."""
+
+    kind = ""
+
+    def apply(self, x: Element) -> Element:
+        raise NotImplementedError
+
+    def apply_inverse(self, y: Element) -> Element:
+        raise NotImplementedError
+
+    def inverse(self) -> "Descriptor":
+        return Inverse(self)
+
+    def anchors(self) -> tuple:
+        return ()
+
+    def flatten(self) -> tuple:
+        return (self,)
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(Descriptor):
     kind = "identity"
 
+    def apply(self, x: Element) -> Element:
+        return x
+
+    apply_inverse = apply
+
+    def inverse(self) -> Descriptor:
+        return self
+
+    def flatten(self) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
-class E0ClassShift:
+class E0ClassShift(Descriptor):
     anchor: Element
     offset: int
     kind = "e0_class_shift"
@@ -71,10 +115,23 @@ class E0ClassShift:
     def __post_init__(self):
         if is_standard(self.anchor):
             raise InvariantViolation("anchor of a class shift must be nonstandard")
+        object.__setattr__(self, "_key", trunc_const(self.anchor))
+
+    def apply(self, x: Element) -> Element:
+        return add_int(x, self.offset) if trunc_const(x) == self._key else x
+
+    def apply_inverse(self, y: Element) -> Element:
+        return add_int(y, -self.offset) if trunc_const(y) == self._key else y
+
+    def inverse(self) -> Descriptor:
+        return E0ClassShift(self.anchor, -self.offset)
+
+    def anchors(self) -> tuple:
+        return ((self.anchor, add_int(self.anchor, self.offset)),)
 
 
 @dataclass(frozen=True)
-class E2Affine:
+class E2Affine(Descriptor):
     a: Element
     b: Element
     n: int
@@ -89,6 +146,9 @@ class E2Affine:
             raise InvariantViolation("remainder m must satisfy 0 <= m < n-1")
         if is_standard(self.a) or is_standard(self.b):
             raise InvariantViolation("affine anchors must be nonstandard")
+        # b - a = (n-1)*(a - c) + m, rearranged so that nothing is subtracted
+        if self.b + self.c * (self.n - 1) != self.a * self.n + self.m:
+            raise InvariantViolation("affine descriptor must satisfy b - a = (n-1)*(a - c) + m")
         object.__setattr__(self, "_key_a", trunc_const(self.a))
         object.__setattr__(self, "_key_c", trunc_const(self.c))
         object.__setattr__(self, "_c_standard", is_standard(self.c))
@@ -102,21 +162,20 @@ class E2Affine:
         return t
 
     def _image_of_rep(self, r: Element) -> Element:
-        # n*(r - a) + b; equivalently n*r - (n-1)*c + m with the divisibility
-        # remainder m from b - a = (n-1)*(a - c) + m
+        # n*(r - a) + b; equivalently n*r - (n-1)*c + m by the defining relation
         raw = K.terms_add(
             K.terms_scale(K.terms_sub(r.raw, self.a.raw), (self.n, 1)),
             self.b.raw,
         )
         return Element._wrap(raw, r.dim)
 
-    def _apply(self, x: Element) -> Element:
+    def apply(self, x: Element) -> Element:
         r = self._rep(x)
         if r <= self.c:
             return x
         return add_int(self._image_of_rep(r), const_value(x) - const_value(r))
 
-    def _apply_inverse(self, y: Element) -> Element:
+    def apply_inverse(self, y: Element) -> Element:
         if trunc_const(y) <= self._key_c:
             return y
         shifted = add_int(y + self.c * (self.n - 1), -self.m)
@@ -127,9 +186,12 @@ class E2Affine:
             raise AssertionError("affine inverse landed in the wrong class")
         return add_int(r, const_value(y) - const_value(image))
 
+    def anchors(self) -> tuple:
+        return ((self.a, self.b), (self.c, self.c))
+
 
 @dataclass(frozen=True)
-class E3Shift:
+class E3Shift(Descriptor):
     a1: Element
     a2: Element
     c: Element
@@ -142,7 +204,7 @@ class E3Shift:
             raise InvariantViolation("scaling companion must be a nonstandard monomial")
         if deg(self.c).level() < 1:
             raise InvariantViolation("scaling companion must be dominated by the anchors")
-        if deg(self.a1).level() >= deg(self.c).level():
+        if is_standard(self.a1) or deg(self.a1).level() >= deg(self.c).level():
             raise InvariantViolation("anchor must dominate every power of the companion")
         if self.a2 != self.a1 * self.c:
             raise InvariantViolation("normalized anchor must satisfy a2 = c * a1")
@@ -167,7 +229,7 @@ class E3Shift:
             return self.a1
         return Element._wrap(key, self.c.dim)
 
-    def _apply(self, x: Element) -> Element:
+    def apply(self, x: Element) -> Element:
         key = self._key(x)
         if not key:
             return x
@@ -175,132 +237,97 @@ class E3Shift:
         offset = K.terms_sub(x.raw, r.raw)
         return Element._wrap(K.terms_add((self.c * r).raw, offset), x.dim)
 
-    def _apply_inverse(self, y: Element) -> Element:
+    def apply_inverse(self, y: Element) -> Element:
         key = self._key(y)
         if not key:
             return y
         ce, cc = self.c.raw[0]
         inv_mono = ((K.exp_scale(ce, (-1, 1)), K.rat_div((1, 1), cc)),)
         r = self._rep(K.terms_mul(key, inv_mono))
-        image = self._apply(r)
+        image = self.apply(r)
         if self._key(image) != key:
             raise AssertionError("dominated-class inverse landed in the wrong class")
         offset = K.terms_sub(y.raw, image.raw)
         return Element._wrap(K.terms_add(r.raw, offset), y.dim)
 
+    def anchors(self) -> tuple:
+        return ((self.a1, self.a2),)
+
 
 @dataclass(frozen=True)
-class Compose:
-    parts: tuple
+class Compose(Descriptor):
+    parts: tuple[Descriptor, ...]
     kind = "compose"
 
+    def apply(self, x: Element) -> Element:
+        for part in reversed(self.parts):
+            x = part.apply(x)
+        return x
+
+    def apply_inverse(self, y: Element) -> Element:
+        for part in self.parts:
+            y = part.apply_inverse(y)
+        return y
+
+    def inverse(self) -> Descriptor:
+        return Compose(tuple(p.inverse() for p in reversed(self.parts)))
+
+    def flatten(self) -> tuple:
+        return self.parts
+
 
 @dataclass(frozen=True)
-class Inverse:
-    of: "Descriptor"
+class Inverse(Descriptor):
+    of: Descriptor
     kind = "inverse"
 
+    def apply(self, x: Element) -> Element:
+        return self.of.apply_inverse(x)
+
+    def apply_inverse(self, y: Element) -> Element:
+        return self.of.apply(y)
+
+    def inverse(self) -> Descriptor:
+        return self.of
+
 
 @dataclass(frozen=True)
-class SegmentExtend:
-    below: "Descriptor"
+class SegmentExtend(Descriptor):
+    below: Descriptor
     a: Element
     b: Element
     kind = "segment_extend"
 
+    def apply(self, x: Element) -> Element:
+        if x < self.a:
+            return self.below.apply(x)
+        return self.b + sub(x, self.a)
 
-Descriptor = Union[Identity, E0ClassShift, E2Affine, E3Shift, Compose, Inverse, SegmentExtend]
+    def apply_inverse(self, y: Element) -> Element:
+        if y < self.b:
+            return self.below.apply_inverse(y)
+        return self.a + sub(y, self.b)
+
+
+KINDS = {cls.kind: cls for cls in (Identity, E0ClassShift, E2Affine, E3Shift, Compose, Inverse, SegmentExtend)}
 
 
 def apply(d: Descriptor, x: Element) -> Element:
-    if isinstance(d, Identity):
-        return x
-    if isinstance(d, E0ClassShift):
-        if trunc_const(x) == trunc_const(d.anchor):
-            return add_int(x, d.offset)
-        return x
-    if isinstance(d, E2Affine):
-        return d._apply(x)
-    if isinstance(d, E3Shift):
-        return d._apply(x)
-    if isinstance(d, Compose):
-        for part in reversed(d.parts):
-            x = apply(part, x)
-        return x
-    if isinstance(d, Inverse):
-        return _apply_inverse(d.of, x)
-    if isinstance(d, SegmentExtend):
-        if x < d.a:
-            return apply(d.below, x)
-        return d.b + sub(x, d.a)
-    raise TypeError(f"not a descriptor: {d!r}")
-
-
-def _apply_inverse(d: Descriptor, y: Element) -> Element:
-    if isinstance(d, Identity):
-        return y
-    if isinstance(d, E0ClassShift):
-        if trunc_const(y) == trunc_const(d.anchor):
-            return add_int(y, -d.offset)
-        return y
-    if isinstance(d, E2Affine):
-        return d._apply_inverse(y)
-    if isinstance(d, E3Shift):
-        return d._apply_inverse(y)
-    if isinstance(d, Compose):
-        for part in d.parts:
-            y = _apply_inverse(part, y)
-        return y
-    if isinstance(d, Inverse):
-        return apply(d.of, y)
-    if isinstance(d, SegmentExtend):
-        if y < d.b:
-            return _apply_inverse(d.below, y)
-        return d.a + sub(y, d.b)
-    raise TypeError(f"not a descriptor: {d!r}")
+    return d.apply(x)
 
 
 def invert(d: Descriptor) -> Descriptor:
-    if isinstance(d, Identity):
-        return d
-    if isinstance(d, E0ClassShift):
-        return E0ClassShift(d.anchor, -d.offset)
-    if isinstance(d, Inverse):
-        return d.of
-    if isinstance(d, Compose):
-        return Compose(tuple(invert(p) for p in reversed(d.parts)))
-    return Inverse(d)
-
-
-def _flatten(d: Descriptor) -> tuple:
-    if isinstance(d, Compose):
-        return d.parts
-    if isinstance(d, Identity):
-        return ()
-    return (d,)
+    return d.inverse()
 
 
 def compose(*descriptors: Descriptor) -> Descriptor:
     """Composite applying right-to-left: compose(f, g) acts as f after g."""
-    parts = []
-    for d in descriptors:
-        parts.extend(_flatten(d))
+    parts = [p for d in descriptors for p in d.flatten()]
     if not parts:
         return Identity()
     if len(parts) == 1:
         return parts[0]
     return Compose(tuple(parts))
-
-
-def intrinsic_anchors(d: Descriptor) -> tuple:
-    """(x, expected image) pairs guaranteed by the descriptor's own fields."""
-    if isinstance(d, E0ClassShift):
-        return ((d.anchor, add_int(d.anchor, d.offset)),)
-    if isinstance(d, E2Affine):
-        return ((d.a, d.b), (d.c, d.c))
-    if isinstance(d, E3Shift):
-        return ((d.a1, d.a2),)
-    return ()
 
 
 # --- builders ---------------------------------------------------------------
@@ -388,7 +415,7 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
     for i in range(len(probes) - 1):
         if not probes[i] < probes[i + 1]:
             raise InvariantViolation("probes must be strictly sorted")
-    images = [apply(d, p) for p in probes]
+    images = [d.apply(p) for p in probes]
     counts = {"monotonicity": 0, "inverse": 0, "anchors": 0, "e0_transport": 0, "standard": 0}
 
     for i in range(len(probes) - 1):
@@ -402,7 +429,7 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
         counts["monotonicity"] += 1
 
     for p, img in zip(probes, images):
-        back = _apply_inverse(d, img)
+        back = d.apply_inverse(img)
         if back != p:
             raise ValidationFailure(
                 "inverse-roundtrip",
@@ -418,8 +445,8 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
             )
         counts["standard"] += 1
 
-    for x, expected in tuple(intrinsic_anchors(d)) + tuple(anchors):
-        got = apply(d, x)
+    for x, expected in d.anchors() + tuple(anchors):
+        got = d.apply(x)
         if got != expected:
             raise ValidationFailure(
                 "anchor",
@@ -451,8 +478,8 @@ def almost_add_defect(d: Descriptor, a: Element, b: Element) -> Optional[int]:
     None marks a nonstandard additive defect: the map is then not an
     almost-additive order-isomorphism on this pair.
     """
-    total = apply(d, a + b)
-    parts = K.terms_add(apply(d, a).raw, apply(d, b).raw)
+    total = d.apply(a + b)
+    parts = K.terms_add(d.apply(a).raw, d.apply(b).raw)
     diff = K.terms_sub(total.raw, parts)
     if not diff:
         return 0

@@ -8,13 +8,16 @@ Exit codes:
   0  success
   1  violation, or a negative verdict where the command promises a positive
      (equiv that decides "no", auto without a route, failing suite)
-  2  usage, parse, or precondition errors
+  2  usage, parse, or precondition errors, including an ``apply`` descriptor
+     file that is not JSON, nests too deeply, or fails the checks of
+     :func:`lexarith.jsonio.descriptor_from_json`
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import analysis, automorph, equiv, jsonio, suites, textform
@@ -161,9 +164,10 @@ def _run(args) -> tuple:
 
     if args.command == "apply":
         with open(args.desc, "r", encoding="utf-8") as fh:
-            import json as _json
-
-            desc = jsonio.descriptor_from_json(_json.load(fh), dim)
+            try:
+                desc = jsonio.descriptor_from_json(json.load(fh), dim)
+            except RecursionError:
+                raise InvariantViolation("descriptor file nests too deeply") from None
         return _element_doc(automorph.apply(desc, parse(args.x))), 0
 
     if args.command == "seq":

@@ -2,22 +2,40 @@
 
 Rationals travel as ``"p/q"`` strings (``"p"`` when the denominator is 1).
 Elements are ``{"terms": [{"exp": [...], "coeff": "..."}]}``, verdicts are
-``{"level", "equivalent", "witness", "reason"}``, automorphism descriptors
-are a kind-tagged union.  Serialization is canonical: fixed key order via
-sorted dumps, no whitespace, so equal values are byte-identical.
+``{"level", "equivalent", "witness", "reason"}``.  Serialization is
+canonical: fixed key order via sorted dumps, no whitespace, so equal values
+are byte-identical.
+
+Descriptors are ``{"kind": ..., <fields>}``, walked generically over the
+dataclass fields of the kind in :data:`lexarith.automorph.KINDS`: an
+``Element`` field is an element, an ``int`` a JSON integer, a ``Descriptor``
+a nested descriptor and a ``tuple[Descriptor, ...]`` a list of them.
+Loading raises :class:`~lexarith.errors.InvariantViolation` on anything
+else: not an object, an unknown kind, missing or extra fields, an integer
+that is a string, float or boolean, a rational that is not a ``"p"`` or
+``"p/q"`` string, a misshapen element, or fields the kind's constructor
+rejects.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import re
+import typing
 from fractions import Fraction
 
 from . import automorph
 from .analysis import ClassSequence, EmbedResult
 from .equiv import Verdict
+from .errors import InvariantViolation
 from .model import Element
 from .textform import format_element
 from .witnesses import BoundN, Witness
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def dumps(obj) -> str:
@@ -35,7 +53,12 @@ def rational_to_json(f: Fraction) -> str:
 
 
 def rational_from_json(s: str) -> Fraction:
-    return Fraction(s)
+    if type(s) is not str or _RATIONAL.fullmatch(s) is None:
+        raise InvariantViolation(f'rational must be a "p" or "p/q" string, got {s!r:.40}')
+    try:
+        return Fraction(s)
+    except ValueError as exc:  # more digits than int() converts
+        raise InvariantViolation(str(exc)) from None
 
 
 def element_to_json(e: Element) -> dict:
@@ -50,9 +73,13 @@ def element_to_json(e: Element) -> dict:
     }
 
 
-def element_from_json(obj: dict, dim: int) -> Element:
+def element_from_json(obj, dim: int) -> Element:
+    if type(obj) is not dict or obj.keys() != {"terms"} or type(obj["terms"]) is not list:
+        raise InvariantViolation('element must be {"terms": [...]}')
     terms = []
     for t in obj["terms"]:
+        if type(t) is not dict or t.keys() != {"exp", "coeff"} or type(t["exp"]) is not list:
+            raise InvariantViolation('element term must be {"exp": [...], "coeff": "p/q"}')
         exp = tuple(rational_from_json(c) for c in t["exp"])
         terms.append((exp, rational_from_json(t["coeff"])))
     return Element(terms, dim)
@@ -73,76 +100,55 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
-def descriptor_to_json(d) -> dict:
-    if isinstance(d, automorph.Identity):
-        return {"kind": "identity"}
-    if isinstance(d, automorph.E0ClassShift):
-        return {
-            "kind": "e0_class_shift",
-            "anchor": element_to_json(d.anchor),
-            "offset": d.offset,
-        }
-    if isinstance(d, automorph.E2Affine):
-        return {
-            "kind": "e2_affine",
-            "a": element_to_json(d.a),
-            "b": element_to_json(d.b),
-            "n": d.n,
-            "c": element_to_json(d.c),
-            "m": d.m,
-        }
-    if isinstance(d, automorph.E3Shift):
-        return {
-            "kind": "e3_shift",
-            "a1": element_to_json(d.a1),
-            "a2": element_to_json(d.a2),
-            "c": element_to_json(d.c),
-        }
-    if isinstance(d, automorph.Compose):
-        return {"kind": "compose", "parts": [descriptor_to_json(p) for p in d.parts]}
-    if isinstance(d, automorph.Inverse):
-        return {"kind": "inverse", "of": descriptor_to_json(d.of)}
-    if isinstance(d, automorph.SegmentExtend):
-        return {
-            "kind": "segment_extend",
-            "below": descriptor_to_json(d.below),
-            "a": element_to_json(d.a),
-            "b": element_to_json(d.b),
-        }
-    raise TypeError(f"not a descriptor: {d!r}")
+def descriptor_to_json(d: automorph.Descriptor) -> dict:
+    doc = {"kind": d.kind}
+    for name, to_json, _ in _fields(type(d)):
+        doc[name] = to_json(getattr(d, name))
+    return doc
 
 
-def descriptor_from_json(obj: dict, dim: int):
-    kind = obj["kind"]
-    if kind == "identity":
-        return automorph.Identity()
-    if kind == "e0_class_shift":
-        return automorph.E0ClassShift(element_from_json(obj["anchor"], dim), obj["offset"])
-    if kind == "e2_affine":
-        return automorph.E2Affine(
-            a=element_from_json(obj["a"], dim),
-            b=element_from_json(obj["b"], dim),
-            n=obj["n"],
-            c=element_from_json(obj["c"], dim),
-            m=obj["m"],
-        )
-    if kind == "e3_shift":
-        return automorph.E3Shift(
-            a1=element_from_json(obj["a1"], dim),
-            a2=element_from_json(obj["a2"], dim),
-            c=element_from_json(obj["c"], dim),
-        )
-    if kind == "compose":
-        return automorph.Compose(tuple(descriptor_from_json(p, dim) for p in obj["parts"]))
-    if kind == "inverse":
-        return automorph.Inverse(descriptor_from_json(obj["of"], dim))
-    if kind == "segment_extend":
-        return automorph.SegmentExtend(
-            below=descriptor_from_json(obj["below"], dim),
-            a=element_from_json(obj["a"], dim),
-            b=element_from_json(obj["b"], dim),
-        )
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+def descriptor_from_json(obj, dim: int) -> automorph.Descriptor:
+    kind = obj.get("kind") if type(obj) is dict else None
+    cls = automorph.KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise InvariantViolation(f"descriptor must be an object with a kind in {sorted(automorph.KINDS)}")
+    fields = _fields(cls)
+    names = [name for name, _, _ in fields]
+    if obj.keys() != {"kind", *names}:
+        raise InvariantViolation(f"{kind} descriptor needs exactly the fields {names}, got {sorted(obj)}")
+    return cls(**{name: from_json(obj[name], dim) for name, _, from_json in fields})
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, to JSON, from JSON) of each dataclass field of a descriptor kind."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, *_CODECS[hints[f.name]]) for f in dataclasses.fields(cls))
+
+
+def _int_from_json(v, dim: int) -> int:
+    if type(v) is not int:
+        raise InvariantViolation(f"expected a JSON integer, got {v!r:.40}")
+    return v
+
+
+def _parts_from_json(v, dim: int) -> tuple:
+    if type(v) is not list:
+        raise InvariantViolation("parts must be a JSON list of descriptors")
+    return tuple(descriptor_from_json(p, dim) for p in v)
+
+
+# field annotation -> (to JSON, from JSON at a dimension); the module-level
+# codecs are looked up by name on each call, so a rebinding (tracing) sees them
+_CODECS = {
+    Element: (lambda e: element_to_json(e), lambda v, dim: element_from_json(v, dim)),
+    int: (int, _int_from_json),
+    automorph.Descriptor: (lambda d: descriptor_to_json(d), lambda v, dim: descriptor_from_json(v, dim)),
+    tuple[automorph.Descriptor, ...]: (
+        lambda parts: [descriptor_to_json(p) for p in parts],
+        _parts_from_json,
+    ),
+}
 
 
 def sequence_to_json(seq: ClassSequence) -> dict:

@@ -481,20 +481,6 @@ def pow_int(a: Element, n: int) -> Element:
     return result
 
 
-def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
-    if n in (0, 1) or k == 1:
-        return n
-    lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo**k == n else None
-
-
 def int_floor_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2 or k == 1:
@@ -510,11 +496,9 @@ def int_floor_root(n: int, k: int) -> int:
 
 
 def _rat_root(c: tuple, k: int) -> Optional[tuple]:
-    num = _int_root(c[0], k)
-    if num is None:
-        return None
-    den = _int_root(c[1], k)
-    if den is None:
+    """The exact k-th root of the positive rational c, or None if irrational."""
+    num, den = int_floor_root(c[0], k), int_floor_root(c[1], k)
+    if num**k != c[0] or den**k != c[1]:
         return None
     return (num, den)
 

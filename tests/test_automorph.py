@@ -3,6 +3,7 @@
 import pytest
 
 from lexarith import automorph as am
+from lexarith import jsonio
 from lexarith.errors import (
     InvariantViolation,
     NotE2Equivalent,
@@ -176,7 +177,11 @@ class TestValidate:
 
     def test_corrupted_descriptor_fails(self):
         d = am.build_from_e2(P("t"), P("2*t + 1"))
-        bad = am.E2Affine(a=d.a, b=d.b + 5, n=d.n, c=d.c, m=d.m)
+        with pytest.raises(InvariantViolation):
+            am.E2Affine(a=d.a, b=d.b + 5, n=d.n, c=d.c, m=d.m)
+        # past the constructor's check, the probes still catch the broken map
+        bad = am.build_from_e2(P("t"), P("2*t + 1"))
+        object.__setattr__(bad, "b", d.b + 5)
         with pytest.raises(ValidationFailure):
             am.validate(bad, probes_for(1, 43), anchors=((P("t"), P("2*t + 1")),))
 
@@ -204,3 +209,38 @@ class TestAlmostAddDefect:
     def test_affine_defect_is_nonstandard(self):
         d = am.build_from_e2(P("t"), P("2*t + 1"))
         assert am.almost_add_defect(d, P("t^2"), P("t^3")) is None
+
+
+def _roundtrip_cases():
+    aff = am.build_from_e2(P("t"), P("2*t + 1"))
+    shift = am.E0ClassShift(P("t^2"), -3)
+    e3 = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,1)", 2))
+    composite = am.build_from_e3(P("t^(1,0) + t^(1,-1)", 2), P("5*t^(1,3) + 7", 2))
+    return [
+        (1, am.Identity()),
+        (1, shift),
+        (1, aff),
+        (2, e3),
+        (2, composite),
+        (1, am.Inverse(aff)),
+        (1, am.Compose((am.Compose((shift, aff)), am.Inverse(aff), am.Identity()))),
+        (1, am.extend_initial_segment(am.Compose((am.Inverse(aff), shift)), P("t^9"), P("2*t^9 + 1"))),
+        (2, am.Inverse(composite)),
+    ]
+
+
+def test_descriptor_json_roundtrip_covers_every_kind():
+    cases = _roundtrip_cases()
+    seen = set()
+    for dim, d in cases:
+        doc = jsonio.descriptor_to_json(d)
+        back = jsonio.descriptor_from_json(doc, dim)
+        assert back == d
+        assert jsonio.dumps(jsonio.descriptor_to_json(back)) == jsonio.dumps(doc)
+        stack = [d]
+        while stack:
+            x = stack.pop()
+            seen.add(x.kind)
+            stack.extend(getattr(x, "parts", ()))
+            stack.extend(getattr(x, f) for f in ("of", "below") if hasattr(x, f))
+    assert seen == set(am.KINDS)

@@ -69,6 +69,53 @@ def test_auto_e3_route(capsys, tmp_path):
     assert json.loads(out)["text"] == "t^(1,1) + 3"
 
 
+def _affine_doc(capsys):
+    code, out = run(capsys, "auto", "--from", "t", "--to", "2*t+1")
+    assert code == 0
+    return json.loads(out)
+
+
+def _nested_text(depth):
+    # built as text: json.dumps itself cannot nest this deep
+    return '{"kind":"inverse","of":' * depth + '{"kind":"identity"}' + "}" * depth
+
+
+def _element(*terms):
+    return {"terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
+
+
+MALFORMED = {
+    "missing-fields": lambda aff: {"kind": "e2_affine"},
+    "not-an-object": lambda aff: [1],
+    "int-as-string": lambda aff: dict(aff, n="3"),
+    "int-as-bool": lambda aff: dict(aff, m=True),
+    "int-as-float": lambda aff: dict(aff, n=3.0),
+    "tampered-affine": lambda aff: dict(aff, b=_element((["1"], "3"), (["0"], "1"))),
+    "unknown-kind": lambda aff: {"kind": "rotate"},
+    "unhashable-kind": lambda aff: {"kind": [1]},
+    "extra-field": lambda aff: dict(aff, z=1),
+    "float-coefficient": lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], 1.5)), "offset": 1},
+    "zero-denominator": lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "1/0")), "offset": 1},
+    "element-not-terms": lambda aff: {"kind": "e0_class_shift", "anchor": ["1"], "offset": 1},
+    "parts-not-a-list": lambda aff: {"kind": "compose", "parts": {"0": aff}},
+    "too-deep": lambda aff: _nested_text(2000),
+    "zero-e3-anchor": lambda aff: {
+        "kind": "e3_shift", "a1": _element(), "a2": _element(), "c": _element((["0", "1"], "1")),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_descriptor_exit_two(capsys, tmp_path, case):
+    desc = tmp_path / "d.json"
+    doc = MALFORMED[case](_affine_doc(capsys))
+    desc.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    dim = "2" if case == "zero-e3-anchor" else "1"
+    code, out = run(capsys, "apply", "--desc", str(desc), "t + 7", "--dim", dim)
+    assert code == 2
+    assert json.loads(out)["error"] == "InvariantViolation"
+
+
 def test_parse_error_exit_two(capsys):
     code, out = run(capsys, "eval", "t + %")
     assert code == 2
