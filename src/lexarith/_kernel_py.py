@@ -6,7 +6,11 @@ is chosen at import time in :mod:`lexarith._backend`.
 
 Data layout (shared by both backends):
 
-- rational: ``(num, den)`` pair of ints, ``den > 0``, gcd-reduced
+- rational: ``(num, den)`` pair of ints, ``den > 0``, gcd-reduced, so zero
+            is ``(0, 1)``; this canonical pair is the only rational inside
+            the package (equality, hashing and dedupe rely on it), and
+            ``fractions.Fraction`` exists only in the public views of
+            :mod:`lexarith.model` and in ``analysis.EmbedResult``
 - exponent: tuple of rationals, one per dimension, compared lexicographically
 - terms:    tuple of ``(exponent, coeff)`` pairs, strictly descending by
             exponent, with no zero coefficients

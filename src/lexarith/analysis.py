@@ -146,7 +146,7 @@ def degree_weight(b: Element) -> Fraction:
     d = deg(b)
     if d is None:
         raise InvariantViolation("zero element has no degree weight")
-    return d.components[0]
+    return Fraction(*d.raw[0])
 
 
 def real_embed(anchor: Element, b: Element) -> EmbedResult:
@@ -160,7 +160,6 @@ def real_embed(anchor: Element, b: Element) -> EmbedResult:
     v = equiv.decide(4, anchor, b)
     if not v.equivalent:
         raise NotE4Equivalent(f"{b!r} is not in the level-4 class of {anchor!r}")
-    da = deg(anchor)
-    if da.dim == 2 and da.components[0] == 0:
-        return EmbedResult(value=deg(b).components[1], degenerate=True)
+    if deg(anchor).level() > 0:
+        return EmbedResult(value=Fraction(*deg(b).raw[1]), degenerate=True)
     return EmbedResult(value=degree_weight(b), degenerate=False)

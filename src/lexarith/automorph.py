@@ -19,7 +19,8 @@ Descriptors are finite, evaluable at any element, and invertible:
   (the inverse image class would need an infinite expansion).
 - ``Compose`` (applies right-to-left), ``Inverse``
 - ``SegmentExtend``: glue an order-isomorphism of the initial segment
-  below a onto the shift ``x -> b + (x - a)`` above it.
+  below a onto the shift ``x -> b + (x - a)`` above it; ``below`` must map
+  a to b, so that the segment under a lands exactly on the one under b.
 
 Representative sets are never materialized: the canonical representative
 of a finite-distance class drops the constant term, the canonical
@@ -298,6 +299,13 @@ class SegmentExtend(Descriptor):
     b: Element
     kind = "segment_extend"
 
+    def __post_init__(self):
+        # below is an automorphism (every kind is checked where it is built),
+        # so it maps {x < a} onto {y < below(a)}: the glued map is one iff
+        # below(a) == b
+        if self.below.apply(self.a) != self.b:
+            raise InvariantViolation("segment extension needs below(a) == b")
+
     def apply(self, x: Element) -> Element:
         if x < self.a:
             return self.below.apply(x)
@@ -374,9 +382,7 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
         return build_from_e2(a1, a2)
     if a1 > a2:
         return invert(build_from_e3(a2, a1))
-    d1, d2 = deg(a1), deg(a2)
-    s = d2.components[1] - d1.components[1]
-    c = Element.monomial(1, (0, s), dim=2)
+    c = Element([(deg(a2) - deg(a1), 1)], 2)
     mid = a1 * c
     shift = E3Shift(a1=a1, a2=mid, c=c)
     if mid == a2:

@@ -41,9 +41,11 @@ from . import oracle
 from .errors import CannotProve, NotEquivalent, StandardInput
 from .model import (
     Element,
+    Exponent,
     const_value,
     deg,
     floor_quotient,
+    format_rational,
     is_standard,
     sub,
     trunc_const,
@@ -79,7 +81,7 @@ def require_nonstandard(a: Element, b: Element) -> None:
 
 def _deg_strs(a: Element) -> list:
     d = deg(a)
-    return [str(c) for c in d.components] if d is not None else []
+    return [format_rational(r) for r in d.raw] if d is not None else []
 
 
 def _reason(rule: str, a: Element, b: Element, **extra) -> dict:
@@ -100,21 +102,10 @@ def _positive(level: int, a: Element, b: Element) -> bool:
     if level == 2:
         return da == db
     if level == 3:
-        if a.dim == 1:
-            return da == db
-        a1 = da.components[0]
-        b1 = db.components[0]
-        if a1 > 0 and b1 > 0:
-            return a1 == b1
-        if a1 == 0 and b1 == 0:
-            return da == db
-        return False
+        # same Archimedean class, and the degrees differ only below it
+        return da.level() == db.level() < (da - db).level()
     if level == 4:
-        if a.dim == 1:
-            return True
-        a1 = da.components[0]
-        b1 = db.components[0]
-        return (a1 > 0 and b1 > 0) or (a1 == 0 and b1 == 0)
+        return da.level() == db.level()
     raise AssertionError(level)
 
 
@@ -145,8 +136,9 @@ def _minimal_n(level: int, a: Element, b: Element) -> int:
     if level == 4:
         da, db = deg(a), deg(b)
         lvl = da.level()
-        ra = da.components[lvl] / db.components[lvl]
-        cap = int(max(ra, 1 / ra)) + 2
+        (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
+        # both components are positive: floor of the larger of their two ratios
+        cap = max(an * bd // (ad * bn), ad * bn // (an * bd)) + 2
         for n in range(1, cap + 1):
             if oracle.check_witness(level, a, b, BoundN(n)):
                 return n
@@ -163,8 +155,8 @@ def _synth_companion(level: int, a: Element, b: Element) -> Element:
     da, db = deg(a), deg(b)
     if da == db:
         return Element.integer(_minimal_n(2, a, b), a.dim)
-    s = abs(da.components[1] - db.components[1]) + 1
-    return Element.monomial(1, (0, s), dim=2)
+    gap = da - db if da > db else db - da
+    return Element([(gap + Exponent((0, 1)), 1)], 2)
 
 
 def _escalate(w: Witness, dim: int) -> Witness:

@@ -24,13 +24,13 @@ import functools
 import json
 import re
 import typing
-from fractions import Fraction
 
 from . import automorph
+from ._backend import kernel as K
 from .analysis import ClassSequence, EmbedResult
 from .equiv import Verdict
 from .errors import InvariantViolation
-from .model import Element
+from .model import Element, format_rational
 from .textform import format_element
 from .witnesses import BoundN, Witness
 
@@ -46,17 +46,12 @@ def dumps_pretty(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def rational_to_json(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def rational_from_json(s: str) -> Fraction:
+def rational_from_json(s: str) -> tuple:
     if type(s) is not str or _RATIONAL.fullmatch(s) is None:
         raise InvariantViolation(f'rational must be a "p" or "p/q" string, got {s!r:.40}')
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return K.rat(int(num), int(den or 1))
     except ValueError as exc:  # more digits than int() converts
         raise InvariantViolation(str(exc)) from None
 
@@ -64,11 +59,8 @@ def rational_from_json(s: str) -> Fraction:
 def element_to_json(e: Element) -> dict:
     return {
         "terms": [
-            {
-                "exp": [rational_to_json(c) for c in exponent.components],
-                "coeff": rational_to_json(coeff),
-            }
-            for exponent, coeff in e.terms()
+            {"exp": [format_rational(r) for r in exponent], "coeff": format_rational(coeff)}
+            for exponent, coeff in e.raw
         ]
     }
 
@@ -162,4 +154,4 @@ def sequence_to_json(seq: ClassSequence) -> dict:
 
 
 def embed_to_json(r: EmbedResult) -> dict:
-    return {"value": rational_to_json(r.value), "degenerate": r.degenerate}
+    return {"value": format_rational(r.value.as_integer_ratio()), "degenerate": r.degenerate}

@@ -15,6 +15,16 @@ dim 1.  For dim 2 the quotient expansion can have unboundedly many
 nonnegative-exponent terms; Euclidean division therefore carries a term
 budget and a typed :class:`~lexarith.errors.NonTerminatingQuotient` error.
 
+Representation rule: inside the package a rational is the kernel's
+canonical ``(num, den)`` pair (``den > 0``, lowest terms, zero is
+``(0, 1)``), from parsing to printing.  ``fractions.Fraction`` appears only
+in the public views of this module (``Exponent.components``,
+``Element.terms()`` and :class:`Term`), in the constructors, which accept
+``int`` and ``Fraction`` besides pairs, and in the public value of
+``analysis.EmbedResult``.  :func:`format_rational` is the one ``"p/q"``
+formatter.  Internal code reads ``.raw`` and uses the ``Exponent``
+operations, never the views.
+
 Everything here is immutable and pure.
 """
 
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernel as K
@@ -32,7 +43,7 @@ from .errors import (
     Underflow,
 )
 
-RatLike = Union[int, Fraction, str]
+RatLike = Union[int, Fraction, tuple]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -44,10 +55,14 @@ def _to_rat(x: RatLike) -> tuple:
         return (x, 1)
     if isinstance(x, Fraction):
         return (x.numerator, x.denominator)
-    if isinstance(x, str):
-        f = Fraction(x)
-        return (f.numerator, f.denominator)
+    if type(x) is tuple and len(x) == 2:
+        return K.rat(*x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def format_rational(r: tuple) -> str:
+    """``"p/q"``, or ``"p"`` when the denominator is 1, of a canonical pair."""
+    return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
 
 
 def _rat_to_fraction(r: tuple) -> Fraction:
@@ -131,8 +146,7 @@ class Exponent:
         return K.exp_cmp(self._raw, other._raw) >= 0
 
     def __repr__(self) -> str:
-        comps = ",".join(str(c) for c in self.components)
-        return f"Exponent({comps})"
+        return f"Exponent({','.join(format_rational(r) for r in self._raw)})"
 
 
 class Term(NamedTuple):
@@ -167,8 +181,11 @@ class Element:
         raw = []
         for exponent, coeff in terms:
             e = exponent.raw if isinstance(exponent, Exponent) else tuple(_to_rat(c) for c in exponent)
+            # the kernel's exponent order compares equal-length exponents only
+            if len(e) != dim:
+                raise InvariantViolation(f"exponent {e} has wrong dimension for dim={dim}")
             raw.append((e, _to_rat(coeff)))
-        raw.sort(key=lambda t: _exp_sort_key(t[0]), reverse=True)
+        raw.sort(key=_BY_EXPONENT, reverse=True)
         validated = _validate_raw(tuple(raw), dim)
         self._raw = validated
         self._dim = dim
@@ -272,15 +289,11 @@ class Element:
     def __repr__(self) -> str:
         if not self._raw:
             return "Element<0>"
-        bits = []
-        for e, c in self._raw:
-            comps = ",".join(f"{n}/{d}" if d != 1 else str(n) for n, d in e)
-            bits.append(f"{c[0]}/{c[1]}*t^({comps})" if c[1] != 1 else f"{c[0]}*t^({comps})")
+        bits = [f"{format_rational(c)}*t^({','.join(format_rational(r) for r in e)})" for e, c in self._raw]
         return f"Element<{' + '.join(bits)}>"
 
 
-def _exp_sort_key(e: tuple) -> tuple:
-    return tuple(Fraction(n, d) for n, d in e)
+_BY_EXPONENT = cmp_to_key(lambda s, t: K.exp_cmp(s[0], t[0]))
 
 
 def _validate_raw(raw: tuple, dim: int) -> tuple:
@@ -289,8 +302,6 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
     zero_exp = ((0, 1),) * dim
     seen = set()
     for e, c in raw:
-        if len(e) != dim:
-            raise InvariantViolation(f"exponent {e} has wrong dimension for dim={dim}")
         if e in seen:
             raise InvariantViolation(f"duplicate exponent {e}")
         seen.add(e)

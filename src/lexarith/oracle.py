@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StandardInput
-from .model import Element, deg, is_standard, pow_int
+from .model import Element, Exponent, deg, is_standard, pow_int
 from .witnesses import BoundN, Companion, Witness
 
 
@@ -85,15 +85,12 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
 def default_pool(level: int, a: Element, b: Element, n_max: int = 8) -> tuple:
     """Deterministic companion candidates from the degree lattice of a, b."""
     dim = a.dim
-    zero = (0,) * dim
+    zero = Exponent.zero(dim)
     exps = {zero}
     for x in (a, b):
-        for exponent, _ in x.terms():
-            exps.add(tuple(exponent.components))
-    diffs = set()
-    for e in exps:
-        for f in exps:
-            diffs.add(tuple(ei - fi for ei, fi in zip(e, f)))
+        for e, _ in x.raw:
+            exps.add(Exponent(e))
+    diffs = {e - f for e in exps for f in exps}
     candidates = []
     for k in range(1, min(n_max, 9) + 1):
         candidates.append(Element.integer(k, dim))
@@ -101,14 +98,14 @@ def default_pool(level: int, a: Element, b: Element, n_max: int = 8) -> tuple:
     if dim == 2:
         bound = 2
         for e in exps:
-            bound = max(bound, int(abs(e[1])) + 2)
+            num, den = e.raw[1]
+            bound = max(bound, abs(num) // den + 2)
         for j in range(1, min(bound, 12) + 1):
-            seen_exps.add((0, j))
+            seen_exps.add(Exponent((0, j)))
     for e in seen_exps:
-        lex_nonneg = e > zero if dim == 1 else e[0] > 0 or (e[0] == 0 and e[1] > 0)
-        if not lex_nonneg:
+        if not e > zero:
             continue
-        mono = Element.monomial(1, e, dim=dim)
+        mono = Element([(e, 1)], dim)
         candidates.append(mono)
         candidates.append(mono + Element.integer(1, dim))
         candidates.append(mono * 2)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation
-from .model import Element, is_standard
+from .model import Element, Exponent, is_standard
 
 
 @dataclass(frozen=True)
@@ -39,31 +38,31 @@ class Sampler:
         self.profile = profile
         self.rng = random.Random(profile.seed)
 
-    def _rational(self, allow_zero: bool, allow_negative: bool) -> Fraction:
+    def _rational(self, allow_zero: bool, allow_negative: bool) -> tuple:
+        """A ``(num, den)`` pair, reduced by the constructor it is passed to."""
         p = self.profile
         num = self.rng.randint(0 if allow_zero else 1, p.exp_num_bound)
         den = self.rng.randint(1, p.exp_den_bound)
-        f = Fraction(num, den)
         if allow_negative and num and self.rng.random() < 0.3:
-            return -f
-        return f
+            return (-num, den)
+        return (num, den)
 
-    def _exponent(self) -> tuple:
+    def _exponent(self) -> Exponent:
         """A nonzero exponent >= 0 in the lexicographic order."""
         p = self.profile
         if p.dim == 1:
-            return (self._rational(allow_zero=False, allow_negative=False),)
+            return Exponent((self._rational(allow_zero=False, allow_negative=False),))
         first = self._rational(allow_zero=True, allow_negative=False)
-        second = self._rational(allow_zero=True, allow_negative=first > 0)
-        if first == 0 and second == 0:
-            second = Fraction(self.rng.randint(1, p.exp_num_bound), self.rng.randint(1, p.exp_den_bound))
-        return (first, second)
+        second = self._rational(allow_zero=True, allow_negative=first[0] > 0)
+        if first[0] == 0 and second[0] == 0:
+            second = (self.rng.randint(1, p.exp_num_bound), self.rng.randint(1, p.exp_den_bound))
+        return Exponent((first, second))
 
-    def _coeff(self) -> Fraction:
+    def _coeff(self) -> tuple:
         p = self.profile
         num = self.rng.randint(1, p.coeff_bound)
         den = self.rng.choice((1, 1, 1, 2, 3))
-        return Fraction(num, den)
+        return (num, den)
 
     def element(self) -> Element:
         """One sample; standard with probability about 1/8."""
@@ -83,11 +82,11 @@ class Sampler:
         for i, e in enumerate(ordered):
             coeff = self._coeff()
             if i > 0 and self.rng.random() < 0.4:
-                coeff = -coeff
+                coeff = (-coeff[0], coeff[1])
             terms.append((e, coeff))
         constant = self.rng.randint(-p.coeff_bound, p.coeff_bound)
         if constant:
-            terms.append(((Fraction(0),) * p.dim, Fraction(constant)))
+            terms.append((Exponent.zero(p.dim), constant))
         return Element(terms, p.dim)
 
     def nonstandard(self) -> Element:

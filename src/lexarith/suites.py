@@ -11,7 +11,6 @@ visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import analysis, automorph, equiv, jsonio, oracle, textform
 from .errors import (
@@ -66,9 +65,7 @@ def _fmt(e: Element) -> str:
 
 def _lower_perturbation(s: Sampler, a: Element) -> Element:
     """A positive element of strictly smaller degree than a."""
-    half = deg(a) * Fraction(1, 2)
-    coeff = Fraction(s.integer(1, 5))
-    mono = Element.monomial(coeff, tuple(half.components), dim=a.dim)
+    mono = Element([(deg(a) * (1, 2), s.integer(1, 5))], a.dim)
     return mono + Element.integer(s.integer(0, 3), a.dim)
 
 
@@ -87,9 +84,9 @@ def equivalent_to(s: Sampler, a: Element, level: int) -> Element:
             b = b + _lower_perturbation(s, a)
         return b + s.integer(-2, 4)
     if level == 3:
-        if a.dim == 1 or deg(a).components[0] == 0:
+        if a.dim == 1 or deg(a).level() > 0:
             return equivalent_to(s, a, 2)
-        shift = Element.monomial(1, (0, Fraction(s.integer(1, 4))), dim=2)
+        shift = Element.monomial(1, (0, s.integer(1, 4)), dim=2)
         b = a * shift * s.integer(1, 3)
         if s.chance(0.5):
             b = b + _lower_perturbation(s, b)
@@ -461,7 +458,7 @@ def _run_automorph_cases(
     base_set = set(base_probes)
     for i in range(samples):
         a, b = equivalent_pair(s, level)
-        if level == 3 and s.chance(0.5) and a.dim == 2 and deg(a).components[0] > 0:
+        if level == 3 and s.chance(0.5) and a.dim == 2 and deg(a).level() == 0:
             # bias toward the genuinely non-finite-ratio regime
             b = b * Element.monomial(1, (0, 1), dim=2)
         try:
@@ -559,7 +556,7 @@ def suite_b11(samples: int, seed: int, dim: int) -> SuiteResult:
         a = s.nonstandard()
         if s.chance(0.5):
             # unit leading coefficient: every 2**n-th root floor is representable
-            a = Element.monomial(1, tuple(deg(a).components), dim=dim) + s.integer(0, 5)
+            a = Element([(deg(a), 1)], dim) + s.integer(0, 5)
         for direction in ("up", "down"):
             try:
                 seq = analysis.b11_seq(a, 3, direction)
@@ -613,9 +610,9 @@ def suite_embed(samples: int, seed: int, dim: int) -> SuiteResult:
     anchor = textform.parse_element("t^(1,0)", 2)
 
     def class_member() -> Element:
-        p = Fraction(s.integer(1, 6), s.integer(1, 3))
-        q = Fraction(s.integer(-4, 6), s.integer(1, 3))
-        b = Element.monomial(Fraction(s.integer(1, 7)), (p, q), dim=2)
+        p = (s.integer(1, 6), s.integer(1, 3))
+        q = (s.integer(-4, 6), s.integer(1, 3))
+        b = Element.monomial(s.integer(1, 7), (p, q), dim=2)
         if s.chance(0.5):
             b = b + _lower_perturbation(s, b)
         return b

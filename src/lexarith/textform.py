@@ -18,47 +18,35 @@ round-trips exactly through ``parse_element``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._backend import kernel as K
 from .errors import ParseError
-from .model import Element
+from .model import Element, format_rational
 
 _WS = " \t\n\r"
 
 
-def format_rational(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _format_exponent(comps: tuple) -> str:
-    if len(comps) == 1:
-        e = comps[0]
-        if e.denominator == 1:
-            return f"t^{e.numerator}" if e != 1 else "t"
-        return f"t^({format_rational(e)})"
-    inner = ",".join(format_rational(c) for c in comps)
-    return f"t^({inner})"
+def _format_exponent(raw: tuple) -> str:
+    if len(raw) == 1 and raw[0][1] == 1:
+        return f"t^{raw[0][0]}" if raw[0][0] != 1 else "t"
+    return f"t^({','.join(format_rational(r) for r in raw)})"
 
 
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    for i, (exponent, coeff) in enumerate(e.terms()):
-        mag = abs(coeff)
-        if exponent.is_zero():
+    for i, (exponent, (num, den)) in enumerate(e.raw):
+        mag = (abs(num), den)
+        if K.exp_is_zero(exponent):
             body = format_rational(mag)
-        elif mag == 1:
-            body = _format_exponent(exponent.components)
+        elif mag == (1, 1):
+            body = _format_exponent(exponent)
         else:
-            body = f"{format_rational(mag)}*{_format_exponent(exponent.components)}"
+            body = f"{format_rational(mag)}*{_format_exponent(exponent)}"
         if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+            parts.append(f" + {body}" if num > 0 else f" - {body}")
     return "".join(parts)
 
 
@@ -95,7 +83,7 @@ class _Scanner:
             raise ParseError(start, "digits", self.peek() or "end of input")
         return int(self.text[start : self.pos])
 
-    def rational(self, signed: bool) -> Fraction:
+    def rational(self, signed: bool) -> tuple:
         self.skip_ws()
         neg = False
         if signed and self.peek() == "-":
@@ -109,8 +97,7 @@ class _Scanner:
             den = self.uint()
             if den == 0:
                 raise ParseError(den_pos, "nonzero denominator", "0")
-        f = Fraction(num, den)
-        return -f if neg else f
+        return K.rat(-num if neg else num, den)
 
 
 def _parse_exponent(s: _Scanner, dim: int) -> tuple:
@@ -138,13 +125,13 @@ def _parse_exponent(s: _Scanner, dim: int) -> tuple:
 def _parse_term(s: _Scanner, dim: int) -> tuple:
     """One unsigned term -> (exponent components, coefficient)."""
     s.skip_ws()
-    zero = (Fraction(0),) * dim
+    one = ((1, 1),) + ((0, 1),) * (dim - 1)
     if s.peek() == "t":
         s.take()
         if s.peek() == "^":
             s.take()
-            return _parse_exponent(s, dim), Fraction(1)
-        return (Fraction(1),) + (Fraction(0),) * (dim - 1), Fraction(1)
+            return _parse_exponent(s, dim), (1, 1)
+        return one, (1, 1)
     if not (s.peek().isdigit()):
         raise ParseError(s.pos, "a term ('t', coefficient, or digits)", s.peek() or "end of input")
     coeff = s.rational(signed=False)
@@ -158,8 +145,8 @@ def _parse_term(s: _Scanner, dim: int) -> tuple:
         if s.peek() == "^":
             s.take()
             return _parse_exponent(s, dim), coeff
-        return (Fraction(1),) + (Fraction(0),) * (dim - 1), coeff
-    return zero, coeff
+        return one, coeff
+    return ((0, 1),) * dim, coeff
 
 
 def parse_element(text: str, dim: int) -> Element:
@@ -173,11 +160,9 @@ def parse_element(text: str, dim: int) -> Element:
     if s.peek() in "+-":
         sign = -1 if s.take() == "-" else 1
     while True:
-        comps, coeff = _parse_term(s, dim)
-        coeff *= sign
-        if coeff:
-            exp = tuple((c.numerator, c.denominator) for c in comps)
-            raw = K.terms_add(raw, ((exp, (coeff.numerator, coeff.denominator)),))
+        exp, (num, den) = _parse_term(s, dim)
+        if num:
+            raw = K.terms_add(raw, ((exp, (sign * num, den)),))
         s.skip_ws()
         if s.at_end():
             break
@@ -186,5 +171,4 @@ def parse_element(text: str, dim: int) -> Element:
             raise ParseError(s.pos, "'+', '-' or end of input", ch)
         s.take()
         sign = -1 if ch == "-" else 1
-    terms = [(tuple(Fraction(n, d) for n, d in e), Fraction(cn, cd)) for e, (cn, cd) in raw]
-    return Element(terms, dim)
+    return Element(raw, dim)

@@ -145,23 +145,30 @@ class TestSegmentExtend:
 
     def test_shift_above_anchor(self):
         a, b = P("t^2"), P("t^2 + t")
-        g = am.extend_initial_segment(am.Identity(), a, b)
+        g = am.extend_initial_segment(am.build_from_e2(a, b), a, b)
         assert am.apply(g, a) == b
         assert am.apply(g, a + 5) == b + 5
+        am.validate(g, [P("t^2 - 1"), a, P("t^2 + 1/2*t")])
 
     def test_glued_affine_segment(self):
         a = P("t^9")
-        b = P("2*t^9 + 1")
+        b = P("3*t^9 - t + 1")
         inner = am.build_from_e2(P("t"), P("2*t + 1"))
+        assert am.apply(inner, a) == b
         g = am.extend_initial_segment(inner, a, b)
         assert am.apply(g, a) == b
         assert am.apply(g, P("t + 3")) == am.apply(inner, P("t + 3"))
-        probes = probes_for(1, 37, extra=[a, b, a + 7])
+        probes = probes_for(1, 37, extra=[a, b, a + 7, P("t^9 - 1")])
         am.validate(g, probes, anchors=((a, b),))
 
     def test_bad_segment_surfaces_in_validate(self):
-        # range of the inner map is not below b: monotonicity breaks at the seam
-        g = am.extend_initial_segment(am.Identity(), P("t"), P("1/2*t"))
+        # below(a) != b: the segment under a does not map onto the one under b
+        with pytest.raises(InvariantViolation):
+            am.extend_initial_segment(am.Identity(), P("t"), P("1/2*t"))
+        # past the constructor's check, the probes still catch the broken
+        # map: monotonicity breaks at the seam
+        g = am.extend_initial_segment(am.Identity(), P("t"), P("t"))
+        object.__setattr__(g, "b", P("1/2*t"))
         probes = sorted({P("t - 1"), P("t"), P("t + 1"), P("t^2")})
         with pytest.raises(ValidationFailure):
             am.validate(g, probes)
@@ -216,6 +223,7 @@ def _roundtrip_cases():
     shift = am.E0ClassShift(P("t^2"), -3)
     e3 = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,1)", 2))
     composite = am.build_from_e3(P("t^(1,0) + t^(1,-1)", 2), P("5*t^(1,3) + 7", 2))
+    below = am.Compose((am.Inverse(aff), shift))
     return [
         (1, am.Identity()),
         (1, shift),
@@ -224,7 +232,7 @@ def _roundtrip_cases():
         (2, composite),
         (1, am.Inverse(aff)),
         (1, am.Compose((am.Compose((shift, aff)), am.Inverse(aff), am.Identity()))),
-        (1, am.extend_initial_segment(am.Compose((am.Inverse(aff), shift)), P("t^9"), P("2*t^9 + 1"))),
+        (1, am.extend_initial_segment(below, P("t^9"), am.apply(below, P("t^9")))),
         (2, am.Inverse(composite)),
     ]
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from lexarith import suites
 from lexarith.cli import main
+from lexarith.model import Element, Exponent
 
 
 def run(capsys, *argv):
@@ -99,6 +101,10 @@ MALFORMED = {
     "element-not-terms": lambda aff: {"kind": "e0_class_shift", "anchor": ["1"], "offset": 1},
     "parts-not-a-list": lambda aff: {"kind": "compose", "parts": {"0": aff}},
     "too-deep": lambda aff: _nested_text(2000),
+    "segment-not-glued": lambda aff: {
+        "kind": "segment_extend", "below": {"kind": "identity"},
+        "a": _element((["1"], "1")), "b": _element((["1"], "1/2")),
+    },
     "zero-e3-anchor": lambda aff: {
         "kind": "e3_shift", "a1": _element(), "a2": _element(), "c": _element((["0", "1"], "1")),
     },
@@ -193,3 +199,24 @@ def test_backends_produce_identical_suite_output():
     pure = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert compiled.returncode == pure.returncode == 0
     assert compiled.stdout == pure.stdout
+
+
+def test_internal_paths_read_no_fraction_views(capsys, monkeypatch):
+    def view(*_):
+        raise AssertionError("an internal path read a Fraction view")
+
+    monkeypatch.setattr(Element, "terms", view)
+    monkeypatch.setattr(Exponent, "components", property(view))
+    for dim in (1, 2):
+        assert sum(len(r.violations) for r in suites.run_suites("all", 10, 7, dim)) == 0
+    for argv in (
+        ("eval", "t^(1,-1/2) + 3/2*t^(0,2) + 4", "--dim", "2"),
+        ("equiv", "--level", "3", "t^(2,1) + t^(1,0)", "3*t^(2,4) + 1", "--dim", "2"),
+        ("equiv", "--level", "4", "t^(2,1/2) + 1", "t^(1,3)", "--dim", "2"),
+        ("equiv", "--level", "4", "t^(1/2)", "7/3*t^3 + 1"),
+        ("embed", "--anchor", "t^(1,0)", "t^(2,3)", "--dim", "2"),
+        ("embed", "--anchor", "t^(0,1)", "t^(0,7/3) + 5", "--dim", "2"),
+        ("auto", "--from", "t^(1,0) + t^(1,-1)", "--to", "5*t^(1,3) + 7", "--dim", "2"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0 and "error" not in json.loads(out), argv

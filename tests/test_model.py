@@ -65,6 +65,15 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             Element.integer(-3, 1)
 
+    def test_rejects_string_rationals(self):
+        with pytest.raises(TypeError):
+            Element.monomial("1/2", (1,))
+        with pytest.raises(TypeError):
+            Element.monomial(1, ("1/2",))
+
+    def test_pairs_are_reduced_on_the_way_in(self):
+        assert Element.monomial((2, 4), ((4, 2), (0, 7))).raw == ((((2, 1), (0, 1)), (1, 2)),)
+
     def test_dim2_mixed_sign_exponent_is_legal(self):
         e = P("t^(1,-5)", 2)
         assert deg(e) == Exponent([1, -5])

@@ -1,11 +1,14 @@
 """Grammar, rendering, and round-trips."""
 
+from fractions import Fraction
+
 import pytest
 
+from lexarith import jsonio
 from lexarith.errors import InvariantViolation, ParseError
 from lexarith.model import Element
 from lexarith.sampler import SampleProfile, Sampler
-from lexarith.textform import format_element, parse_element
+from lexarith.textform import format_element, format_rational, parse_element
 
 
 def test_parse_examples():
@@ -80,3 +83,20 @@ def test_sampler_determinism():
     s1 = [Sampler(p).element() for _ in range(1)]
     s2 = [Sampler(p).element() for _ in range(1)]
     assert s1 == s2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "5", "-7", "7/2", "-7/2", "12/4", "-123456789/1000", "1000000007/998244353", "007/010"],
+)
+def test_rational_codec_matches_fraction(text):
+    f = Fraction(text)
+    r = jsonio.rational_from_json(text)
+    assert r == (f.numerator, f.denominator)
+    assert format_rational(r) == str(f)
+    assert parse_element(f"t^(2,{text})", 2) == Element([((2, f), 1)], 2)
+    e = Element([((2, r), 1)] + ([((1, r), r)] if r[0] else []), 2)
+    assert parse_element(format_element(e), 2) == e
+    doc = jsonio.element_to_json(e)
+    assert doc["terms"][0]["exp"] == ["2", str(f)]
+    assert jsonio.element_from_json(doc, 2) == e
