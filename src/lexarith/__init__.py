@@ -7,7 +7,6 @@ from ._backend import backend_name
 from .model import (
     Element,
     Exponent,
-    ModelConfig,
     Term,
     cmp,
     deg,
@@ -24,7 +23,6 @@ from .textform import format_element, parse_element
 __all__ = [
     "Element",
     "Exponent",
-    "ModelConfig",
     "Term",
     "backend_name",
     "cmp",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import equiv
 from .errors import InvariantViolation, NotE4Equivalent
@@ -17,6 +16,7 @@ from .model import (
     DEFAULT_DIV_BUDGET,
     Element,
     ceil_quotient_scalar,
+    certified_max,
     deg,
     divmod_floor,
     floor_quotient,
@@ -39,14 +39,16 @@ class ClassSequence:
             raise InvariantViolation(f"direction must be up or down, got {self.direction}")
 
 
-def _require_nonstandard(a: Element) -> None:
+def _require_seq_args(a: Element, count: int) -> None:
     if is_standard(a):
         raise InvariantViolation("class sequences need a nonstandard base point")
+    if count < 0:
+        raise InvariantViolation(f"sequence count must be >= 0, got {count}")
 
 
 def e0_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """a+n upward (cofinal in the class), a-n downward (coinitial)."""
-    _require_nonstandard(a)
+    _require_seq_args(a, count)
     step = 1 if direction == "up" else -1
     terms = tuple(a + step * n if step > 0 else sub(a, Element.integer(n, a.dim)) for n in range(count))
     return ClassSequence(kind="e0", level=0, direction=direction, terms=terms)
@@ -54,7 +56,7 @@ def e0_seq(a: Element, count: int, direction: str) -> ClassSequence:
 
 def e2_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """n*a upward; min{b : n*b >= a} (ceiling division) downward."""
-    _require_nonstandard(a)
+    _require_seq_args(a, count)
     if direction == "up":
         terms = tuple(a * n for n in range(1, count + 1))
     else:
@@ -92,18 +94,6 @@ def b11_lower_holds(a: Element, n: int, b: Element, budget: int = DEFAULT_DIV_BU
     return pow_int(q, 2**n) >= a
 
 
-def _certified_max(pred: Callable[[Element], bool], candidate: Element, step: Element) -> Element:
-    """Nudge candidate by +-step until pred(candidate) and not pred(candidate+step)."""
-    for _ in range(4):
-        if not pred(candidate):
-            candidate = sub(candidate, step)
-        elif pred(candidate + step):
-            candidate = candidate + step
-        else:
-            return candidate
-    raise AssertionError("max-predicate certification did not settle within +-4 steps")
-
-
 def b11_seq(a: Element, count: int, direction: str, budget: int = DEFAULT_DIV_BUDGET) -> ClassSequence:
     """Boundary sequences of the dominated-ratio class of a.
 
@@ -112,22 +102,23 @@ def b11_seq(a: Element, count: int, direction: str, budget: int = DEFAULT_DIV_BU
     direction "down": the increasing sequence max{b : floor(a/b)**(2**n) >= a}
     of elements below the whole class (floor of a**(1 - 2**-n)).
 
-    Every emitted term is certified against its defining max-predicate.
-    Partiality of root_floor (irrational leading coefficient, unbounded
-    dim-2 expansions) propagates as typed errors.
+    Every emitted term is certified against its defining max-predicate by
+    :func:`lexarith.model.certified_max`.  Partiality of root_floor
+    (irrational leading coefficient, unbounded dim-2 expansions) propagates
+    as typed errors.
     """
-    _require_nonstandard(a)
+    _require_seq_args(a, count)
     one = Element.integer(1, a.dim)
     terms = []
     for n in range(1, count + 1):
         k = 2**n
         if direction == "up":
             q = root_floor(a, k, budget)
-            term = _certified_max(lambda b: b11_upper_holds(a, n, b, budget), a * q, a)
+            term = certified_max(lambda b: b11_upper_holds(a, n, b, budget), a * q, a)
         else:
             m = root_floor(a, k, budget)
             r = m if pow_int(m, k) == a else m + one
-            term = _certified_max(lambda b: b11_lower_holds(a, n, b, budget), floor_quotient(a, r, budget), one)
+            term = certified_max(lambda b: b11_lower_holds(a, n, b, budget), floor_quotient(a, r, budget), one)
         terms.append(term)
     return ClassSequence(kind="b11", level=3, direction=direction, terms=tuple(terms))
 

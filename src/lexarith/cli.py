@@ -12,6 +12,8 @@ Exit codes:
      file that is not JSON, nests too deeply, or fails the checks of
      :func:`lexarith.jsonio.descriptor_from_json`
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
+  4  internal errors: a closed form failed its own exact check (a bug, never
+     partiality); the document is ``{"error": "internal", "detail": ...}``
 """
 
 from __future__ import annotations
@@ -212,6 +214,9 @@ def main(argv=None) -> int:
     except _NEGATIVE as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
         return 1
+    except AssertionError as exc:
+        _emit({"error": "internal", "detail": str(exc)}, args.pretty)
+        return 4
     except _USAGE as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
         return 2

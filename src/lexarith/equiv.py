@@ -11,9 +11,10 @@ Every verdict for a nonstandard pair is computed from the degree lattice:
   components vanish; in dim 1 it collapses to level 2
 - level 4: degrees in the same Archimedean class of the exponent lattice
 
-Positive verdicts carry a synthesized witness that is always re-checked
-against the literal definition by :func:`lexarith.oracle.check_witness`;
-a failed synthesis escalates by +1 up to ``search_n_max`` before erroring.
+Positive verdicts carry a witness synthesized once from the closed form
+and checked once against the literal definition by
+:func:`lexarith.oracle.check_witness`; a witness that fails its check is a
+bug in the closed form and raises ``AssertionError``, never a retry.
 Negative verdicts carry a structured reason.  The level-5 prover is sound
 but deliberately incomplete: it only knows the level-2 and level-3 routes.
 
@@ -55,8 +56,6 @@ from .witnesses import BoundN, Companion, Witness
 LEVELS = (0, 1, 2, 3, 4)
 BOUND_LEVELS = (0, 2, 4)
 COMPANION_LEVELS = (1, 3)
-
-DEFAULT_SEARCH_N_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -159,31 +158,23 @@ def _synth_companion(level: int, a: Element, b: Element) -> Element:
     return Element([(gap + Exponent((0, 1)), 1)], 2)
 
 
-def _escalate(w: Witness, dim: int) -> Witness:
-    if isinstance(w, BoundN):
-        return BoundN(w.n + 1)
-    return Companion(w.c + Element.integer(1, dim))
-
-
-def _validated_witness(level: int, a: Element, b: Element, search_n_max: int) -> Witness:
+def _validated_witness(level: int, a: Element, b: Element) -> Witness:
     if level in BOUND_LEVELS:
         w: Witness = BoundN(_minimal_n(level, a, b))
     else:
         w = Companion(_synth_companion(level, a, b))
-    for _ in range(search_n_max):
-        if oracle.check_witness(level, a, b, w):
-            return w
-        w = _escalate(w, a.dim)
-    raise AssertionError(f"witness synthesis failed for level {level} on {a!r}, {b!r}")
+    if not oracle.check_witness(level, a, b, w):
+        raise AssertionError(f"synthesized level-{level} witness {w!r} fails its check on {a!r}, {b!r}")
+    return w
 
 
-def decide(level: int, a: Element, b: Element, search_n_max: int = DEFAULT_SEARCH_N_MAX) -> Verdict:
+def decide(level: int, a: Element, b: Element) -> Verdict:
     """Closed-form verdict with a definitionally validated witness."""
     _require_level(level)
     require_nonstandard(a, b)
     if not _positive(level, a, b):
         return Verdict(level, False, None, _reason(_RULES_NO[level], a, b))
-    w = _validated_witness(level, a, b, search_n_max)
+    w = _validated_witness(level, a, b)
     return Verdict(level, True, w, _reason(_RULES_YES[level], a, b))
 
 
@@ -194,24 +185,20 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     require_nonstandard(a, b)
     if not _positive(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
-    n = _minimal_n(level, a, b)
-    if not oracle.check_witness(level, a, b, BoundN(n)):
-        raise AssertionError(f"computed bound {n} fails its own check")
+    n = _validated_witness(level, a, b).n
     if oracle.check_witness(level, a, b, BoundN(n - 1)):
         raise AssertionError(f"computed bound {n} is not minimal")
     return n
 
 
-def companion_witness(level: int, a: Element, b: Element, search_n_max: int = DEFAULT_SEARCH_N_MAX) -> Element:
+def companion_witness(level: int, a: Element, b: Element) -> Element:
     """A validated companion element for levels 1 and 3."""
     if level not in COMPANION_LEVELS:
         raise ValueError(f"level {level} has bound witnesses, not companions")
     require_nonstandard(a, b)
     if not _positive(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
-    w = _validated_witness(level, a, b, search_n_max)
-    assert isinstance(w, Companion)
-    return w.c
+    return _validated_witness(level, a, b).c
 
 
 def prove_E5(a: Element, b: Element):

@@ -2,7 +2,9 @@
 
 The CLI maps these onto its exit-code contract: input/precondition problems
 exit 2, negative results where a command promises a positive exit 1, and
-model-partiality errors exit 3.
+model-partiality errors exit 3.  A closed form that fails its own exact
+check raises a plain ``AssertionError``: an internal error (exit 4), never
+partiality.
 """
 
 

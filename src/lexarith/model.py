@@ -30,10 +30,9 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernel as K
 from .errors import (
@@ -152,24 +151,6 @@ class Exponent:
 class Term(NamedTuple):
     exponent: Exponent
     coeff: Fraction
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Dimension and resource bounds for the concrete model."""
-
-    dim: int = 1
-    div_budget: int = DEFAULT_DIV_BUDGET
-    search_n_max: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise InvariantViolation(f"dim must be 1 or 2, got {self.dim}")
-        if self.div_budget < 1:
-            raise InvariantViolation("div_budget must be >= 1")
-        if self.search_n_max < 1:
-            raise InvariantViolation("search_n_max must be >= 1")
 
 
 class Element:
@@ -412,6 +393,25 @@ def divmod_scalar(a: Element, n: int) -> tuple:
     return Element._wrap(tuple(out), a.dim), rem
 
 
+def _require_budget(budget: int) -> None:
+    if budget < 1:
+        raise InvariantViolation(f"term budget must be >= 1, got {budget}")
+
+
+def _floor_constant(raw: tuple, dim: int) -> Element:
+    """The positive-exponent terms of a raw series plus the floor of its
+    constant term; terms below exponent zero are dropped."""
+    zero_exp = ((0, 1),) * dim
+    out = []
+    for e, c in raw:
+        side = K.exp_cmp(e, zero_exp)
+        if side > 0:
+            out.append((e, c))
+        elif side == 0 and c[0] // c[1]:
+            out.append((e, (c[0] // c[1], 1)))
+    return Element._wrap(tuple(out), dim)
+
+
 def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tuple:
     """Euclidean division: q, r with a = q*b + r and 0 <= r < b.
 
@@ -419,6 +419,7 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     than ``budget`` nonnegative-exponent quotient terms; never raised for
     dim 1, where the nonnegative part of any quotient expansion is finite.
     """
+    _require_budget(budget)
     _check_same_dim(a, b)
     if K.terms_sign(b.raw) <= 0:
         raise InvariantViolation("divisor must be positive")
@@ -445,18 +446,7 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
         q_acc = K.terms_add(q_acc, mono)
         r_acc = K.terms_sub(r_acc, K.terms_mul(mono, b.raw))
 
-    # split the raw quotient into positive part + floored constant
-    out = []
-    c0 = (0, 1)
-    for e, c in q_acc:
-        if K.exp_is_zero(e):
-            c0 = c
-        else:
-            out.append((e, c))
-    floor_c0 = c0[0] // c0[1]
-    if floor_c0:
-        out.append((zero_exp, (floor_c0, 1)))
-    q = Element._wrap(tuple(out), dim)
+    q = _floor_constant(q_acc, dim)
     r_raw = K.terms_sub(a.raw, K.terms_mul(q.raw, b.raw))
     if K.terms_sign(r_raw) < 0:
         q = sub(q, Element.integer(1, dim))
@@ -520,8 +510,10 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     Partial: raises CoefficientNotRepresentable when the leading coefficient
     has no rational k-th root (no element of the model can then be the floor
     root), and NonTerminatingQuotient when the dim-2 root expansion has an
-    unbounded nonnegative-exponent part.
+    unbounded nonnegative-exponent part.  The truncated expansion is
+    certified exactly by :func:`certified_max`.
     """
+    _require_budget(budget)
     if k < 1:
         raise InvariantViolation(f"root index must be >= 1, got {k}")
     one = Element.integer(1, a.dim)
@@ -567,31 +559,26 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
             break
         acc = K.terms_add(acc, K.terms_scale(upow, binom))
 
-    shifted = K.terms_mul(acc, ((root_e, gamma),))
-    out = []
-    c0 = (0, 1)
-    for e, c in shifted:
-        if K.exp_cmp(e, zero_exp) < 0:
-            continue
-        if K.exp_is_zero(e):
-            c0 = c
-        else:
-            out.append((e, c))
-    floor_c0 = c0[0] // c0[1]
-    if floor_c0:
-        out.append((zero_exp, (floor_c0, 1)))
-    m = Element._wrap(tuple(out), dim)
+    m = _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim)
+    # truncation can land a step off
+    return certified_max(lambda x: pow_int(x, k) <= a, m, one)
 
-    # truncation can land one off; certify the floor property exactly
+
+def certified_max(pred: Callable[[Element], bool], candidate: Element, step: Element) -> Element:
+    """The x with pred(x) and not pred(x + step), at most four steps from a
+    closed-form candidate.
+
+    ``pred`` must hold up to some point and fail beyond it.  A candidate
+    that needs more moves means the closed form is wrong: AssertionError,
+    never partiality.
+    """
     for _ in range(4):
-        if pow_int(m, k) > a:
-            m = sub(m, one)
-        elif pow_int(m + one, k) <= a:
-            m = m + one
+        if not pred(candidate):
+            candidate = sub(candidate, step)
+        elif pred(candidate + step):
+            candidate = candidate + step
         else:
-            break
-    if not (pow_int(m, k) <= a < pow_int(m + one, k)):
-        raise CoefficientNotRepresentable(
-            f"no representable floor {k}-th root for {a!r}"
-        )
-    return m
+            return candidate
+    if pred(candidate) and not pred(candidate + step):
+        return candidate
+    raise AssertionError(f"closed-form candidate did not settle within 4 steps of {step!r}")

@@ -701,6 +701,8 @@ _SAMPLE_SCALE = {
 
 def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
     """Run one named suite, or all of them, deterministically."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:

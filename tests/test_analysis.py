@@ -15,6 +15,13 @@ def P(text, dim=1):
     return parse_element(text, dim)
 
 
+@pytest.mark.parametrize("seq", [an.e0_seq, an.e2_seq, an.b11_seq])
+def test_negative_count_rejected(seq):
+    with pytest.raises(InvariantViolation):
+        seq(P("t^2"), -1, "up")
+    assert seq(P("t^2"), 0, "up").terms == ()
+
+
 class TestE0Seq:
     def test_terms(self):
         assert [t for t in an.e0_seq(P("t"), 3, "up").terms] == [P("t"), P("t + 1"), P("t + 2")]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lexarith import suites
+from lexarith import equiv, model, suites
 from lexarith.cli import main
 from lexarith.model import Element, Exponent
 
@@ -140,6 +140,36 @@ def test_partiality_exit_three(capsys):
     code, out = run(capsys, "arith", "root", "2*t^2", "2")
     assert code == 3
     assert json.loads(out)["error"] == "CoefficientNotRepresentable"
+
+
+def test_internal_error_exit_four(capsys, monkeypatch):
+    def broken(*_):
+        raise AssertionError("closed form failed its check")
+
+    monkeypatch.setattr(equiv, "decide", broken)
+    code, out = run(capsys, "equiv", "--level", "2", "t", "2*t")
+    assert code == 4
+    assert json.loads(out) == {"error": "internal", "detail": "closed form failed its check"}
+
+
+def test_unsettled_floor_root_is_internal_not_partial(capsys, monkeypatch):
+    # a wrong leading root puts the candidate far from the floor root
+    monkeypatch.setattr(model, "_rat_root", lambda c, k: (2, 1))
+    code, out = run(capsys, "arith", "root", "t^2", "2")
+    assert code == 4
+    assert json.loads(out)["error"] == "internal"
+
+
+@pytest.mark.parametrize("argv", [
+    ("arith", "divmod", "t^(1,0)", "t^(0,1)", "--dim", "2", "--budget", "0"),
+    ("arith", "divmod", "t^2", "t", "--budget", "-1"),
+    ("seq", "e2", "t", "--count", "-3"),
+    ("suite", "--name", "algebra", "--samples", "-5"),
+], ids=["budget-zero", "budget-negative", "count-negative", "samples-negative"])
+def test_bad_limits_exit_two(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] in ("InvariantViolation", "ValueError")
 
 
 def test_arith_ops(capsys):

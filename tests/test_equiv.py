@@ -2,7 +2,7 @@
 
 import pytest
 
-from lexarith import automorph, oracle
+from lexarith import automorph, equiv, oracle
 from lexarith.equiv import (
     companion_witness,
     decide,
@@ -10,6 +10,7 @@ from lexarith.equiv import (
     prove_E5,
 )
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
+from lexarith.model import Element
 from lexarith.textform import parse_element
 from lexarith.witnesses import BoundN, Companion
 
@@ -25,6 +26,21 @@ class TestDecide:
         # n = 3 fails one side of the defining condition, n = 4 passes
         assert not oracle.check_witness(0, P("t^2 + 3"), P("t^2"), BoundN(3))
         assert oracle.check_witness(0, P("t^2 + 3"), P("t^2"), BoundN(4))
+
+    def test_wrong_synthesis_is_an_internal_error(self, monkeypatch):
+        # one synthesis and one check: a witness that fails is never retried
+        checks = []
+        check = oracle.check_witness
+
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(equiv, "_synth_companion", lambda level, a, b: Element.integer(1, 1))
+        monkeypatch.setattr(oracle, "check_witness", counted)
+        with pytest.raises(AssertionError):
+            decide(1, P("t + 5"), P("t"))
+        assert len(checks) == 1
 
     def test_level2_negative(self):
         v = decide(2, P("t"), P("t^2"))

@@ -13,8 +13,9 @@ from lexarith.errors import (
 from lexarith.model import (
     Element,
     Exponent,
-    ModelConfig,
+    certified_max,
     cmp,
+    const_value,
     deg,
     divmod_floor,
     divmod_scalar,
@@ -83,10 +84,13 @@ class TestInvariants:
         assert e > Element.zero(1)
 
     def test_config_validation(self):
+        # dimension and budget are checked where they are read
         with pytest.raises(InvariantViolation):
-            ModelConfig(dim=3)
+            Element([], 3)
         with pytest.raises(InvariantViolation):
-            ModelConfig(div_budget=0)
+            Exponent((1, 2, 3))
+        with pytest.raises(InvariantViolation):
+            divmod_floor(P("t^2"), P("t"), budget=0)
 
 
 class TestAddMul:
@@ -170,6 +174,13 @@ class TestDivision:
         with pytest.raises(NonTerminatingQuotient):
             divmod_floor(a, b, budget=1)
 
+    def test_budget_below_one_is_a_usage_error(self):
+        for budget in (0, -1):
+            with pytest.raises(InvariantViolation):
+                divmod_floor(P("t^2"), P("t"), budget)
+            with pytest.raises(InvariantViolation):
+                root_floor(P("t^2"), 2, budget)
+
     def test_dim1_divmod_total(self):
         # the same shape that diverges in dim 2 terminates in dim 1
         a, b = P("t^2"), P("t - 1")
@@ -219,6 +230,13 @@ class TestPowRoot:
             m = root_floor(a, k)
             assert pow_int(m, k) <= a < pow_int(m + 1, k)
 
+    def test_root_floor_lands_one_step_down(self):
+        a = P("4*t^(5/3,3/2) + 5/3*t^(3/2,2) + 1", 2)
+        m = root_floor(a, 2)
+        assert pow_int(m, 2) <= a < pow_int(m + 1, 2)
+        # the truncated expansion has no constant term; the floor is one below it
+        assert const_value(m) == -1
+
     def test_root_floor_nonterminating_dim2(self):
         with pytest.raises(NonTerminatingQuotient):
             root_floor(P("t^(2,0) + t^(2,-1)", 2), 2)
@@ -238,3 +256,29 @@ class TestStandardness:
     def test_trunc_const(self):
         assert trunc_const(P("t^2 - t + 9")) == P("t^2 - t")
         assert trunc_const(P("42")).is_zero()
+
+
+class TestCertifiedMax:
+    LIMIT = Element.integer(10, 1)
+    ONE = Element.integer(1, 1)
+
+    def settle(self, start):
+        calls = []
+
+        def pred(x):
+            calls.append(x)
+            return x <= self.LIMIT
+
+        return certified_max(pred, Element.integer(start, 1), self.ONE), len(calls)
+
+    def test_settles_without_moving(self):
+        assert self.settle(10) == (self.LIMIT, 2)
+
+    def test_settles_after_four_moves_either_way(self):
+        assert self.settle(6)[0] == self.LIMIT
+        assert self.settle(14)[0] == self.LIMIT
+
+    def test_fifth_move_is_an_internal_error(self):
+        for start in (5, 15):
+            with pytest.raises(AssertionError):
+                self.settle(start)
