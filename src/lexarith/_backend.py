@@ -1,19 +1,10 @@
-"""Kernel backend selection.
+"""The kernel binding.
 
-The compiled extension is preferred when present; ``LEXARITH_PURE=1`` in the
-environment forces the pure-Python kernel (used by the benchmark and the
-backend-parity tests).  Both backends are exact and produce identical values.
+Every module reaches the term-arithmetic kernel through ``kernel`` here, so a
+tracer that wraps this one name sees every kernel call.
 """
 
-import os
-
-if os.environ.get("LEXARITH_PURE"):
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as kernel
+from . import _kernel_py as kernel
 
 
 def backend_name() -> str:

@@ -1,10 +1,9 @@
-"""Pure-Python term-arithmetic kernel.
+"""The term-arithmetic kernel: the exact inner loops under every element.
 
-This is the reference implementation of the hot inner loops.  A compiled
-Cython twin (``lexarith._kernel``) exports the same functions; the backend
-is chosen at import time in :mod:`lexarith._backend`.
+The rest of the package reaches it through :mod:`lexarith._backend`, as
+``kernel``.
 
-Data layout (shared by both backends):
+Data layout:
 
 - rational: ``(num, den)`` pair of ints, ``den > 0``, gcd-reduced, so zero
             is ``(0, 1)``; this canonical pair is the only rational inside
@@ -20,7 +19,8 @@ exponents, integer constant, positive leading coefficient) are enforced one
 layer up, in :mod:`lexarith.model`.
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 BACKEND = "pure"
 
@@ -38,34 +38,42 @@ def rat(num, den=1):
     return (num, den)
 
 
+# The sum, difference and product of canonical pairs have a positive
+# denominator already, so they only need the gcd reduction of rat().
+
+
 def rat_add(a, b):
     an, ad = a
     bn, bd = b
     if ad == bd:
-        return rat(an + bn, ad)
-    return rat(an * bd + bn * ad, ad * bd)
+        num, den = an + bn, ad
+    else:
+        num, den = an * bd + bn * ad, ad * bd
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
 def rat_sub(a, b):
     an, ad = a
     bn, bd = b
     if ad == bd:
-        return rat(an - bn, ad)
-    return rat(an * bd - bn * ad, ad * bd)
+        num, den = an - bn, ad
+    else:
+        num, den = an * bd - bn * ad, ad * bd
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
 def rat_mul(a, b):
-    return rat(a[0] * b[0], a[1] * b[1])
+    num, den = a[0] * b[0], a[1] * b[1]
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
 def rat_div(a, b):
     if b[0] == 0:
         raise ZeroDivisionError("rational division by zero")
     return rat(a[0] * b[1], a[1] * b[0])
-
-
-def rat_neg(a):
-    return (-a[0], a[1])
 
 
 def rat_cmp(a, b):
@@ -78,24 +86,28 @@ def rat_cmp(a, b):
 
 
 def exp_cmp(e, f):
-    """Lexicographic comparison of two equal-length exponents."""
-    for i in range(len(e)):
-        c = rat_cmp(e[i], f[i])
-        if c:
-            return c
-    return 0
+    """Lexicographic comparison of two equal-length exponents.
+
+    Rationals are canonical pairs, so equal components are equal tuples and
+    the first component that differs as a tuple decides.
+    """
+    if e == f:
+        return 0
+    for x, y in zip(e, f):
+        if x != y:
+            return 1 if x[0] * y[1] > y[0] * x[1] else -1
 
 
 def exp_add(e, f):
-    return tuple(rat_add(e[i], f[i]) for i in range(len(e)))
+    return tuple(map(rat_add, e, f))
 
 
 def exp_sub(e, f):
-    return tuple(rat_sub(e[i], f[i]) for i in range(len(e)))
+    return tuple(map(rat_sub, e, f))
 
 
 def exp_scale(e, r):
-    return tuple(rat_mul(c, r) for c in e)
+    return tuple([rat_mul(c, r) for c in e])
 
 
 def exp_is_zero(e):
@@ -106,7 +118,7 @@ def exp_is_zero(e):
 
 
 def terms_neg(A):
-    return tuple((e, (-c[0], c[1])) for e, c in A)
+    return tuple([(e, (-c[0], c[1])) for e, c in A])
 
 
 def terms_add(A, B):
@@ -122,18 +134,17 @@ def terms_add(A, B):
     while i < la and j < lb:
         ea, ca = A[i]
         eb, cb = B[j]
-        c = exp_cmp(ea, eb)
-        if c > 0:
-            out.append(A[i])
-            i += 1
-        elif c < 0:
-            out.append(B[j])
-            j += 1
-        else:
+        if ea == eb:
             s = rat_add(ca, cb)
             if s[0]:
                 out.append((ea, s))
             i += 1
+            j += 1
+        elif exp_cmp(ea, eb) > 0:
+            out.append(A[i])
+            i += 1
+        else:
+            out.append(B[j])
             j += 1
     if i < la:
         out.extend(A[i:])
@@ -149,35 +160,46 @@ def terms_sub(A, B):
 def terms_scale(A, r):
     if r[0] == 0:
         return ()
-    return tuple((e, rat_mul(c, r)) for e, c in A)
+    return tuple([(e, rat_mul(c, r)) for e, c in A])
+
+
+def _shift(A, e, c):
+    """A times the monomial ``c * t^e``: every exponent moves by e, so the
+    order is kept and nothing cancels."""
+    return tuple([(exp_add(ea, e), rat_mul(ca, c)) for ea, ca in A])
 
 
 def terms_mul(A, B):
+    """Product of two series.
+
+    Over one denominator per exponent component, and one per factor for the
+    coefficients, every exponent is a vector of ints and every coefficient
+    an int: the double loop only adds and multiplies ints, and the int
+    vectors sort natively in the lexicographic order of the exponents.
+    """
     if not A or not B:
         return ()
+    if len(B) == 1:
+        return _shift(A, *B[0])
+    if len(A) == 1:
+        return _shift(B, *A[0])
+    dens = [lcm(*[e[i][1] for e, _ in A + B]) for i in range(len(A[0][0]))]
+    da = lcm(*[c[1] for _, c in A])
+    db = lcm(*[c[1] for _, c in B])
+    IA = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (da // c[1])) for e, c in A]
+    IB = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (db // c[1])) for e, c in B]
     acc = {}
-    for ea, ca in A:
-        for eb, cb in B:
-            k = exp_add(ea, eb)
-            v = acc.get(k)
-            if v is None:
-                acc[k] = rat_mul(ca, cb)
-            else:
-                acc[k] = rat_add(v, rat_mul(ca, cb))
-    items = [(e, c) for e, c in acc.items() if c[0]]
-    # insertion sort by descending exponent; term counts stay small
-    out = []
-    for item in items:
-        lo = 0
-        hi = len(out)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if exp_cmp(item[0], out[mid][0]) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.insert(lo, item)
-    return tuple(out)
+    get = acc.get
+    for ka, na in IA:
+        for kb, nb in IB:
+            k = tuple(map(add, ka, kb))
+            acc[k] = get(k, 0) + na * nb
+    den = da * db
+    return tuple([
+        (tuple([rat(x, m) for x, m in zip(k, dens)]), rat(acc[k], den))
+        for k in sorted(acc, reverse=True)
+        if acc[k]
+    ])
 
 
 def terms_cmp(A, B):
@@ -203,6 +225,31 @@ def terms_cmp(A, B):
     if j < lb:
         return -1 if B[j][1][0] > 0 else 1
     return 0
+
+
+def terms_split_const(A):
+    """A as (its terms above exponent zero, the coefficient at exponent zero).
+
+    For a series with nonnegative exponents, as every element is, exponent
+    zero is the least one, so the constant term is the last term if any.
+    """
+    if A and exp_is_zero(A[-1][0]):
+        return A[:-1], A[-1][1]
+    return A, (0, 1)
+
+
+def terms_split_level(A, lvl):
+    """A as (its terms with a nonzero among the first lvl exponent
+    components, the rest).
+
+    For a series with nonnegative exponents, as every element is, the terms
+    of the first kind come first, so the split is at one index.
+    """
+    zero = ((0, 1),) * lvl
+    for i, (e, _) in enumerate(A):
+        if e[:lvl] == zero:
+            return A[:i], A[i:]
+    return A, ()
 
 
 def terms_sign(A):

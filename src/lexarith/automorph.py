@@ -65,6 +65,7 @@ from .model import (
     deg,
     divmod_scalar,
     is_standard,
+    split_const,
     sub,
     trunc_const,
 )
@@ -150,42 +151,54 @@ class E2Affine(Descriptor):
         # b - a = (n-1)*(a - c) + m, rearranged so that nothing is subtracted
         if self.b + self.c * (self.n - 1) != self.a * self.n + self.m:
             raise InvariantViolation("affine descriptor must satisfy b - a = (n-1)*(a - c) + m")
-        object.__setattr__(self, "_key_a", trunc_const(self.a))
-        object.__setattr__(self, "_key_c", trunc_const(self.c))
+        key_a, const_a = split_const(self.a)
+        key_c, const_c = split_const(self.c)
+        object.__setattr__(self, "_key_a", key_a)
+        object.__setattr__(self, "_const_a", const_a)
+        object.__setattr__(self, "_key_c", key_c)
+        object.__setattr__(self, "_const_c", const_c)
+        # a threshold c in a's finite-distance class or above it breaks one
+        # of the anchors claimed below: (c, c) inside the class, where c
+        # shares a's representative, and (a, b) above it, where a is fixed
+        if not self._key_c < self._key_a:
+            raise InvariantViolation("affine threshold c must lie below the finite-distance class of a")
         object.__setattr__(self, "_c_standard", is_standard(self.c))
+        # the fixed parts of the affine formulas: b - n*a and (n-1)*c
+        object.__setattr__(self, "_b_minus_na", K.terms_sub(self.b.raw, K.terms_scale(self.a.raw, (self.n, 1))))
+        object.__setattr__(self, "_c_times_n1", self.c * (self.n - 1))
 
-    def _rep(self, x: Element) -> Element:
-        t = trunc_const(x)
-        if t == self._key_a:
-            return self.a
-        if not self._c_standard and t == self._key_c:
-            return self.c
-        return t
+    def _rep(self, key: Element) -> tuple:
+        """The representative of the finite-distance class with this key
+        (the class's trunc_const), and its constant."""
+        if key == self._key_a:
+            return self.a, self._const_a
+        if not self._c_standard and key == self._key_c:
+            return self.c, self._const_c
+        return key, 0
 
     def _image_of_rep(self, r: Element) -> Element:
         # n*(r - a) + b; equivalently n*r - (n-1)*c + m by the defining relation
-        raw = K.terms_add(
-            K.terms_scale(K.terms_sub(r.raw, self.a.raw), (self.n, 1)),
-            self.b.raw,
-        )
+        raw = K.terms_add(K.terms_scale(r.raw, (self.n, 1)), self._b_minus_na)
         return Element._wrap(raw, r.dim)
 
     def apply(self, x: Element) -> Element:
-        r = self._rep(x)
+        key, const = split_const(x)
+        r, r_const = self._rep(key)
         if r <= self.c:
             return x
-        return add_int(self._image_of_rep(r), const_value(x) - const_value(r))
+        return add_int(self._image_of_rep(r), const - r_const)
 
     def apply_inverse(self, y: Element) -> Element:
-        if trunc_const(y) <= self._key_c:
+        key, const = split_const(y)
+        if key <= self._key_c:
             return y
-        shifted = add_int(y + self.c * (self.n - 1), -self.m)
+        shifted = add_int(y + self._c_times_n1, -self.m)
         q, _ = divmod_scalar(shifted, self.n)
-        r = self._rep(q)
-        image = self._image_of_rep(r)
-        if trunc_const(image) != trunc_const(y):
+        r, _ = self._rep(trunc_const(q))
+        image_key, image_const = split_const(self._image_of_rep(r))
+        if image_key != key:
             raise AssertionError("affine inverse landed in the wrong class")
-        return add_int(r, const_value(y) - const_value(image))
+        return add_int(r, const - image_const)
 
     def anchors(self) -> tuple:
         return ((self.a, self.b), (self.c, self.c))
@@ -210,20 +223,16 @@ class E3Shift(Descriptor):
         if self.a2 != self.a1 * self.c:
             raise InvariantViolation("normalized anchor must satisfy a2 = c * a1")
         object.__setattr__(self, "_lvl", deg(self.c).level())
-        object.__setattr__(self, "_key_a1", self._key(self.a1))
+        key_a1, rest_a1 = self._split(self.a1)
+        object.__setattr__(self, "_key_a1", key_a1)
+        object.__setattr__(self, "_rest_a1", rest_a1)
+        ce, cc = self.c.raw[0]
+        object.__setattr__(self, "_inv_c", ((K.exp_scale(ce, (-1, 1)), K.rat_div((1, 1), cc)),))
 
-    def _key(self, x: Element) -> tuple:
-        lvl = self._lvl
-        out = []
-        for e, coeff in x.raw:
-            elevel = len(e)
-            for i, r in enumerate(e):
-                if r[0]:
-                    elevel = i
-                    break
-            if elevel < lvl:
-                out.append((e, coeff))
-        return tuple(out)
+    def _split(self, x: Element) -> tuple:
+        """x's terms as (the class key: those of level below the companion's,
+        the rest); x is the sum of the two."""
+        return K.terms_split_level(x.raw, self._lvl)
 
     def _rep(self, key: tuple) -> Element:
         if key == self._key_a1:
@@ -231,24 +240,27 @@ class E3Shift(Descriptor):
         return Element._wrap(key, self.c.dim)
 
     def apply(self, x: Element) -> Element:
-        key = self._key(x)
+        key, rest = self._split(x)
         if not key:
             return x
-        r = self._rep(key)
-        offset = K.terms_sub(x.raw, r.raw)
-        return Element._wrap(K.terms_add((self.c * r).raw, offset), x.dim)
+        if key == self._key_a1:
+            # a1 represents the class and maps to a2; x - a1 = rest - a1's rest
+            raw = K.terms_add(self.a2.raw, K.terms_sub(rest, self._rest_a1))
+        else:
+            # the key represents its class and maps to c * key; x - key = rest
+            raw = K.terms_add(K.terms_mul(self.c.raw, key), rest)
+        return Element._wrap(raw, x.dim)
 
     def apply_inverse(self, y: Element) -> Element:
-        key = self._key(y)
+        key, rest = self._split(y)
         if not key:
             return y
-        ce, cc = self.c.raw[0]
-        inv_mono = ((K.exp_scale(ce, (-1, 1)), K.rat_div((1, 1), cc)),)
-        r = self._rep(K.terms_mul(key, inv_mono))
-        image = self.apply(r)
-        if self._key(image) != key:
+        r = self._rep(K.terms_mul(key, self._inv_c))
+        image_key, image_rest = self._split(self.apply(r))
+        if image_key != key:
             raise AssertionError("dominated-class inverse landed in the wrong class")
-        offset = K.terms_sub(y.raw, image.raw)
+        # y and the image share their key, so y - image = rest - image_rest
+        offset = K.terms_sub(rest, image_rest)
         return Element._wrap(K.terms_add(r.raw, offset), y.dim)
 
     def anchors(self) -> tuple:
@@ -405,10 +417,6 @@ class ValidationReport:
     checks: dict = field(default_factory=dict)
 
 
-def _same_e0_class(x: Element, y: Element) -> bool:
-    return trunc_const(x) == trunc_const(y)
-
-
 def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
     """Probe-based certification of a descriptor.
 
@@ -462,11 +470,13 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
             )
         counts["anchors"] += 1
 
+    classes = [trunc_const(p) for p in probes]
+    image_classes = [trunc_const(img) for img in images]
     for i in range(len(probes) - 1):
         x, y = probes[i], probes[i + 1]
         if is_standard(x) or is_standard(y):
             continue
-        if _same_e0_class(x, y) != _same_e0_class(images[i], images[i + 1]):
+        if (classes[i] == classes[i + 1]) != (image_classes[i] == image_classes[i + 1]):
             raise ValidationFailure(
                 "e0-transport",
                 f"finite-distance relation not preserved on ({x!r}, {y!r})",

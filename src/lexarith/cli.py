@@ -23,7 +23,6 @@ import json
 import sys
 
 from . import analysis, automorph, equiv, jsonio, suites, textform
-from ._backend import backend_name
 from .errors import (
     CannotProve,
     CoefficientNotRepresentable,
@@ -54,8 +53,7 @@ _NEGATIVE = (NotEquivalent, CannotProve, ValidationFailure)
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lexarith",
-        description="Exact arithmetic and order-automorphism toolkit "
-        f"(kernel backend: {backend_name()})",
+        description="Exact arithmetic and order-automorphism toolkit",
     )
     p.add_argument("--pretty", action="store_true", help="indented JSON output")
     sub_p = p.add_subparsers(dest="command", required=True)

@@ -186,9 +186,7 @@ class Element:
     def integer(cls, n: int, dim: int) -> "Element":
         if n < 0:
             raise InvariantViolation(f"model has no negative constant {n}")
-        if n == 0:
-            return cls.zero(dim)
-        return cls._wrap(((((0, 1),) * dim, (n, 1)),), dim)
+        return cls._wrap(_const_terms(n, dim), dim)
 
     @classmethod
     def monomial(cls, coeff: RatLike, exponent: Sequence[RatLike], dim: Optional[int] = None) -> "Element":
@@ -302,8 +300,13 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
     return raw
 
 
+def _const_terms(n: int, dim: int) -> tuple:
+    """The terms of the integer n, of either sign: none for 0."""
+    return ((((0, 1),) * dim, (n, 1)),) if n else ()
+
+
 def _check_same_dim(a: Element, b: Element) -> None:
-    if a.dim != b.dim:
+    if a._dim != b._dim:
         raise InvariantViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
@@ -321,18 +324,24 @@ def mul(a: Element, b: Element) -> Element:
 def sub(a: Element, b: Element) -> Element:
     """The unique e with b + e = a; raises Underflow when b > a."""
     _check_same_dim(a, b)
-    diff = K.terms_sub(a.raw, b.raw)
+    diff = K.terms_sub(a._raw, b._raw)
     if K.terms_sign(diff) < 0:
         raise Underflow(f"{b!r} > {a!r}")
-    return Element._wrap(diff, a.dim)
+    return Element._wrap(diff, a._dim)
 
 
 def add_int(a: Element, n: int) -> Element:
+    """a + n for an integer n of either sign; raises Underflow when -n > a.
+
+    Only the constant term changes.
+    """
     if n == 0:
         return a
-    if n > 0:
-        return a + Element.integer(n, a.dim)
-    return sub(a, Element.integer(-n, a.dim))
+    head, c = K.terms_split_const(a._raw)
+    const = c[0] + n
+    if const < 0 and not head:
+        raise Underflow(f"{Element.integer(-n, a._dim)!r} > {a!r}")
+    return Element._wrap(head + _const_terms(const, a._dim), a._dim)
 
 
 def cmp(a: Element, b: Element) -> int:
@@ -349,27 +358,24 @@ def deg(a: Element) -> Optional[Exponent]:
 
 def is_standard(a: Element) -> bool:
     """True iff a is a constant, i.e. lies in the embedded copy of N."""
-    return not a.raw or K.exp_is_zero(a.raw[0][0])
+    raw = a._raw
+    return not raw or K.exp_is_zero(raw[0][0])
 
 
 def const_value(a: Element) -> int:
     """The integer coefficient at exponent zero (0 when absent)."""
-    if not a.raw:
-        return 0
-    e, c = a.raw[-1]
-    if K.exp_is_zero(e):
-        return c[0]
-    return 0
+    return K.terms_split_const(a._raw)[1][0]
 
 
 def trunc_const(a: Element) -> Element:
     """Drop the constant term: the canonical finite-distance representative."""
-    if not a.raw:
-        return a
-    e, _ = a.raw[-1]
-    if K.exp_is_zero(e):
-        return Element._wrap(a.raw[:-1], a.dim)
-    return a
+    return Element._wrap(K.terms_split_const(a._raw)[0], a._dim)
+
+
+def split_const(a: Element) -> tuple:
+    """``(trunc_const(a), const_value(a))``, from one look at the terms."""
+    head, c = K.terms_split_const(a._raw)
+    return Element._wrap(head, a._dim), c[0]
 
 
 def divmod_scalar(a: Element, n: int) -> tuple:
@@ -380,17 +386,9 @@ def divmod_scalar(a: Element, n: int) -> tuple:
     """
     if n < 1:
         raise InvariantViolation(f"divisor must be a positive integer, got {n}")
-    inv = (1, n)
-    out = []
-    rem = 0
-    for e, c in a.raw:
-        if K.exp_is_zero(e):
-            q0, rem = divmod(c[0], n)
-            if q0:
-                out.append((e, (q0, 1)))
-        else:
-            out.append((e, K.rat_mul(c, inv)))
-    return Element._wrap(tuple(out), a.dim), rem
+    head, c = K.terms_split_const(a._raw)
+    q0, rem = divmod(c[0], n)
+    return Element._wrap(K.terms_scale(head, (1, n)) + _const_terms(q0, a._dim), a._dim), rem
 
 
 def _require_budget(budget: int) -> None:

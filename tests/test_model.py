@@ -13,6 +13,7 @@ from lexarith.errors import (
 from lexarith.model import (
     Element,
     Exponent,
+    add_int,
     certified_max,
     cmp,
     const_value,
@@ -119,6 +120,22 @@ class TestAddMul:
     def test_sub_is_inverse_of_add(self):
         a, b = P("t^(2,1) + 4", 2), P("t^(1,-3) + t^(0,2)", 2)
         assert sub(a + b, b) == a
+
+    @pytest.mark.parametrize("text,dim", [
+        ("0", 1), ("3", 1), ("t", 1), ("t + 2", 1), ("1/2*t^(1/3) + 5", 1),
+        ("0", 2), ("4", 2), ("t^(0,1)", 2), ("t^(1,-2) + 1", 2),
+    ])
+    def test_add_int_agrees_with_element_arithmetic(self, text, dim):
+        a = P(text, dim)
+        for n in range(-6, 7):
+            k = Element.integer(abs(n), dim)
+            if n >= 0:
+                assert add_int(a, n) == a + k
+            elif k <= a:
+                assert add_int(a, n) == sub(a, k)
+            else:
+                with pytest.raises(Underflow):
+                    add_int(a, n)
 
 
 class TestOrder:
