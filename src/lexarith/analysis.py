@@ -148,8 +148,8 @@ def real_embed(anchor: Element, b: Element) -> EmbedResult:
     the class quotient.  For the degenerate level-4 class (vanishing first
     components, dim 2) the image is the second component, flagged.
     """
-    v = equiv.decide(4, anchor, b)
-    if not v.equivalent:
+    equiv.require_nonstandard(anchor, b)
+    if not equiv._positive(4, anchor, b):
         raise NotE4Equivalent(f"{b!r} is not in the level-4 class of {anchor!r}")
     if deg(anchor).level() > 0:
         return EmbedResult(value=Fraction(*deg(b).raw[1]), degenerate=True)

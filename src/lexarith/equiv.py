@@ -48,6 +48,7 @@ from .model import (
     floor_quotient,
     format_rational,
     is_standard,
+    pow_int,
     sub,
     trunc_const,
 )
@@ -133,16 +134,25 @@ def _minimal_n(level: int, a: Element, b: Element) -> int:
         qb = const_value(floor_quotient(b, a))
         return max(qa, qb) + 1
     if level == 4:
-        da, db = deg(a), deg(b)
-        lvl = da.level()
-        (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
-        # both components are positive: floor of the larger of their two ratios
-        cap = max(an * bd // (ad * bn), ad * bn // (an * bd)) + 2
-        for n in range(1, cap + 1):
-            if oracle.check_witness(level, a, b, BoundN(n)):
-                return n
-        raise AssertionError(f"no level-4 bound found below {cap + 1}")
+        return max(_least_power_above(a, b), _least_power_above(b, a))
     raise AssertionError(level)
+
+
+def _least_power_above(a: Element, b: Element) -> int:
+    """Least n with a < b**n, for a and b in the same level-4 class.
+
+    b**n has degree n*deg(b): below deg(a) the power is smaller than a,
+    above it larger, and only equal degrees compare the elements themselves.
+    """
+    da, db = deg(a), deg(b)
+    lvl = da.level()
+    (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
+    # least k with k*db >= da at the class's first component, both positive
+    k = max(1, -(-an * bd // (ad * bn)))
+    kdb = db * k
+    if kdb < da or (kdb == da and not a < pow_int(b, k)):
+        k += 1
+    return k
 
 
 def _synth_companion(level: int, a: Element, b: Element) -> Element:

@@ -6,10 +6,17 @@ violation list into a nonzero exit.  Pair generators produce *correlated*
 pairs so that every equivalence level is exercised with both positive and
 negative instances; the per-level stats in the result make vacuous runs
 visible.
+
+A check names the law and its subjects: ``r.check(cond, case, law,
+*subjects)``.  Only a failed check writes a violation record ``{"case",
+"law", "detail"}``; its detail is the subjects joined by ``" ; "``, each
+element in its text form and anything else through ``str``.  A passing
+check formats nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import analysis, automorph, equiv, jsonio, oracle, textform
@@ -49,15 +56,14 @@ class SuiteResult:
     def bump(self, key: str, by: int = 1) -> None:
         self.stats[key] = self.stats.get(key, 0) + by
 
-    def check(self, cond: bool, case: int, law: str, detail: str = "") -> bool:
+    def check(self, cond: bool, case: int, law: str, *subjects) -> bool:
         self.cases += 1
         if not cond:
+            detail = " ; ".join(
+                textform.format_element(x) if isinstance(x, Element) else str(x) for x in subjects
+            )
             self.violations.append({"case": case, "law": law, "detail": detail})
         return cond
-
-
-def _fmt(e: Element) -> str:
-    return textform.format_element(e)
 
 
 # --- correlated generators ----------------------------------------------------
@@ -136,22 +142,22 @@ def suite_algebra(samples: int, seed: int, dim: int) -> SuiteResult:
     one = Element.integer(1, dim)
     for i in range(samples):
         a, b, c = s.element(), s.element(), s.element()
-        r.check(a + b == b + a, i, "add-commutative", f"{_fmt(a)} ; {_fmt(b)}")
-        r.check((a + b) + c == a + (b + c), i, "add-associative", f"{_fmt(a)} ; {_fmt(b)} ; {_fmt(c)}")
-        r.check(a * b == b * a, i, "mul-commutative", f"{_fmt(a)} ; {_fmt(b)}")
-        r.check((a * b) * c == a * (b * c), i, "mul-associative", f"{_fmt(a)} ; {_fmt(b)} ; {_fmt(c)}")
-        r.check(a * (b + c) == a * b + a * c, i, "distributive", f"{_fmt(a)} ; {_fmt(b)} ; {_fmt(c)}")
-        r.check(one * a == a, i, "mul-identity", _fmt(a))
-        r.check(a + Element.zero(dim) == a, i, "add-identity", _fmt(a))
+        r.check(a + b == b + a, i, "add-commutative", a, b)
+        r.check((a + b) + c == a + (b + c), i, "add-associative", a, b, c)
+        r.check(a * b == b * a, i, "mul-commutative", a, b)
+        r.check((a * b) * c == a * (b * c), i, "mul-associative", a, b, c)
+        r.check(a * (b + c) == a * b + a * c, i, "distributive", a, b, c)
+        r.check(one * a == a, i, "mul-identity", a)
+        r.check(a + Element.zero(dim) == a, i, "add-identity", a)
         # total, transitive order
         lo, mid = (a, b) if a <= b else (b, a)
         hi = c if c >= mid else mid
-        r.check(lo <= mid <= hi and lo <= hi, i, "order-transitive", "")
+        r.check(lo <= mid <= hi and lo <= hi, i, "order-transitive", lo, mid, hi)
         if a < b:
-            r.check(a + c < b + c, i, "order-add-translation", f"{_fmt(a)} < {_fmt(b)} ; {_fmt(c)}")
+            r.check(a + c < b + c, i, "order-add-translation", a, b, c)
             if not c.is_zero():
-                r.check(a * c < b * c, i, "order-mul-translation", f"{_fmt(a)} < {_fmt(b)} ; {_fmt(c)}")
-        r.check(not (a < b and b < a + 1), i, "discreteness", f"{_fmt(a)} ; {_fmt(b)}")
+                r.check(a * c < b * c, i, "order-mul-translation", a, b, c)
+        r.check(not (a < b and b < a + 1), i, "discreteness", a, b)
     return r
 
 
@@ -163,20 +169,15 @@ def suite_division(samples: int, seed: int, dim: int) -> SuiteResult:
         a = s.element()
         n = s.integer(1, 9)
         q, rem = divmod_scalar(a, n)
-        r.check(q * n + rem == a and 0 <= rem < n, i, "divmod-scalar-contract", f"{_fmt(a)} / {n}")
+        r.check(q * n + rem == a and 0 <= rem < n, i, "divmod-scalar-contract", a, n)
         b = s.nonstandard()
         try:
             q2, r2 = divmod_floor(a, b)
             r.bump("euclidean_ok")
-            r.check(
-                q2 * b + r2 == a and r2 < b,
-                i,
-                "euclidean-contract",
-                f"{_fmt(a)} / {_fmt(b)}",
-            )
+            r.check(q2 * b + r2 == a and r2 < b, i, "euclidean-contract", a, b)
         except NonTerminatingQuotient:
             r.bump("euclidean_budget_exceeded")
-            r.check(dim == 2, i, "dim1-divmod-total", f"{_fmt(a)} / {_fmt(b)}")
+            r.check(dim == 2, i, "dim1-divmod-total", a, b)
         m = roots.nonstandard()
         k = s.choice((2, 2, 3))
         target = pow_int(m, k) + Element.integer(s.integer(0, 5), dim)
@@ -185,15 +186,13 @@ def suite_division(samples: int, seed: int, dim: int) -> SuiteResult:
             r.bump("root_ok")
             r.check(
                 pow_int(root, k) <= target < pow_int(root + 1, k),
-                i,
-                "root-floor-contract",
-                f"{_fmt(target)} ^(1/{k})",
+                i, "root-floor-contract", target, k,
             )
         except CoefficientNotRepresentable:
             r.bump("root_not_representable")
         except NonTerminatingQuotient:
             r.bump("root_budget_exceeded")
-            r.check(dim == 2, i, "dim1-root-total", _fmt(target))
+            r.check(dim == 2, i, "dim1-root-total", target)
     return r
 
 
@@ -208,12 +207,7 @@ def suite_refinement(samples: int, seed: int, dim: int) -> SuiteResult:
             if v.equivalent:
                 r.bump(f"positive_l{level}")
             if prev is not None and prev.equivalent:
-                r.check(
-                    v.equivalent,
-                    i,
-                    f"refines-l{level - 1}-into-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)}",
-                )
+                r.check(v.equivalent, i, f"refines-l{level - 1}-into-l{level}", a, b)
             prev = v
     return r
 
@@ -225,50 +219,38 @@ def suite_convexity(samples: int, seed: int, dim: int) -> SuiteResult:
         for level in range(5):
             lo, mid, hi = ordered_equiv_triple(s, level)
             if not equiv.decide(level, lo, hi).equivalent:
-                r.check(False, i, f"generator-l{level}", f"{_fmt(lo)} ; {_fmt(hi)}")
+                r.check(False, i, f"generator-l{level}", lo, hi)
                 continue
             r.bump(f"triples_l{level}")
             r.check(
                 equiv.decide(level, lo, mid).equivalent and equiv.decide(level, mid, hi).equivalent,
-                i,
-                f"convex-l{level}",
-                f"{_fmt(lo)} < {_fmt(mid)} < {_fmt(hi)}",
+                i, f"convex-l{level}", lo, mid, hi,
+            )
+    return r
+
+
+def _suite_closure(op_name: str, op, levels, samples: int, seed: int, dim: int) -> SuiteResult:
+    """(a1 ~ b1 and a2 ~ b2) implies a1 op a2 ~ b1 op b2, at each level."""
+    r = SuiteResult(f"closure-{op_name}", dim, samples, seed)
+    s = Sampler(SampleProfile(dim=dim, seed=seed))
+    for i in range(samples):
+        for level in levels:
+            a1, b1 = equivalent_pair(s, level)
+            a2, b2 = equivalent_pair(s, level)
+            r.bump(f"quads_l{level}")
+            r.check(
+                equiv.decide(level, op(a1, a2), op(b1, b2)).equivalent,
+                i, f"closed-under-{op_name}-l{level}", a1, b1, a2, b2,
             )
     return r
 
 
 def suite_closure_add(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("closure-add", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
-        for level in range(5):
-            a1, b1 = equivalent_pair(s, level)
-            a2, b2 = equivalent_pair(s, level)
-            r.bump(f"quads_l{level}")
-            r.check(
-                equiv.decide(level, a1 + a2, b1 + b2).equivalent,
-                i,
-                f"closed-under-add-l{level}",
-                f"({_fmt(a1)},{_fmt(b1)}) ; ({_fmt(a2)},{_fmt(b2)})",
-            )
-    return r
+    return _suite_closure("add", operator.add, range(5), samples, seed, dim)
 
 
 def suite_closure_mul(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("closure-mul", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
-        for level in (2, 3, 4):
-            a1, b1 = equivalent_pair(s, level)
-            a2, b2 = equivalent_pair(s, level)
-            r.bump(f"quads_l{level}")
-            r.check(
-                equiv.decide(level, a1 * a2, b1 * b2).equivalent,
-                i,
-                f"closed-under-mul-l{level}",
-                f"({_fmt(a1)},{_fmt(b1)}) ; ({_fmt(a2)},{_fmt(b2)})",
-            )
-    return r
+    return _suite_closure("mul", operator.mul, (2, 3, 4), samples, seed, dim)
 
 
 def suite_equivalence(samples: int, seed: int, dim: int) -> SuiteResult:
@@ -278,23 +260,16 @@ def suite_equivalence(samples: int, seed: int, dim: int) -> SuiteResult:
         for level in range(5):
             a, b = equivalent_pair(s, level)
             c = equivalent_to(s, b, level)
-            r.check(equiv.decide(level, a, a).equivalent, i, f"reflexive-l{level}", _fmt(a))
+            r.check(equiv.decide(level, a, a).equivalent, i, f"reflexive-l{level}", a)
             r.check(
                 equiv.decide(level, a, b).equivalent == equiv.decide(level, b, a).equivalent,
-                i,
-                f"symmetric-l{level}",
-                f"{_fmt(a)} ; {_fmt(b)}",
+                i, f"symmetric-l{level}", a, b,
             )
             vab = equiv.decide(level, a, b).equivalent
             vbc = equiv.decide(level, b, c).equivalent
             if vab and vbc:
                 r.bump(f"chains_l{level}")
-                r.check(
-                    equiv.decide(level, a, c).equivalent,
-                    i,
-                    f"transitive-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)} ; {_fmt(c)}",
-                )
+                r.check(equiv.decide(level, a, c).equivalent, i, f"transitive-l{level}", a, b, c)
     return r
 
 
@@ -309,35 +284,21 @@ def suite_agreement(samples: int, seed: int, dim: int) -> SuiteResult:
                 r.bump(f"positive_l{level}")
                 r.check(
                     oracle.check_witness(level, a, b, v.witness),
-                    i,
-                    f"witness-sound-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)} ; {v.witness}",
+                    i, f"witness-sound-l{level}", a, b, v.witness,
                 )
                 found = oracle.search(level, a, b, oracle.bounds_for(level, a, b, hint=v.witness))
-                r.check(
-                    found is not None,
-                    i,
-                    f"search-complete-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)}",
-                )
+                r.check(found is not None, i, f"search-complete-l{level}", a, b)
             else:
                 r.bump(f"negative_l{level}")
                 found = oracle.search(level, a, b, oracle.bounds_for(level, a, b, n_max=8))
-                r.check(
-                    found is None,
-                    i,
-                    f"search-exhausts-on-negative-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)} ; found {found}",
-                )
+                r.check(found is None, i, f"search-exhausts-on-negative-l{level}", a, b, found)
         for level in (0, 2, 4):
             if equiv.decide(level, a, b).equivalent:
                 n = equiv.minimal_bound_n(level, a, b)
                 r.check(
                     oracle.check_witness(level, a, b, BoundN(n))
                     and not oracle.check_witness(level, a, b, BoundN(n - 1)),
-                    i,
-                    f"minimal-bound-l{level}",
-                    f"{_fmt(a)} ; {_fmt(b)} ; n={n}",
+                    i, f"minimal-bound-l{level}", a, b, n,
                 )
     return r
 
@@ -351,47 +312,28 @@ def suite_witness_sets(samples: int, seed: int, dim: int) -> SuiteResult:
         inside = []
         for c in pool:
             same = oracle.powers_stay_below(c, a3) == oracle.powers_stay_below(c, b3)
-            r.check(same, i, "power-smallness-invariant", f"{_fmt(c)} vs {_fmt(a3)},{_fmt(b3)}")
+            r.check(same, i, "power-smallness-invariant", c, a3, b3)
             if oracle.powers_stay_below(c, a3) and not c.is_zero():
                 inside.append(c)
         for j in range(min(len(inside) - 1, 4)):
             c1, c2 = inside[j], inside[j + 1]
-            r.check(
-                oracle.powers_stay_below(c1 * c2, a3),
-                i,
-                "power-small-closed-mul",
-                f"{_fmt(c1)} * {_fmt(c2)}",
-            )
-            r.check(
-                oracle.powers_stay_below(c1 + c2, a3),
-                i,
-                "power-small-closed-add",
-                f"{_fmt(c1)} + {_fmt(c2)}",
-            )
+            r.check(oracle.powers_stay_below(c1 * c2, a3), i, "power-small-closed-mul", c1, c2)
+            r.check(oracle.powers_stay_below(c1 + c2, a3), i, "power-small-closed-add", c1, c2)
             lowmid, _ = divmod_scalar(c1 + c2, 2)
             if not lowmid.is_zero():
-                r.check(
-                    oracle.powers_stay_below(lowmid, a3),
-                    i,
-                    "power-small-convex",
-                    _fmt(lowmid),
-                )
+                r.check(oracle.powers_stay_below(lowmid, a3), i, "power-small-convex", lowmid)
         a1, b1 = equivalent_pair(s, 1)
         pool1 = oracle.default_pool(1, a1, b1, n_max=6)
         small = [c for c in pool1 if oracle.multiples_stay_below(c, a1) and not c.is_zero()]
         for c in pool1:
             r.check(
                 oracle.multiples_stay_below(c, a1) == oracle.multiples_stay_below(c, b1),
-                i,
-                "multiple-smallness-invariant",
-                f"{_fmt(c)} vs {_fmt(a1)},{_fmt(b1)}",
+                i, "multiple-smallness-invariant", c, a1, b1,
             )
         for j in range(min(len(small) - 1, 4)):
             r.check(
                 oracle.multiples_stay_below(small[j] + small[j + 1], a1),
-                i,
-                "multiple-small-closed-add",
-                f"{_fmt(small[j])} + {_fmt(small[j + 1])}",
+                i, "multiple-small-closed-add", small[j], small[j + 1],
             )
     return r
 
@@ -417,18 +359,16 @@ def suite_separation(samples: int, seed: int, dim: int) -> SuiteResult:
         a = textform.parse_element(ta, dim)
         b = textform.parse_element(tb, dim)
         vh = equiv.decide(holds_at, a, b)
-        r.check(vh.equivalent, 0, f"exhibit-holds-l{holds_at}", f"{ta} ; {tb}")
+        r.check(vh.equivalent, 0, f"exhibit-holds-l{holds_at}", ta, tb)
         if vh.equivalent:
             r.check(
                 oracle.check_witness(holds_at, a, b, vh.witness),
-                0,
-                f"exhibit-witness-l{holds_at}",
-                f"{ta} ; {tb}",
+                0, f"exhibit-witness-l{holds_at}", ta, tb,
             )
         vf = equiv.decide(fails_at, a, b)
-        r.check(not vf.equivalent, 0, f"exhibit-fails-l{fails_at}", f"{ta} ; {tb}")
+        r.check(not vf.equivalent, 0, f"exhibit-fails-l{fails_at}", ta, tb)
         found = oracle.search(fails_at, a, b, oracle.bounds_for(fails_at, a, b, n_max=12))
-        r.check(found is None, 0, f"exhibit-refuted-l{fails_at}", f"{ta} ; {tb}")
+        r.check(found is None, 0, f"exhibit-refuted-l{fails_at}", ta, tb)
         r.stats["exhibits"].append(
             {"strict_in": fails_at, "holds_at": holds_at, "a": ta, "b": tb}
         )
@@ -464,21 +404,21 @@ def _run_automorph_cases(
         try:
             d = build(a, b)
         except Exception as exc:  # build must succeed on generated pairs
-            r.check(False, i, f"build-e{level}", f"{_fmt(a)} -> {_fmt(b)}: {exc!r}")
+            r.check(False, i, f"build-e{level}", a, b, repr(exc))
             continue
         r.bump("built")
         image = automorph.apply(d, a)
-        r.check(image == b, i, f"anchor-exact-e{level}", f"{_fmt(a)} -> {_fmt(image)} wanted {_fmt(b)}")
+        r.check(image == b, i, f"anchor-exact-e{level}", a, image, b)
         probes = list(base_probes)
         for anchor in {a, b, a + 1} - base_set:
             insort(probes, anchor)
+        failure = None
         try:
             report = automorph.validate(d, probes, anchors=((a, b),))
             r.bump("probe_pairs", report.pairs)
-            r.cases += 1
         except ValidationFailure as vf:
-            r.check(False, i, f"validate-e{level}", f"{vf}")
-    return
+            failure = vf
+        r.check(failure is None, i, f"validate-e{level}", failure)
 
 
 def suite_auto_e2(samples: int, seed: int, dim: int, probe_pairs: int = 48) -> SuiteResult:
@@ -503,48 +443,36 @@ def suite_sequences(samples: int, seed: int, dim: int) -> SuiteResult:
         a = s.nonstandard()
         up0 = analysis.e0_seq(a, 6, "up")
         down0 = analysis.e0_seq(a, 6, "down")
-        r.check(
-            all(up0.terms[j] < up0.terms[j + 1] for j in range(5)),
-            i, "e0-up-strictly-increasing", _fmt(a),
-        )
-        r.check(
-            all(down0.terms[j] > down0.terms[j + 1] for j in range(5)),
-            i, "e0-down-strictly-decreasing", _fmt(a),
-        )
+        r.check(all(up0.terms[j] < up0.terms[j + 1] for j in range(5)), i, "e0-up-strictly-increasing", a)
+        r.check(all(down0.terms[j] > down0.terms[j + 1] for j in range(5)), i, "e0-down-strictly-decreasing", a)
         up2 = analysis.e2_seq(a, 6, "up")
         down2 = analysis.e2_seq(a, 6, "down")
-        r.check(
-            all(up2.terms[j] < up2.terms[j + 1] for j in range(5)),
-            i, "e2-up-strictly-increasing", _fmt(a),
-        )
-        r.check(
-            all(down2.terms[j] > down2.terms[j + 1] for j in range(5)),
-            i, "e2-down-strictly-decreasing", _fmt(a),
-        )
+        r.check(all(up2.terms[j] < up2.terms[j + 1] for j in range(5)), i, "e2-up-strictly-increasing", a)
+        r.check(all(down2.terms[j] > down2.terms[j + 1] for j in range(5)), i, "e2-down-strictly-decreasing", a)
         for t in up0.terms + down0.terms:
-            r.check(equiv.decide(0, a, t).equivalent, i, "e0-terms-in-class", _fmt(t))
+            r.check(equiv.decide(0, a, t).equivalent, i, "e0-terms-in-class", t)
         for t in up2.terms + down2.terms:
-            r.check(equiv.decide(2, a, t).equivalent, i, "e2-terms-in-class", _fmt(t))
+            r.check(equiv.decide(2, a, t).equivalent, i, "e2-terms-in-class", t)
         for n in range(1, 6):
             cq = ceil_quotient_scalar(a, n)
             r.check(
                 cq * n >= a and (cq.is_zero() or sub(cq, Element.integer(1, dim)) * n < a),
-                i, "ceil-division-minimality", f"{_fmt(a)} / {n}",
+                i, "ceil-division-minimality", a, n,
             )
         # cofinality against class-mates, passing index from the witness
         mate0 = a + s.integer(-9, 9)
         idx0 = analysis.e0_passing_index(a, mate0)
         seq_up = analysis.e0_seq(a, idx0 + 1, "up")
         seq_dn = analysis.e0_seq(a, idx0 + 1, "down")
-        r.check(seq_up.terms[idx0] > mate0, i, "e0-cofinal", f"{_fmt(a)} vs {_fmt(mate0)}")
-        r.check(seq_dn.terms[idx0] < mate0, i, "e0-coinitial", f"{_fmt(a)} vs {_fmt(mate0)}")
+        r.check(seq_up.terms[idx0] > mate0, i, "e0-cofinal", a, mate0)
+        r.check(seq_dn.terms[idx0] < mate0, i, "e0-coinitial", a, mate0)
         mate2 = a * s.integer(1, 5) + s.integer(-2, 6)
         up_idx = analysis.e2_passing_index(a, mate2, "up")
         dn_idx = analysis.e2_passing_index(a, mate2, "down")
         sequp = analysis.e2_seq(a, up_idx, "up")
         seqdn = analysis.e2_seq(a, dn_idx, "down")
-        r.check(sequp.terms[up_idx - 1] > mate2, i, "e2-cofinal", f"{_fmt(a)} vs {_fmt(mate2)}")
-        r.check(seqdn.terms[dn_idx - 1] < mate2, i, "e2-coinitial", f"{_fmt(a)} vs {_fmt(mate2)}")
+        r.check(sequp.terms[up_idx - 1] > mate2, i, "e2-cofinal", a, mate2)
+        r.check(seqdn.terms[dn_idx - 1] < mate2, i, "e2-coinitial", a, mate2)
     return r
 
 
@@ -571,33 +499,27 @@ def suite_b11(samples: int, seed: int, dim: int) -> SuiteResult:
             if direction == "up":
                 r.check(
                     all(terms[j] > terms[j + 1] for j in range(len(terms) - 1)),
-                    i, "b11-upper-strictly-decreasing", _fmt(a),
+                    i, "b11-upper-strictly-decreasing", a,
                 )
             else:
                 r.check(
                     all(terms[j] < terms[j + 1] for j in range(len(terms) - 1)),
-                    i, "b11-lower-strictly-increasing", _fmt(a),
+                    i, "b11-lower-strictly-increasing", a,
                 )
             for n, t in enumerate(terms, start=1):
                 if direction == "up":
                     holds = analysis.b11_upper_holds(a, n, t)
                     next_refuted = not analysis.b11_upper_holds(a, n, t + a)
                     off_lattice = not analysis.b11_upper_holds(a, n, t + 1)
-                    r.check(
-                        holds and next_refuted and off_lattice,
-                        i, "b11-upper-max-certified", f"{_fmt(a)} n={n}",
-                    )
+                    r.check(holds and next_refuted and off_lattice, i, "b11-upper-max-certified", a, n)
                     mate = a * s.integer(1, 3) + s.integer(0, 4)
-                    r.check(t > mate, i, "b11-upper-bounds-class", f"{_fmt(t)} vs {_fmt(mate)}")
+                    r.check(t > mate, i, "b11-upper-bounds-class", t, mate)
                 else:
                     holds = analysis.b11_lower_holds(a, n, t)
                     next_refuted = not analysis.b11_lower_holds(a, n, t + one)
-                    r.check(
-                        holds and next_refuted,
-                        i, "b11-lower-max-certified", f"{_fmt(a)} n={n}",
-                    )
+                    r.check(holds and next_refuted, i, "b11-lower-max-certified", a, n)
                     mate = ceil_quotient_scalar(a, s.integer(1, 3))
-                    r.check(t < mate, i, "b11-lower-bounded-by-class", f"{_fmt(t)} vs {_fmt(mate)}")
+                    r.check(t < mate, i, "b11-lower-bounded-by-class", t, mate)
     return r
 
 
@@ -621,29 +543,17 @@ def suite_embed(samples: int, seed: int, dim: int) -> SuiteResult:
         b1, b2 = class_member(), class_member()
         v1 = analysis.real_embed(anchor, b1)
         v2 = analysis.real_embed(anchor, b2)
-        r.check(not v1.degenerate and not v2.degenerate, i, "embed-nondegenerate", "")
+        r.check(not v1.degenerate and not v2.degenerate, i, "embed-nondegenerate", b1, b2)
         same_class = equiv.decide(3, b1, b2).equivalent
-        r.check(
-            same_class == (v1.value == v2.value),
-            i,
-            "embed-constant-iff-same-class",
-            f"{_fmt(b1)} ; {_fmt(b2)}",
-        )
+        r.check(same_class == (v1.value == v2.value), i, "embed-constant-iff-same-class", b1, b2)
         if not same_class:
             lo, hi = (b1, b2) if b1 < b2 else (b2, b1)
             r.check(
                 analysis.real_embed(anchor, lo).value < analysis.real_embed(anchor, hi).value,
-                i,
-                "embed-order-preserving",
-                f"{_fmt(lo)} < {_fmt(hi)}",
+                i, "embed-order-preserving", lo, hi,
             )
         v12 = analysis.real_embed(anchor * anchor, b1 * b2)
-        r.check(
-            v12.value == v1.value + v2.value,
-            i,
-            "embed-additive-over-products",
-            f"{_fmt(b1)} * {_fmt(b2)}",
-        )
+        r.check(v12.value == v1.value + v2.value, i, "embed-additive-over-products", b1, b2)
     return r
 
 
@@ -654,48 +564,29 @@ def suite_roundtrip(samples: int, seed: int, dim: int) -> SuiteResult:
         e = s.element()
         text = textform.format_element(e)
         r.check(textform.parse_element(text, dim) == e, i, "parse-format-roundtrip", text)
-        r.check(
-            jsonio.element_from_json(jsonio.element_to_json(e), dim) == e,
-            i,
-            "json-roundtrip",
-            text,
-        )
+        r.check(jsonio.element_from_json(jsonio.element_to_json(e), dim) == e, i, "json-roundtrip", text)
     return r
 
 
+# Each suite with the share of the requested sample count it runs: the
+# heavier suites run a fraction.  The order is the order of ``all``.
 SUITES = {
-    "algebra": suite_algebra,
-    "division": suite_division,
-    "refinement": suite_refinement,
-    "convexity": suite_convexity,
-    "closure-add": suite_closure_add,
-    "closure-mul": suite_closure_mul,
-    "equivalence": suite_equivalence,
-    "agreement": suite_agreement,
-    "witness-sets": suite_witness_sets,
-    "separation": suite_separation,
-    "auto-e2": suite_auto_e2,
-    "auto-e3": suite_auto_e3,
-    "sequences": suite_sequences,
-    "b11": suite_b11,
-    "embed": suite_embed,
-    "roundtrip": suite_roundtrip,
-}
-
-# heavier suites run a fraction of the requested sample count
-_SAMPLE_SCALE = {
-    "division": 0.25,
-    "convexity": 0.5,
-    "closure-add": 0.5,
-    "closure-mul": 0.25,
-    "equivalence": 0.25,
-    "agreement": 0.25,
-    "witness-sets": 0.1,
-    "auto-e2": 0.1,
-    "auto-e3": 0.1,
-    "sequences": 0.1,
-    "b11": 0.1,
-    "embed": 0.25,
+    "algebra": (suite_algebra, 1.0),
+    "division": (suite_division, 0.25),
+    "refinement": (suite_refinement, 1.0),
+    "convexity": (suite_convexity, 0.5),
+    "closure-add": (suite_closure_add, 0.5),
+    "closure-mul": (suite_closure_mul, 0.25),
+    "equivalence": (suite_equivalence, 0.25),
+    "agreement": (suite_agreement, 0.25),
+    "witness-sets": (suite_witness_sets, 0.1),
+    "separation": (suite_separation, 1.0),
+    "auto-e2": (suite_auto_e2, 0.1),
+    "auto-e3": (suite_auto_e3, 0.1),
+    "sequences": (suite_sequences, 0.1),
+    "b11": (suite_b11, 0.1),
+    "embed": (suite_embed, 0.25),
+    "roundtrip": (suite_roundtrip, 1.0),
 }
 
 
@@ -711,8 +602,8 @@ def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
         raise ValueError(f"unknown suite {name!r}; try one of {', '.join(SUITES)} or 'all'")
     results = []
     for n in names:
-        count = max(1, int(samples * _SAMPLE_SCALE.get(n, 1.0)))
-        results.append(SUITES[n](count, seed, dim))
+        suite, scale = SUITES[n]
+        results.append(suite(max(1, int(samples * scale)), seed, dim))
     return results
 
 

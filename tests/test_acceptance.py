@@ -7,6 +7,7 @@ tolerance; the only numeric budgets are sample counts and wall-clock caps.
 Run with output:  pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import json
 import time
 
@@ -143,7 +144,13 @@ def test_criterion_10_full_suite_deterministic(capsys):
     violations = sum(
         json.loads(doc)["total_violations"] for doc in outputs[0]
     )
-    ok = identical and clean and violations == 0 and elapsed / 2 < 60.0
+    # sha256 of each dim's stdout, trailing newline included
+    digests = [hashlib.sha256(doc.encode()).hexdigest() for doc in outputs[0]]
+    pinned = digests == [
+        "6b86fb7e0f98f8ed9fe0c37c3f7e817a48537628ba6deb47b650305480604c37",
+        "f69460177fece838571a5f6b58bf383025b341c51ab4f240c113d8a6bb9624b4",
+    ]
+    ok = identical and pinned and clean and violations == 0 and elapsed / 2 < 60.0
     with capsys.disabled():
         _report(10, "full suite byte-identical under fixed seed, zero violations",
-                ok, f"{elapsed / 2:.1f}s per full run (both dims)")
+                ok, f"{elapsed / 2:.1f}s per full run (both dims); sha256 {[d[:8] for d in digests]}")

@@ -6,7 +6,12 @@ import pytest
 
 from lexarith import analysis as an
 from lexarith.equiv import decide
-from lexarith.errors import CoefficientNotRepresentable, InvariantViolation, NotE4Equivalent
+from lexarith.errors import (
+    CoefficientNotRepresentable,
+    InvariantViolation,
+    NotE4Equivalent,
+    StandardInput,
+)
 from lexarith.model import Element, pow_int
 from lexarith.textform import parse_element
 
@@ -124,3 +129,5 @@ class TestRealEmbed:
     def test_not_in_class(self):
         with pytest.raises(NotE4Equivalent):
             an.real_embed(P("t^(1,0)", 2), P("t^(0,1)", 2))
+        with pytest.raises(StandardInput):
+            an.real_embed(P("t^(1,0)", 2), P("3", 2))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lexarith import equiv, model, suites
+from lexarith import equiv, model, suites, textform
 from lexarith.cli import main
 from lexarith.model import Element, Exponent
 
@@ -240,3 +240,26 @@ def test_internal_paths_read_no_fraction_views(capsys, monkeypatch):
     ):
         code, out = run(capsys, *argv)
         assert code == 0 and "error" not in json.loads(out), argv
+
+
+def test_check_formats_its_subjects_only_for_a_violation(monkeypatch):
+    a = textform.parse_element("t^2 + 1", 1)
+    formatted = []
+    format_element = textform.format_element
+
+    def counted(e):
+        formatted.append(e)
+        return format_element(e)
+
+    monkeypatch.setattr(textform, "format_element", counted)
+    r = suites.SuiteResult("demo", 1, 2, 7)
+    assert r.check(True, 0, "holds", a, 3, "n=3")
+    assert formatted == [] and r.violations == []
+    assert not r.check(False, 1, "fails", a, 3, "n=3")
+    assert r.violations == [{"case": 1, "law": "fails", "detail": "t^2 + 1 ; 3 ; n=3"}]
+    assert formatted == [a]
+    assert r.cases == 2
+    # a clean suite run formats nothing
+    formatted.clear()
+    assert suites.run_suites("algebra", 20, 7, 2)[0].ok
+    assert formatted == []

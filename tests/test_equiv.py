@@ -2,7 +2,7 @@
 
 import pytest
 
-from lexarith import automorph, equiv, oracle
+from lexarith import automorph, equiv, oracle, suites
 from lexarith.equiv import (
     companion_witness,
     decide,
@@ -10,7 +10,8 @@ from lexarith.equiv import (
     prove_E5,
 )
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
-from lexarith.model import Element
+from lexarith.model import Element, deg, pow_int, sub
+from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
 from lexarith.witnesses import BoundN, Companion
 
@@ -110,6 +111,32 @@ class TestMinimalBound:
             n = minimal_bound_n(level, a, b)
             assert oracle.check_witness(level, a, b, BoundN(n))
             assert not oracle.check_witness(level, a, b, BoundN(n - 1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_level4_closed_form_matches_search(self, dim):
+        """The closed-form level-4 bound is the least n found by trying n = 1, 2, ..."""
+
+        def least_n_by_search(a, b):
+            da, db = deg(a), deg(b)
+            lvl = da.level()
+            (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
+            cap = max(an * bd // (ad * bn), ad * bn // (an * bd)) + 2
+            return next(n for n in range(1, cap + 1) if oracle.check_witness(4, a, b, BoundN(n)))
+
+        s = Sampler(SampleProfile(dim=dim, seed=11))
+        pairs = []
+        for _ in range(60):
+            pairs.append(suites.equivalent_pair(s, 4))
+            c = s.nonstandard()
+            k = s.integer(1, 3)
+            ck = pow_int(c, k)
+            # degree ties: a**k itself and its neighbours on either side
+            pairs += [(c, ck), (ck + 1, c), (c, sub(ck, Element.integer(1, dim)))]
+            if dim == 2:
+                # first components tie, the second ones do not
+                pairs.append((ck * Element.monomial(1, (0, s.integer(1, 3)), dim=2), c))
+        for a, b in pairs:
+            assert equiv._minimal_n(4, a, b) == least_n_by_search(a, b), (a, b)
 
     def test_not_equivalent(self):
         with pytest.raises(NotEquivalent):
