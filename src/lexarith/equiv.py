@@ -56,7 +56,6 @@ from .witnesses import BoundN, Companion, Witness
 
 LEVELS = (0, 1, 2, 3, 4)
 BOUND_LEVELS = (0, 2, 4)
-COMPANION_LEVELS = (1, 3)
 
 
 @dataclass(frozen=True)
@@ -199,16 +198,6 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     if oracle.check_witness(level, a, b, BoundN(n - 1)):
         raise AssertionError(f"computed bound {n} is not minimal")
     return n
-
-
-def companion_witness(level: int, a: Element, b: Element) -> Element:
-    """A validated companion element for levels 1 and 3."""
-    if level not in COMPANION_LEVELS:
-        raise ValueError(f"level {level} has bound witnesses, not companions")
-    require_nonstandard(a, b)
-    if not _positive(level, a, b):
-        raise NotEquivalent(f"pair is not level-{level} equivalent")
-    return _validated_witness(level, a, b).c
 
 
 def prove_E5(a: Element, b: Element):

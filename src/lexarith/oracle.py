@@ -7,29 +7,23 @@ the universal "for all standard n" conditions by exact degree comparison
 ``deg(c) < deg(a)``, and ``c**n < a`` for all n iff deg(c) sits in a
 strictly lower Archimedean class than deg(a)).
 
-``search`` hunts for a witness inside finite bounds.  Exhaustion is a
-value, not an error, and never refutes: negative closed-form verdicts are
-justified by the decider's reason field.
+``search(level, a, b, n_max, hint)`` hunts for a witness inside finite
+bounds.  At the bound levels 0, 2 and 4 it tries n = 1 .. n_max, raised to
+``hint.n + 1`` by a ``BoundN`` hint; at the companion levels 1 and 3 it
+walks the companion pool of ``default_pool``, with ``hint.c`` and
+``hint.c + 1`` merged in by a ``Companion`` hint.  The pool is built only
+at the companion levels.  Exhaustion is a value, not an error, and never
+refutes: negative closed-form verdicts are justified by the decider's
+reason field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StandardInput
 from .model import Element, Exponent, deg, is_standard, pow_int
 from .witnesses import BoundN, Companion, Witness
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    n_max: int = 64
-    companion_pool: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
 
 
 def _require_nonstandard(a: Element, b: Element) -> None:
@@ -82,7 +76,7 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
     return False
 
 
-def default_pool(level: int, a: Element, b: Element, n_max: int = 8) -> tuple:
+def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     """Deterministic companion candidates from the degree lattice of a, b."""
     dim = a.dim
     zero = Exponent.zero(dim)
@@ -113,39 +107,27 @@ def default_pool(level: int, a: Element, b: Element, n_max: int = 8) -> tuple:
     return tuple(unique[:96])
 
 
-def bounds_for(
-    level: int,
-    a: Element,
-    b: Element,
-    hint: Optional[Witness] = None,
-    n_max: int = 16,
-) -> SearchBounds:
-    """Bounds seeded with a decider hint (hinted size + 1 stays inside)."""
-    if isinstance(hint, BoundN):
-        n_max = max(n_max, hint.n + 1)
-    pool = list(default_pool(level, a, b, n_max=min(n_max, 9)))
-    if isinstance(hint, Companion):
-        pool.extend([hint.c, hint.c + Element.integer(1, a.dim)])
-    return SearchBounds(n_max=max(n_max, 2), companion_pool=tuple(sorted(set(pool))))
+def search(
+    level: int, a: Element, b: Element, n_max: int = 16, hint: Optional[Witness] = None
+) -> Optional[Witness]:
+    """First witness within the bounds, or None when they are exhausted.
 
-
-def search(level: int, a: Element, b: Element, bounds: SearchBounds) -> Optional[Witness]:
-    """First witness within bounds, or None when the bounds are exhausted.
-
-    None never refutes equivalence; it only reports exhaustion.
+    A ``BoundN`` hint raises the bound to ``hint.n + 1``; a ``Companion``
+    hint adds ``hint.c`` and ``hint.c + 1`` to the pool.  None never refutes
+    equivalence; it only reports exhaustion.
     """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     _require_nonstandard(a, b)
     if level in (0, 2, 4):
-        for n in range(1, bounds.n_max + 1):
-            w = BoundN(n)
-            if check_witness(level, a, b, w):
-                return w
-        return None
-    if level in (1, 3):
-        pool = bounds.companion_pool or default_pool(level, a, b, n_max=bounds.n_max)
-        for c in pool:
-            w = Companion(c)
-            if check_witness(level, a, b, w):
-                return w
-        return None
-    raise ValueError(f"no searcher for level {level}")
+        if isinstance(hint, BoundN):
+            n_max = max(n_max, hint.n + 1)
+        candidates = map(BoundN, range(1, n_max + 1))
+    elif level in (1, 3):
+        pool = default_pool(a, b, n_max)
+        if isinstance(hint, Companion):
+            pool = sorted({*pool, hint.c, hint.c + Element.integer(1, a.dim)})
+        candidates = map(Companion, pool)
+    else:
+        raise ValueError(f"no searcher for level {level}")
+    return next((w for w in candidates if check_witness(level, a, b, w)), None)

@@ -15,17 +15,20 @@ from .errors import InvariantViolation
 from .model import Element, Exponent, is_standard
 
 
+# exponent components are p/q with 0 <= p <= EXP_NUM_BOUND, 1 <= q <= EXP_DEN_BOUND
+EXP_NUM_BOUND = 6
+EXP_DEN_BOUND = 3
+
+
 @dataclass(frozen=True)
 class SampleProfile:
     max_terms: int = 3
-    exp_den_bound: int = 3
     coeff_bound: int = 9
     dim: int = 1
     seed: int = 0
-    exp_num_bound: int = 6
 
     def __post_init__(self):
-        if min(self.max_terms, self.exp_den_bound, self.coeff_bound, self.exp_num_bound) < 1:
+        if min(self.max_terms, self.coeff_bound) < 1:
             raise InvariantViolation("profile bounds must be >= 1")
         if self.dim not in (1, 2):
             raise InvariantViolation(f"dim must be 1 or 2, got {self.dim}")
@@ -40,22 +43,20 @@ class Sampler:
 
     def _rational(self, allow_zero: bool, allow_negative: bool) -> tuple:
         """A ``(num, den)`` pair, reduced by the constructor it is passed to."""
-        p = self.profile
-        num = self.rng.randint(0 if allow_zero else 1, p.exp_num_bound)
-        den = self.rng.randint(1, p.exp_den_bound)
+        num = self.rng.randint(0 if allow_zero else 1, EXP_NUM_BOUND)
+        den = self.rng.randint(1, EXP_DEN_BOUND)
         if allow_negative and num and self.rng.random() < 0.3:
             return (-num, den)
         return (num, den)
 
     def _exponent(self) -> Exponent:
         """A nonzero exponent >= 0 in the lexicographic order."""
-        p = self.profile
-        if p.dim == 1:
+        if self.profile.dim == 1:
             return Exponent((self._rational(allow_zero=False, allow_negative=False),))
         first = self._rational(allow_zero=True, allow_negative=False)
         second = self._rational(allow_zero=True, allow_negative=first[0] > 0)
         if first[0] == 0 and second[0] == 0:
-            second = (self.rng.randint(1, p.exp_num_bound), self.rng.randint(1, p.exp_den_bound))
+            second = (self.rng.randint(1, EXP_NUM_BOUND), self.rng.randint(1, EXP_DEN_BOUND))
         return Exponent((first, second))
 
     def _coeff(self) -> tuple:

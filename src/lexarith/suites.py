@@ -12,6 +12,10 @@ A check names the law and its subjects: ``r.check(cond, case, law,
 "law", "detail"}``; its detail is the subjects joined by ``" ; "``, each
 element in its text form and anything else through ``str``.  A passing
 check formats nothing.
+
+A suite decides each pair at each level once and reads that verdict
+wherever a later check needs it; the agreement suite hands a positive
+verdict's witness to the oracle's ``search`` as its ``hint``.
 """
 
 from __future__ import annotations
@@ -261,11 +265,8 @@ def suite_equivalence(samples: int, seed: int, dim: int) -> SuiteResult:
             a, b = equivalent_pair(s, level)
             c = equivalent_to(s, b, level)
             r.check(equiv.decide(level, a, a).equivalent, i, f"reflexive-l{level}", a)
-            r.check(
-                equiv.decide(level, a, b).equivalent == equiv.decide(level, b, a).equivalent,
-                i, f"symmetric-l{level}", a, b,
-            )
             vab = equiv.decide(level, a, b).equivalent
+            r.check(vab == equiv.decide(level, b, a).equivalent, i, f"symmetric-l{level}", a, b)
             vbc = equiv.decide(level, b, c).equivalent
             if vab and vbc:
                 r.bump(f"chains_l{level}")
@@ -278,22 +279,22 @@ def suite_agreement(samples: int, seed: int, dim: int) -> SuiteResult:
     s = Sampler(SampleProfile(dim=dim, seed=seed))
     for i in range(samples):
         a, b = related_pair(s)
-        for level in range(5):
-            v = equiv.decide(level, a, b)
+        verdicts = [equiv.decide(level, a, b) for level in range(5)]
+        for level, v in enumerate(verdicts):
             if v.equivalent:
                 r.bump(f"positive_l{level}")
                 r.check(
                     oracle.check_witness(level, a, b, v.witness),
                     i, f"witness-sound-l{level}", a, b, v.witness,
                 )
-                found = oracle.search(level, a, b, oracle.bounds_for(level, a, b, hint=v.witness))
+                found = oracle.search(level, a, b, hint=v.witness)
                 r.check(found is not None, i, f"search-complete-l{level}", a, b)
             else:
                 r.bump(f"negative_l{level}")
-                found = oracle.search(level, a, b, oracle.bounds_for(level, a, b, n_max=8))
+                found = oracle.search(level, a, b, n_max=8)
                 r.check(found is None, i, f"search-exhausts-on-negative-l{level}", a, b, found)
-        for level in (0, 2, 4):
-            if equiv.decide(level, a, b).equivalent:
+        for level in equiv.BOUND_LEVELS:
+            if verdicts[level].equivalent:
                 n = equiv.minimal_bound_n(level, a, b)
                 r.check(
                     oracle.check_witness(level, a, b, BoundN(n))
@@ -308,7 +309,7 @@ def suite_witness_sets(samples: int, seed: int, dim: int) -> SuiteResult:
     s = Sampler(SampleProfile(dim=dim, seed=seed))
     for i in range(samples):
         a3, b3 = equivalent_pair(s, 3)
-        pool = oracle.default_pool(3, a3, b3, n_max=6)
+        pool = oracle.default_pool(a3, b3, n_max=6)
         inside = []
         for c in pool:
             same = oracle.powers_stay_below(c, a3) == oracle.powers_stay_below(c, b3)
@@ -323,7 +324,7 @@ def suite_witness_sets(samples: int, seed: int, dim: int) -> SuiteResult:
             if not lowmid.is_zero():
                 r.check(oracle.powers_stay_below(lowmid, a3), i, "power-small-convex", lowmid)
         a1, b1 = equivalent_pair(s, 1)
-        pool1 = oracle.default_pool(1, a1, b1, n_max=6)
+        pool1 = oracle.default_pool(a1, b1, n_max=6)
         small = [c for c in pool1 if oracle.multiples_stay_below(c, a1) and not c.is_zero()]
         for c in pool1:
             r.check(
@@ -367,7 +368,7 @@ def suite_separation(samples: int, seed: int, dim: int) -> SuiteResult:
             )
         vf = equiv.decide(fails_at, a, b)
         r.check(not vf.equivalent, 0, f"exhibit-fails-l{fails_at}", ta, tb)
-        found = oracle.search(fails_at, a, b, oracle.bounds_for(fails_at, a, b, n_max=12))
+        found = oracle.search(fails_at, a, b, n_max=12)
         r.check(found is None, 0, f"exhibit-refuted-l{fails_at}", ta, tb)
         r.stats["exhibits"].append(
             {"strict_in": fails_at, "holds_at": holds_at, "a": ta, "b": tb}

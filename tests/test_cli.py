@@ -263,3 +263,22 @@ def test_check_formats_its_subjects_only_for_a_violation(monkeypatch):
     formatted.clear()
     assert suites.run_suites("algebra", 20, 7, 2)[0].ok
     assert formatted == []
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_suites_decide_each_pair_once(monkeypatch, dim):
+    calls = {}
+    decide = equiv.decide
+
+    def counted(level, a, b):
+        calls[level] = calls.get(level, 0) + 1
+        return decide(level, a, b)
+
+    monkeypatch.setattr(equiv, "decide", counted)
+    suites.suite_agreement(4, 7, dim)
+    # (a, b) once per sample and level; the minimal-bound checks reuse it
+    assert calls == {level: 4 for level in range(5)}
+    calls.clear()
+    r = suites.suite_equivalence(4, 7, dim)
+    # (a, a), (a, b), (b, a) and (b, c) per sample and level, (a, c) per chain
+    assert calls == {level: 4 * 4 + r.stats.get(f"chains_l{level}", 0) for level in range(5)}

@@ -4,7 +4,6 @@ import pytest
 
 from lexarith import automorph, equiv, oracle, suites
 from lexarith.equiv import (
-    companion_witness,
     decide,
     minimal_bound_n,
     prove_E5,
@@ -63,7 +62,7 @@ class TestDecide:
     def test_level3_dim2_negative(self):
         v = decide(3, P("t^(1,0)", 2), P("t^(2,0)", 2))
         assert not v.equivalent
-        found = oracle.search(3, P("t^(1,0)", 2), P("t^(2,0)", 2), oracle.SearchBounds(n_max=8))
+        found = oracle.search(3, P("t^(1,0)", 2), P("t^(2,0)", 2), n_max=8)
         assert found is None
 
     def test_level3_collapses_to_level2_in_dim1(self):
@@ -147,20 +146,18 @@ class TestMinimalBound:
 
 class TestCompanion:
     def test_level1(self):
-        c = companion_witness(1, P("t^2 + t"), P("t^2"))
-        assert oracle.check_witness(1, P("t^2 + t"), P("t^2"), Companion(c))
+        # the difference plus one
+        assert decide(1, P("t^2 + t"), P("t^2")).witness == Companion(P("t + 1"))
 
     def test_level3_gap_formula(self):
-        c = companion_witness(3, P("t^(1,2)", 2), P("t^(1,7)", 2))
-        assert c == P("t^(0,6)", 2)
+        assert decide(3, P("t^(1,2)", 2), P("t^(1,7)", 2)).witness == Companion(P("t^(0,6)", 2))
 
     def test_reflexive_level3_uses_constant_two(self):
         a = P("t^3 + t")
-        assert companion_witness(3, a, a) == P("2")
+        assert decide(3, a, a).witness == Companion(P("2"))
 
     def test_not_equivalent(self):
-        with pytest.raises(NotEquivalent):
-            companion_witness(3, P("t^(1,0)", 2), P("t^(2,0)", 2))
+        assert not decide(3, P("t^(1,0)", 2), P("t^(2,0)", 2)).equivalent
 
 
 class TestProveE5:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from lexarith import oracle
+from lexarith import oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import StandardInput
-from lexarith.oracle import SearchBounds, check_witness, search
+from lexarith.model import Element
+from lexarith.oracle import check_witness, search
+from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
 from lexarith.witnesses import BoundN, Companion
 
@@ -49,17 +51,17 @@ def test_universal_conditions_are_degreewise_exact():
 
 
 def test_search_finds_least_bound():
-    w = search(0, P("t + 2"), P("t"), SearchBounds(n_max=8))
+    w = search(0, P("t + 2"), P("t"), n_max=8)
     assert w == BoundN(3)
 
 
 def test_search_exhausts_without_refuting():
-    assert search(2, P("t"), P("t^2"), SearchBounds(n_max=64)) is None
+    assert search(2, P("t"), P("t^2"), n_max=64) is None
 
 
 def test_search_level3_pool_from_degree_lattice():
     a, b = P("t^(1,0)", 2), P("t^(1,3)", 2)
-    w = search(3, a, b, SearchBounds(n_max=8, companion_pool=oracle.default_pool(3, a, b)))
+    w = search(3, a, b, n_max=8)
     assert isinstance(w, Companion)
     assert check_witness(3, a, b, w)
 
@@ -68,5 +70,64 @@ def test_bounds_seeded_with_decider_witness():
     a, b = P("t^(2,0) + t^(1,1)", 2), P("t^(2,4)", 2)
     v = decide(3, a, b)
     assert v.equivalent
-    found = search(3, a, b, oracle.bounds_for(3, a, b, hint=v.witness))
+    found = search(3, a, b, hint=v.witness)
     assert found is not None and check_witness(3, a, b, found)
+
+
+def test_search_rejects_a_bound_below_two():
+    with pytest.raises(ValueError):
+        search(0, P("t"), P("t"), n_max=1)
+
+
+def _search_calls(dim, count):
+    """Sampled (level, a, b, kwargs) in the suites' three call shapes."""
+    s = Sampler(SampleProfile(dim=dim, seed=23))
+    for _ in range(count):
+        a, b = suites.related_pair(s)
+        for level in range(5):
+            yield level, a, b, {"hint": decide(level, a, b).witness}
+            yield level, a, b, {"n_max": 8}
+            yield level, a, b, {"n_max": 12}
+
+
+def _bounded_search_as_before(level, a, b, hint=None, n_max=16):
+    """The earlier two-step search: build the bounds and the pool, then walk them."""
+    if isinstance(hint, BoundN):
+        n_max = max(n_max, hint.n + 1)
+    pool = list(oracle.default_pool(a, b, n_max=min(n_max, 9)))
+    if isinstance(hint, Companion):
+        pool.extend([hint.c, hint.c + Element.integer(1, a.dim)])
+    if level in (0, 2, 4):
+        for n in range(1, max(n_max, 2) + 1):
+            if check_witness(level, a, b, BoundN(n)):
+                return BoundN(n)
+        return None
+    for c in sorted(set(pool)):
+        if check_witness(level, a, b, Companion(c)):
+            return Companion(c)
+    return None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_search_matches_the_two_step_search(dim):
+    for level, a, b, kwargs in _search_calls(dim, 30):
+        assert search(level, a, b, **kwargs) == _bounded_search_as_before(level, a, b, **kwargs), (
+            level, a, b, kwargs,
+        )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_search_builds_a_pool_only_at_companion_levels(monkeypatch, dim):
+    built = {level: 0 for level in range(5)}
+    pool = oracle.default_pool
+
+    def counted(a, b, n_max=8):
+        built[current_level] += 1
+        return pool(a, b, n_max)
+
+    monkeypatch.setattr(oracle, "default_pool", counted)
+    searches = {level: 0 for level in range(5)}
+    for current_level, a, b, kwargs in _search_calls(dim, 10):
+        searches[current_level] += 1
+        search(current_level, a, b, **kwargs)
+    assert built == {0: 0, 1: searches[1], 2: 0, 3: searches[3], 4: 0}
