@@ -48,7 +48,7 @@ from .model import (
     floor_quotient,
     format_rational,
     is_standard,
-    pow_int,
+    pow_lt,
     sub,
     trunc_const,
 )
@@ -141,15 +141,15 @@ def _least_power_above(a: Element, b: Element) -> int:
     """Least n with a < b**n, for a and b in the same level-4 class.
 
     b**n has degree n*deg(b): below deg(a) the power is smaller than a,
-    above it larger, and only equal degrees compare the elements themselves.
+    above it larger, and only equal degrees compare the leading terms, then
+    the elements themselves (:func:`pow_lt`).
     """
     da, db = deg(a), deg(b)
     lvl = da.level()
     (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
     # least k with k*db >= da at the class's first component, both positive
     k = max(1, -(-an * bd // (ad * bn)))
-    kdb = db * k
-    if kdb < da or (kdb == da and not a < pow_int(b, k)):
+    if not pow_lt(a, b, k):
         k += 1
     return k
 

@@ -480,6 +480,28 @@ def pow_int(a: Element, n: int) -> Element:
     return result
 
 
+def pow_lt(a: Element, b: Element, n: int) -> bool:
+    """Exactly ``a < pow_int(b, n)``, deciding most pairs without the power.
+
+    For nonzero a and b and n >= 1, both a and the power have a positive
+    leading coefficient, and the power's leading term is
+    ``lc(b)**n * t^(n*deg(b))``.  So the degrees decide first, then the
+    leading coefficients (``(num**n, den**n)`` is still a canonical pair),
+    and the power is built only when both tie, or when n < 1 or a or b is
+    zero.
+    """
+    _check_same_dim(a, b)
+    if n >= 1 and a._raw and b._raw:
+        (ea, ca), (eb, cb) = a._raw[0], b._raw[0]
+        side = K.exp_cmp(ea, K.exp_scale(eb, (n, 1)))
+        if side:
+            return side < 0
+        side = K.rat_cmp(ca, (cb[0] ** n, cb[1] ** n))
+        if side:
+            return side < 0
+    return a < pow_int(b, n)
+
+
 def int_floor_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2 or k == 1:

@@ -23,10 +23,12 @@ from lexarith.model import (
     floor_quotient,
     is_standard,
     pow_int,
+    pow_lt,
     root_floor,
     sub,
     trunc_const,
 )
+from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
 
 
@@ -257,6 +259,39 @@ class TestPowRoot:
     def test_root_floor_nonterminating_dim2(self):
         with pytest.raises(NonTerminatingQuotient):
             root_floor(P("t^(2,0) + t^(2,-1)", 2), 2)
+
+
+class TestPowLt:
+    """``pow_lt(x, y, n)`` against its literal definition ``x < pow_int(y, n)``."""
+
+    @staticmethod
+    def cases(dim):
+        s = Sampler(SampleProfile(dim=dim, seed=31))
+        one = Element.integer(1, dim)
+        bases = [Element.zero(dim), one, Element.integer(3, dim)] + [s.element() for _ in range(40)]
+        for y in bases:
+            for n in range(7):
+                power = pow_int(y, n)
+                # sampled x, exact ties, and ties of the degree alone
+                xs = [s.element(), s.element(), Element.zero(dim), power, power + one, power * 2]
+                if power:
+                    xs += [sub(power, one), divmod_scalar(power, 2)[0], power + y]
+                for x in xs:
+                    yield x, y, n, power
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_literal_comparison(self, dim):
+        lead_ties = 0
+        for x, y, n, power in self.cases(dim):
+            assert pow_lt(x, y, n) == (x < power), (x, y, n)
+            lead_ties += bool(x) and bool(power) and x.raw[0] == power.raw[0]
+        assert lead_ties > 300
+
+    def test_usage_errors_match_pow_int(self):
+        with pytest.raises(InvariantViolation):
+            pow_lt(P("t"), P("t"), -1)
+        with pytest.raises(InvariantViolation):
+            pow_lt(P("t"), P("t^(1,0)", 2), 2)
 
 
 class TestStandardness:

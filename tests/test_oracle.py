@@ -2,10 +2,10 @@
 
 import pytest
 
-from lexarith import oracle, suites
+from lexarith import model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import StandardInput
-from lexarith.model import Element
+from lexarith.model import Element, pow_int
 from lexarith.oracle import check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -77,6 +77,39 @@ def test_bounds_seeded_with_decider_witness():
 def test_search_rejects_a_bound_below_two():
     with pytest.raises(ValueError):
         search(0, P("t"), P("t"), n_max=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level4_check_matches_the_definition(dim):
+    s = Sampler(SampleProfile(dim=dim, seed=29))
+    for _ in range(60):
+        a, b = suites.related_pair(s)
+        for n in range(1, 9):
+            literal = a < pow_int(b, n) and b < pow_int(a, n)
+            assert check_witness(4, a, b, BoundN(n)) == literal, (a, b, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level4_check_builds_a_power_only_on_a_leading_tie(monkeypatch, dim):
+    b = P("2*t + 3", 1) if dim == 1 else P("2*t^(1,1) + 3*t^(0,2)", 2)
+    a = pow_int(b, 2) + 1
+    built = []
+
+    def counted(x, n):
+        built.append(n)
+        return pow_int(x, n)
+
+    monkeypatch.setattr(model, "pow_int", counted)
+    # the leading terms differ by degree, or only by coefficient (a against
+    # b**2 with b scaled by 4, and b*4 against b)
+    for n in (1, 3, 4, 5, 6):
+        check_witness(4, a, b, BoundN(n))
+    check_witness(4, a, b * 4, BoundN(2))
+    check_witness(4, b * 4, b, BoundN(1))
+    assert built == []
+    # a and b**2 share their leading term: one power, and a < b**2 fails
+    assert not check_witness(4, a, b, BoundN(2))
+    assert built == [2]
 
 
 def _search_calls(dim, count):
