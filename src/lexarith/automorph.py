@@ -65,7 +65,6 @@ from .model import (
     deg,
     divmod_scalar,
     is_standard,
-    split_const,
     sub,
     trunc_const,
 )
@@ -117,13 +116,13 @@ class E0ClassShift(Descriptor):
     def __post_init__(self):
         if is_standard(self.anchor):
             raise InvariantViolation("anchor of a class shift must be nonstandard")
-        object.__setattr__(self, "_key", trunc_const(self.anchor))
+        object.__setattr__(self, "_key", K.terms_split_const(self.anchor.raw)[0])
 
     def apply(self, x: Element) -> Element:
-        return add_int(x, self.offset) if trunc_const(x) == self._key else x
+        return add_int(x, self.offset) if K.terms_split_const(x.raw)[0] == self._key else x
 
     def apply_inverse(self, y: Element) -> Element:
-        return add_int(y, -self.offset) if trunc_const(y) == self._key else y
+        return add_int(y, -self.offset) if K.terms_split_const(y.raw)[0] == self._key else y
 
     def inverse(self) -> Descriptor:
         return E0ClassShift(self.anchor, -self.offset)
@@ -134,6 +133,15 @@ class E0ClassShift(Descriptor):
 
 @dataclass(frozen=True)
 class E2Affine(Descriptor):
+    """Identity on the classes at or below c's, and n*(r - a) + b on the
+    representative r of each class above, offsets preserved.
+
+    The inverse is in closed form on the (key, constant) split, key being
+    the terms above the constant: y's class comes from the one keyed
+    ``(key(y) + (n-1)*key(c)) / n``, whose representative r gives
+    ``r + const(y) - n*const(r) - const(b - n*a)``.
+    """
+
     a: Element
     b: Element
     n: int
@@ -151,30 +159,29 @@ class E2Affine(Descriptor):
         # b - a = (n-1)*(a - c) + m, rearranged so that nothing is subtracted
         if self.b + self.c * (self.n - 1) != self.a * self.n + self.m:
             raise InvariantViolation("affine descriptor must satisfy b - a = (n-1)*(a - c) + m")
-        key_a, const_a = split_const(self.a)
-        key_c, const_c = split_const(self.c)
-        object.__setattr__(self, "_key_a", key_a)
-        object.__setattr__(self, "_const_a", const_a)
-        object.__setattr__(self, "_key_c", key_c)
-        object.__setattr__(self, "_const_c", const_c)
+        key_a, const_a = K.terms_split_const(self.a.raw)
+        key_c = K.terms_split_const(self.c.raw)[0]
         # a threshold c in a's finite-distance class or above it breaks one
         # of the anchors claimed below: (c, c) inside the class, where c
         # shares a's representative, and (a, b) above it, where a is fixed
-        if not self._key_c < self._key_a:
+        if not K.terms_cmp(key_c, key_a) < 0:
             raise InvariantViolation("affine threshold c must lie below the finite-distance class of a")
-        object.__setattr__(self, "_c_standard", is_standard(self.c))
-        # the fixed parts of the affine formulas: b - n*a and (n-1)*c
-        object.__setattr__(self, "_b_minus_na", K.terms_sub(self.b.raw, K.terms_scale(self.a.raw, (self.n, 1))))
-        object.__setattr__(self, "_c_times_n1", self.c * (self.n - 1))
+        object.__setattr__(self, "_key_a", key_a)
+        object.__setattr__(self, "_const_a", const_a[0])
+        object.__setattr__(self, "_key_c", key_c)
+        # the fixed parts of the affine formulas: b - n*a, its constant, and
+        # the raw (n-1)*key(c) of the inverse
+        b_minus_na = K.terms_sub(self.b.raw, K.terms_scale(self.a.raw, (self.n, 1)))
+        object.__setattr__(self, "_b_minus_na", b_minus_na)
+        object.__setattr__(self, "_const_b_minus_na", K.terms_split_const(b_minus_na)[1][0])
+        object.__setattr__(self, "_key_c_n1", K.terms_scale(key_c, (self.n - 1, 1)))
 
-    def _rep(self, key: Element) -> tuple:
-        """The representative of the finite-distance class with this key
-        (the class's trunc_const), and its constant."""
+    def _rep(self, key: tuple, dim: int) -> tuple:
+        """The representative of the finite-distance class with this raw key
+        (the class's terms above the constant), and its constant."""
         if key == self._key_a:
             return self.a, self._const_a
-        if not self._c_standard and key == self._key_c:
-            return self.c, self._const_c
-        return key, 0
+        return Element._wrap(key, dim), 0
 
     def _image_of_rep(self, r: Element) -> Element:
         # n*(r - a) + b; equivalently n*r - (n-1)*c + m by the defining relation
@@ -182,23 +189,25 @@ class E2Affine(Descriptor):
         return Element._wrap(raw, r.dim)
 
     def apply(self, x: Element) -> Element:
-        key, const = split_const(x)
-        r, r_const = self._rep(key)
-        if r <= self.c:
+        key, const = K.terms_split_const(x.raw)
+        # identity on c's class and on the classes below it
+        if K.terms_cmp(key, self._key_c) <= 0:
             return x
-        return add_int(self._image_of_rep(r), const - r_const)
+        r, r_const = self._rep(key, x.dim)
+        return add_int(self._image_of_rep(r), const[0] - r_const)
 
     def apply_inverse(self, y: Element) -> Element:
-        key, const = split_const(y)
-        if key <= self._key_c:
+        key, const = K.terms_split_const(y.raw)
+        if K.terms_cmp(key, self._key_c) <= 0:
             return y
-        shifted = add_int(y + self._c_times_n1, -self.m)
-        q, _ = divmod_scalar(shifted, self.n)
-        r, _ = self._rep(trunc_const(q))
-        image_key, image_const = split_const(self._image_of_rep(r))
-        if image_key != key:
-            raise AssertionError("affine inverse landed in the wrong class")
-        return add_int(r, const - image_const)
+        # The image of a representative r is n*r + (b - n*a).  On the keys,
+        # b + (n-1)*c = n*a + m gives key(b) - n*key(a) = -(n-1)*key(c), so
+        # the class keyed k goes to the one keyed n*k - (n-1)*key(c): y's
+        # class comes from the one keyed (key(y) + (n-1)*key(c)) / n, which
+        # lies above c's.  The image of its representative r then has the
+        # constant n*const(r) + const(b - n*a), and offsets are preserved.
+        r, r_const = self._rep(K.terms_scale(K.terms_add(key, self._key_c_n1), (1, self.n)), y.dim)
+        return add_int(r, const[0] - self.n * r_const - self._const_b_minus_na)
 
     def anchors(self) -> tuple:
         return ((self.a, self.b), (self.c, self.c))
@@ -206,6 +215,17 @@ class E2Affine(Descriptor):
 
 @dataclass(frozen=True)
 class E3Shift(Descriptor):
+    """Identity on the class of elements dominated by every power of c, and
+    ``rep -> c*rep`` on the other class representatives (a1 representing
+    its own class), offsets preserved.
+
+    The inverse is in closed form on the (key, rest) split at c's level:
+    y's class comes from the one keyed ``key(y) / c``.  That is a1's class
+    when the key is a1's, and then y comes from ``a1 + rest(y) - rest(a2)``;
+    otherwise the key represents its class and y comes from
+    ``key(y)/c + rest(y)``.
+    """
+
     a1: Element
     a2: Element
     c: Element
@@ -226,18 +246,18 @@ class E3Shift(Descriptor):
         key_a1, rest_a1 = self._split(self.a1)
         object.__setattr__(self, "_key_a1", key_a1)
         object.__setattr__(self, "_rest_a1", rest_a1)
+        # a2 = c*a1 splits as (c*key(a1), c*rest(a1)): the companion's
+        # exponent has a zero first component, so it moves no term across
+        # the split
+        object.__setattr__(self, "_rest_a2", self._split(self.a2)[1])
         ce, cc = self.c.raw[0]
         object.__setattr__(self, "_inv_c", ((K.exp_scale(ce, (-1, 1)), K.rat_div((1, 1), cc)),))
 
     def _split(self, x: Element) -> tuple:
         """x's terms as (the class key: those of level below the companion's,
-        the rest); x is the sum of the two."""
+        the rest); x is the sum of the two, and every key term lies above
+        every other term."""
         return K.terms_split_level(x.raw, self._lvl)
-
-    def _rep(self, key: tuple) -> Element:
-        if key == self._key_a1:
-            return self.a1
-        return Element._wrap(key, self.c.dim)
 
     def apply(self, x: Element) -> Element:
         key, rest = self._split(x)
@@ -247,21 +267,25 @@ class E3Shift(Descriptor):
             # a1 represents the class and maps to a2; x - a1 = rest - a1's rest
             raw = K.terms_add(self.a2.raw, K.terms_sub(rest, self._rest_a1))
         else:
-            # the key represents its class and maps to c * key; x - key = rest
-            raw = K.terms_add(K.terms_mul(self.c.raw, key), rest)
+            # the key represents its class and maps to c * key; x - key = rest,
+            # and c * key is still all above rest
+            raw = K.terms_mul(self.c.raw, key) + rest
         return Element._wrap(raw, x.dim)
 
     def apply_inverse(self, y: Element) -> Element:
         key, rest = self._split(y)
         if not key:
             return y
-        r = self._rep(K.terms_mul(key, self._inv_c))
-        image_key, image_rest = self._split(self.apply(r))
-        if image_key != key:
-            raise AssertionError("dominated-class inverse landed in the wrong class")
-        # y and the image share their key, so y - image = rest - image_rest
-        offset = K.terms_sub(rest, image_rest)
-        return Element._wrap(K.terms_add(r.raw, offset), y.dim)
+        # apply maps the class keyed k to the one keyed c*k, so y's class
+        # comes from the one keyed key/c; offsets from the representative
+        # are preserved
+        key_r = K.terms_mul(key, self._inv_c)
+        if key_r == self._key_a1:
+            # y - a2 = rest - a2's rest, and a1 + that maps to y
+            raw = K.terms_add(self.a1.raw, K.terms_sub(rest, self._rest_a2))
+        else:
+            raw = key_r + rest
+        return Element._wrap(raw, y.dim)
 
     def anchors(self) -> tuple:
         return ((self.a1, self.a2),)
@@ -470,11 +494,13 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
             )
         counts["anchors"] += 1
 
-    classes = [trunc_const(p) for p in probes]
-    image_classes = [trunc_const(img) for img in images]
+    # a finite-distance class is its raw key: the terms above the constant,
+    # empty exactly for the standard elements
+    classes = [K.terms_split_const(p.raw)[0] for p in probes]
+    image_classes = [K.terms_split_const(img.raw)[0] for img in images]
     for i in range(len(probes) - 1):
         x, y = probes[i], probes[i + 1]
-        if is_standard(x) or is_standard(y):
+        if not classes[i] or not classes[i + 1]:
             continue
         if (classes[i] == classes[i + 1]) != (image_classes[i] == image_classes[i + 1]):
             raise ValidationFailure(

@@ -3,14 +3,23 @@
 import pytest
 
 from lexarith import automorph as am
-from lexarith import jsonio
+from lexarith import jsonio, model, suites
 from lexarith.errors import (
     InvariantViolation,
     NotE2Equivalent,
     NotE3Equivalent,
     ValidationFailure,
 )
-from lexarith.model import Element
+from lexarith.model import (
+    Element,
+    add_int,
+    deg,
+    divmod_scalar,
+    is_standard,
+    split_const,
+    sub,
+    trunc_const,
+)
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
 
@@ -137,6 +146,141 @@ class TestApplyInvertCompose:
             assert am.apply(inv, am.apply(d, x)) == x
 
 
+def _factors(d, kind):
+    """Every descriptor of the kind inside d, d itself included."""
+    out, stack = [], [d]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, kind):
+            out.append(x)
+        stack.extend(getattr(x, "parts", ()))
+        stack.extend(getattr(x, f) for f in ("of", "below") if hasattr(x, f))
+    return out
+
+
+def _built_factors(kind, dim, level, seed, samples=40):
+    """The kind's factors of maps built from sampled equivalent pairs, biased
+    toward the non-finite-ratio regime at level 3 as the suites are."""
+    s = Sampler(SampleProfile(dim=dim, seed=seed))
+    out = []
+    for _ in range(samples):
+        a, b = suites.equivalent_pair(s, level)
+        if level == 3 and s.chance(0.5) and deg(a).level() == 0:
+            b = b * Element.monomial(1, (0, 1), dim=2)
+        out.extend(_factors((am.build_from_e2 if level == 2 else am.build_from_e3)(a, b), kind))
+    return s, out
+
+
+def _e2_inverse_by_images(d, y):
+    """E2Affine's inverse by the route of images: divide y + (n-1)*c - m by
+    n, take the representative of the quotient's class (a for a's class, c
+    for c's), build its image and check that it lies in y's class."""
+    key, const = split_const(y)
+    if key <= trunc_const(d.c):
+        return y, None
+    q, _ = divmod_scalar(add_int(y + d.c * (d.n - 1), -d.m), d.n)
+    r = trunc_const(q)
+    if r == trunc_const(d.a):
+        r = d.a
+    elif not is_standard(d.c) and r == trunc_const(d.c):
+        r = d.c
+    image_key, image_const = split_const(sub(r * d.n + d.b, d.a * d.n))
+    assert image_key == key
+    return add_int(r, const - image_const), r
+
+
+def _class_key(x):
+    """The terms of a dim-2 element with a nonzero first exponent component."""
+    return Element([(t.exponent, t.coeff) for t in x.terms() if t.exponent.components[0]], 2)
+
+
+def _e3_inverse_by_images(d, y):
+    """E3Shift's inverse by the route of images: divide y's class key by c,
+    take the class's representative (a1 for a1's class), build its image
+    and check that it lies in y's class; offsets are preserved."""
+    key = _class_key(y)
+    if key.is_zero():
+        return y, None
+    (ce, cc), = [(t.exponent.components, t.coeff) for t in d.c.terms()]
+    r = Element([(tuple(x - z for x, z in zip(t.exponent.components, ce)), t.coeff / cc) for t in key.terms()], 2)
+    if r == _class_key(d.a1):
+        r = d.a1
+    image = d.a2 if r == d.a1 else d.c * r
+    assert _class_key(image) == key
+    return sub(y + r, image), r
+
+
+class TestClosedFormInverse:
+    """The closed-form inverses against the route of images they replace."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_e2_affine_matches_the_image_route(self, dim):
+        s, maps = _built_factors(am.E2Affine, dim, 2, 53 + dim)
+        assert len(maps) >= 10
+        via_a = 0
+        for d in maps:
+            xs = [d.a, d.b, d.c, trunc_const(d.a), trunc_const(d.b), trunc_const(d.c), Element.integer(3, dim)]
+            xs += [x + k for x in xs for k in (1, 4)] + [s.element() for _ in range(12)]
+            for y in xs + [d.apply(x) for x in xs]:
+                expected, rep = _e2_inverse_by_images(d, y)
+                assert d.apply_inverse(y) == expected, (d, y)
+                via_a += rep is d.a and split_const(d.a)[1] != 0
+        # a's class, whose representative a is not its key, is reached
+        assert via_a > 0
+
+    def test_e3_shift_matches_the_image_route(self):
+        s, maps = _built_factors(am.E3Shift, 2, 3, 59)
+        assert len(maps) >= 10
+        via_a1 = 0
+        for d in maps:
+            dominated = [P("t^(0,5) + 3", 2), P("t^(0,1)", 2), Element.integer(2, 2)]
+            xs = [d.a1, d.a2, _class_key(d.a1), _class_key(d.a2)] + dominated
+            xs += [x + k for x in xs for k in (1, 6)] + [x + dominated[0] for x in xs]
+            xs += [s.element() for _ in range(12)]
+            for y in xs + [d.apply(x) for x in xs]:
+                expected, rep = _e3_inverse_by_images(d, y)
+                assert d.apply_inverse(y) == expected, (d, y)
+                via_a1 += rep is d.a1 and d.a1 != _class_key(d.a1)
+        # a1's class, whose representative a1 is not its key, is reached
+        assert via_a1 > 0
+
+    def test_e2_affine_inverse_builds_no_quotient_and_no_image(self, monkeypatch):
+        d = am.build_from_e2(P("t^(1,2) + 4", 2), P("3*t^(1,2) + t^(0,1)", 2))
+        assert isinstance(d, am.E2Affine)
+        ys = [d.apply(x) for x in probes_for(2, 61, extra=[d.a, d.c])]
+
+        def refused(*args):
+            raise AssertionError("the closed-form inverse must not call this")
+
+        monkeypatch.setattr(am, "divmod_scalar", refused)
+        monkeypatch.setattr(model, "divmod_scalar", refused)
+        monkeypatch.setattr(am.E2Affine, "_image_of_rep", refused)
+        for y in ys:
+            d.apply_inverse(y)
+
+    def test_e3_shift_inverse_makes_one_product_and_no_image(self, monkeypatch):
+        d = am.build_from_e3(P("t^(1,0) + 2*t^(0,3) + 1", 2), P("t^(1,2)", 2))
+        shift, = _factors(d, am.E3Shift)
+        ys = [shift.apply(x) for x in probes_for(2, 67, extra=[shift.a1, shift.a1 + 2])]
+        ys = [y for y in ys if _class_key(y)]
+        products = []
+        terms_mul = am.K.terms_mul
+
+        def counted(A, B):
+            products.append(1)
+            return terms_mul(A, B)
+
+        def refused(self, x):
+            raise AssertionError("the closed-form inverse must not call apply")
+
+        monkeypatch.setattr(am.K, "terms_mul", counted)
+        monkeypatch.setattr(am.E3Shift, "apply", refused)
+        for y in ys:
+            products.clear()
+            shift.apply_inverse(y)
+            assert len(products) == 1
+
+
 class TestSegmentExtend:
     def test_identity_segment(self):
         g = am.extend_initial_segment(am.Identity(), P("t"), P("t"))
@@ -245,10 +389,5 @@ def test_descriptor_json_roundtrip_covers_every_kind():
         back = jsonio.descriptor_from_json(doc, dim)
         assert back == d
         assert jsonio.dumps(jsonio.descriptor_to_json(back)) == jsonio.dumps(doc)
-        stack = [d]
-        while stack:
-            x = stack.pop()
-            seen.add(x.kind)
-            stack.extend(getattr(x, "parts", ()))
-            stack.extend(getattr(x, f) for f in ("of", "below") if hasattr(x, f))
+        seen.update(x.kind for x in _factors(d, am.Descriptor))
     assert seen == set(am.KINDS)

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexarith import automorph as am
+from lexarith import suites
 from lexarith.errors import NonTerminatingQuotient
 from lexarith.model import (
     Element,
+    deg,
     divmod_floor,
     divmod_scalar,
     is_standard,
@@ -15,6 +18,7 @@ from lexarith.model import (
     sub,
     trunc_const,
 )
+from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import format_element, parse_element
 
 rationals = st.fractions(min_value=Fraction(0), max_value=Fraction(8), max_denominator=4)
@@ -131,3 +135,42 @@ def test_trunc_const_is_class_invariant(a, k):
     if is_standard(a):
         return
     assert trunc_const(a + k) == trunc_const(a)
+
+
+# a pair without a finite ratio whose map is a composite of an E3Shift and an
+# affine map (its normalized target c*a1 is not a2)
+COMPOSITE_PAIR = (
+    parse_element("t^(1,0) + t^(1,-1)", 2),
+    parse_element("5*t^(1,3) + 7", 2),
+)
+
+
+@st.composite
+def built_maps(draw, dim):
+    """(map, a, b): the map built from an equivalent pair a, b of the suites'
+    sampler (level 3 only in dim 2), or its inverse."""
+    level = draw(st.sampled_from((2, 3))) if dim == 2 else 2
+    s = Sampler(SampleProfile(dim=dim, seed=draw(st.integers(min_value=0, max_value=2**16))))
+    a, b = suites.equivalent_pair(s, level)
+    if level == 3 and draw(st.booleans()):
+        if draw(st.booleans()):
+            a, b = COMPOSITE_PAIR
+        elif deg(a).level() == 0:
+            # no finite ratio left: build_from_e3 shifts the dominated classes
+            b = b * Element.monomial(1, (0, 1), dim=2)
+    d = (am.build_from_e2 if level == 2 else am.build_from_e3)(a, b)
+    return (am.invert(d) if draw(st.booleans()) else d), a, b
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_built_maps_invert_exactly(dim, data):
+    d, a, b = data.draw(built_maps(dim))
+    # any element, standard or not, alone or added to an anchor
+    y = data.draw(elements(dim=dim))
+    near = data.draw(st.sampled_from((None, a, b)))
+    if near is not None:
+        y = near + y
+    assert d.apply(d.apply_inverse(y)) == y
+    assert d.apply_inverse(d.apply(y)) == y
