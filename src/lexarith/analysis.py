@@ -15,6 +15,7 @@ from .errors import InvariantViolation, NotE4Equivalent
 from .model import (
     DEFAULT_DIV_BUDGET,
     Element,
+    add_int,
     ceil_quotient_scalar,
     certified_max,
     deg,
@@ -23,7 +24,6 @@ from .model import (
     is_standard,
     pow_int,
     root_floor,
-    sub,
 )
 
 
@@ -34,29 +34,27 @@ class ClassSequence:
     direction: str  # "up" | "down"
     terms: tuple
 
-    def __post_init__(self):
-        if self.direction not in ("up", "down"):
-            raise InvariantViolation(f"direction must be up or down, got {self.direction}")
 
-
-def _require_seq_args(a: Element, count: int) -> None:
+def _require_seq_args(a: Element, count: int, direction: str) -> None:
     if is_standard(a):
         raise InvariantViolation("class sequences need a nonstandard base point")
     if count < 0:
         raise InvariantViolation(f"sequence count must be >= 0, got {count}")
+    if direction not in ("up", "down"):
+        raise InvariantViolation(f"direction must be up or down, got {direction}")
 
 
 def e0_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """a+n upward (cofinal in the class), a-n downward (coinitial)."""
-    _require_seq_args(a, count)
+    _require_seq_args(a, count, direction)
     step = 1 if direction == "up" else -1
-    terms = tuple(a + step * n if step > 0 else sub(a, Element.integer(n, a.dim)) for n in range(count))
+    terms = tuple(add_int(a, step * n) for n in range(count))
     return ClassSequence(kind="e0", level=0, direction=direction, terms=terms)
 
 
 def e2_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """n*a upward; min{b : n*b >= a} (ceiling division) downward."""
-    _require_seq_args(a, count)
+    _require_seq_args(a, count, direction)
     if direction == "up":
         terms = tuple(a * n for n in range(1, count + 1))
     else:
@@ -107,7 +105,7 @@ def b11_seq(a: Element, count: int, direction: str, budget: int = DEFAULT_DIV_BU
     (irrational leading coefficient, unbounded dim-2 expansions) propagates
     as typed errors.
     """
-    _require_seq_args(a, count)
+    _require_seq_args(a, count, direction)
     one = Element.integer(1, a.dim)
     terms = []
     for n in range(1, count + 1):

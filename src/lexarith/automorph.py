@@ -426,11 +426,6 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     return compose(build_from_e2(mid, a2), shift)
 
 
-def extend_initial_segment(below: Descriptor, a: Element, b: Element) -> Descriptor:
-    """Total map: below's values under a, then x -> b + (x - a) from a up."""
-    return SegmentExtend(below=below, a=a, b=b)
-
-
 # --- validation and instrumentation -----------------------------------------
 
 

@@ -30,9 +30,6 @@ from .errors import (
     LexarithError,
     NonTerminatingQuotient,
     NotEquivalent,
-    ParseError,
-    StandardInput,
-    Underflow,
     ValidationFailure,
 )
 from .model import (
@@ -45,9 +42,17 @@ from .model import (
     sub,
 )
 
-_PARTIALITY = (NonTerminatingQuotient, CoefficientNotRepresentable)
-_USAGE = (ParseError, InvariantViolation, StandardInput, Underflow, ValueError)
-_NEGATIVE = (NotEquivalent, CannotProve, ValidationFailure)
+# (exception types, exit code, error tag) in the order they are tried; a
+# tag of None names the exception's type.  ValidationFailure is also an
+# AssertionError, so the negative row comes before the internal one.
+_ERRORS = (
+    ((NonTerminatingQuotient, CoefficientNotRepresentable), 3, None),
+    ((NotEquivalent, CannotProve, ValidationFailure), 1, None),
+    ((AssertionError,), 4, "internal"),
+    ((LexarithError, ValueError), 2, None),
+    ((OSError,), 2, "io"),
+)
+_HANDLED = tuple(t for types, _, _ in _ERRORS for t in types)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,24 +211,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         doc, code = _run(args)
-    except _PARTIALITY as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
-        return 3
-    except _NEGATIVE as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
-        return 1
-    except AssertionError as exc:
-        _emit({"error": "internal", "detail": str(exc)}, args.pretty)
-        return 4
-    except _USAGE as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
-        return 2
-    except OSError as exc:
-        _emit({"error": "io", "detail": str(exc)}, args.pretty)
-        return 2
-    except LexarithError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args.pretty)
-        return 2
+    except _HANDLED as exc:
+        _, exit_code, tag = next(row for row in _ERRORS if isinstance(exc, row[0]))
+        _emit({"error": tag or type(exc).__name__, "detail": str(exc)}, args.pretty)
+        return exit_code
     _emit(doc, args.pretty)
     return code
 

@@ -313,14 +313,6 @@ def _check_same_dim(a: Element, b: Element) -> None:
 # --- spec-surface operations -------------------------------------------------
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def sub(a: Element, b: Element) -> Element:
     """The unique e with b + e = a; raises Underflow when b > a."""
     _check_same_dim(a, b)
@@ -370,12 +362,6 @@ def const_value(a: Element) -> int:
 def trunc_const(a: Element) -> Element:
     """Drop the constant term: the canonical finite-distance representative."""
     return Element._wrap(K.terms_split_const(a._raw)[0], a._dim)
-
-
-def split_const(a: Element) -> tuple:
-    """``(trunc_const(a), const_value(a))``, from one look at the terms."""
-    head, c = K.terms_split_const(a._raw)
-    return Element._wrap(head, a._dim), c[0]
 
 
 def divmod_scalar(a: Element, n: int) -> tuple:

@@ -16,12 +16,22 @@ check formats nothing.
 A suite decides each pair at each level once and reads that verdict
 wherever a later check needs it; the agreement suite hands a positive
 verdict's witness to the oracle's ``search`` as its ``hint``.
+
+A suite is added as one decorated body: ``@_suite(name, scale)`` over
+``body(r, s, **kw)`` registers it in ``SUITES``, whose order (the order of
+definition) is the order of ``all``, and returns the public
+``suite_x(samples, seed, dim, **kw)``.  That builds the ``SuiteResult``
+``r`` and the ``Sampler`` ``s`` seeded with ``seed``, runs the body, which
+reads ``r.samples``, ``r.seed`` and ``r.dim``, and returns ``r``.  A suite
+declared with ``dim2_only=reason`` runs nothing in dim 1 and records the
+reason as ``stats["skipped"]``.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import asdict, dataclass, field
 
 from . import analysis, automorph, equiv, jsonio, oracle, textform
 from .errors import (
@@ -137,14 +147,38 @@ def ordered_equiv_triple(s: Sampler, level: int) -> tuple:
     return lo, mid, hi
 
 
+# --- registry -----------------------------------------------------------------
+
+# Each suite, in the order of ``all``, with the share of the requested sample
+# count it runs: the heavier suites run a fraction.
+SUITES = {}
+
+
+def _suite(name: str, scale: float, dim2_only: str = "", **bound):
+    """Register ``body(r, s, **bound, **kw)`` as the suite ``name``."""
+
+    def register(body):
+        def suite(samples: int, seed: int, dim: int, **kw) -> SuiteResult:
+            r = SuiteResult(name, dim, samples, seed)
+            if dim2_only and dim != 2:
+                r.stats["skipped"] = dim2_only
+            else:
+                body(r, Sampler(SampleProfile(dim=dim, seed=seed)), **bound, **kw)
+            return r
+
+        SUITES[name] = (suite, scale)
+        return suite
+
+    return register
+
+
 # --- suites -------------------------------------------------------------------
 
 
-def suite_algebra(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("algebra", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    one = Element.integer(1, dim)
-    for i in range(samples):
+@_suite("algebra", 1.0)
+def suite_algebra(r: SuiteResult, s: Sampler) -> None:
+    one = Element.integer(1, r.dim)
+    for i in range(r.samples):
         a, b, c = s.element(), s.element(), s.element()
         r.check(a + b == b + a, i, "add-commutative", a, b)
         r.check((a + b) + c == a + (b + c), i, "add-associative", a, b, c)
@@ -152,7 +186,7 @@ def suite_algebra(samples: int, seed: int, dim: int) -> SuiteResult:
         r.check((a * b) * c == a * (b * c), i, "mul-associative", a, b, c)
         r.check(a * (b + c) == a * b + a * c, i, "distributive", a, b, c)
         r.check(one * a == a, i, "mul-identity", a)
-        r.check(a + Element.zero(dim) == a, i, "add-identity", a)
+        r.check(a + Element.zero(r.dim) == a, i, "add-identity", a)
         # total, transitive order
         lo, mid = (a, b) if a <= b else (b, a)
         hi = c if c >= mid else mid
@@ -162,14 +196,12 @@ def suite_algebra(samples: int, seed: int, dim: int) -> SuiteResult:
             if not c.is_zero():
                 r.check(a * c < b * c, i, "order-mul-translation", a, b, c)
         r.check(not (a < b and b < a + 1), i, "discreteness", a, b)
-    return r
 
 
-def suite_division(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("division", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    roots = Sampler(SampleProfile(dim=dim, seed=seed + 1, max_terms=2, coeff_bound=4))
-    for i in range(samples):
+@_suite("division", 0.25)
+def suite_division(r: SuiteResult, s: Sampler) -> None:
+    roots = Sampler(SampleProfile(dim=r.dim, seed=r.seed + 1, max_terms=2, coeff_bound=4))
+    for i in range(r.samples):
         a = s.element()
         n = s.integer(1, 9)
         q, rem = divmod_scalar(a, n)
@@ -181,10 +213,10 @@ def suite_division(samples: int, seed: int, dim: int) -> SuiteResult:
             r.check(q2 * b + r2 == a and r2 < b, i, "euclidean-contract", a, b)
         except NonTerminatingQuotient:
             r.bump("euclidean_budget_exceeded")
-            r.check(dim == 2, i, "dim1-divmod-total", a, b)
+            r.check(r.dim == 2, i, "dim1-divmod-total", a, b)
         m = roots.nonstandard()
         k = s.choice((2, 2, 3))
-        target = pow_int(m, k) + Element.integer(s.integer(0, 5), dim)
+        target = pow_int(m, k) + Element.integer(s.integer(0, 5), r.dim)
         try:
             root = root_floor(target, k)
             r.bump("root_ok")
@@ -196,14 +228,12 @@ def suite_division(samples: int, seed: int, dim: int) -> SuiteResult:
             r.bump("root_not_representable")
         except NonTerminatingQuotient:
             r.bump("root_budget_exceeded")
-            r.check(dim == 2, i, "dim1-root-total", target)
-    return r
+            r.check(r.dim == 2, i, "dim1-root-total", target)
 
 
-def suite_refinement(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("refinement", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("refinement", 1.0)
+def suite_refinement(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         a, b = related_pair(s)
         prev = None
         for level in range(5):
@@ -213,13 +243,11 @@ def suite_refinement(samples: int, seed: int, dim: int) -> SuiteResult:
             if prev is not None and prev.equivalent:
                 r.check(v.equivalent, i, f"refines-l{level - 1}-into-l{level}", a, b)
             prev = v
-    return r
 
 
-def suite_convexity(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("convexity", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("convexity", 0.5)
+def suite_convexity(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         for level in range(5):
             lo, mid, hi = ordered_equiv_triple(s, level)
             if not equiv.decide(level, lo, hi).equivalent:
@@ -230,37 +258,28 @@ def suite_convexity(samples: int, seed: int, dim: int) -> SuiteResult:
                 equiv.decide(level, lo, mid).equivalent and equiv.decide(level, mid, hi).equivalent,
                 i, f"convex-l{level}", lo, mid, hi,
             )
-    return r
 
 
-def _suite_closure(op_name: str, op, levels, samples: int, seed: int, dim: int) -> SuiteResult:
+def _closure(r: SuiteResult, s: Sampler, op, levels) -> None:
     """(a1 ~ b1 and a2 ~ b2) implies a1 op a2 ~ b1 op b2, at each level."""
-    r = SuiteResult(f"closure-{op_name}", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+    for i in range(r.samples):
         for level in levels:
             a1, b1 = equivalent_pair(s, level)
             a2, b2 = equivalent_pair(s, level)
             r.bump(f"quads_l{level}")
             r.check(
                 equiv.decide(level, op(a1, a2), op(b1, b2)).equivalent,
-                i, f"closed-under-{op_name}-l{level}", a1, b1, a2, b2,
+                i, f"closed-under-{op.__name__}-l{level}", a1, b1, a2, b2,
             )
-    return r
 
 
-def suite_closure_add(samples: int, seed: int, dim: int) -> SuiteResult:
-    return _suite_closure("add", operator.add, range(5), samples, seed, dim)
+suite_closure_add = _suite("closure-add", 0.5, op=operator.add, levels=range(5))(_closure)
+suite_closure_mul = _suite("closure-mul", 0.25, op=operator.mul, levels=(2, 3, 4))(_closure)
 
 
-def suite_closure_mul(samples: int, seed: int, dim: int) -> SuiteResult:
-    return _suite_closure("mul", operator.mul, (2, 3, 4), samples, seed, dim)
-
-
-def suite_equivalence(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("equivalence", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("equivalence", 0.25)
+def suite_equivalence(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         for level in range(5):
             a, b = equivalent_pair(s, level)
             c = equivalent_to(s, b, level)
@@ -271,13 +290,11 @@ def suite_equivalence(samples: int, seed: int, dim: int) -> SuiteResult:
             if vab and vbc:
                 r.bump(f"chains_l{level}")
                 r.check(equiv.decide(level, a, c).equivalent, i, f"transitive-l{level}", a, b, c)
-    return r
 
 
-def suite_agreement(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("agreement", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("agreement", 0.25)
+def suite_agreement(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         a, b = related_pair(s)
         verdicts = [equiv.decide(level, a, b) for level in range(5)]
         for level, v in enumerate(verdicts):
@@ -301,42 +318,36 @@ def suite_agreement(samples: int, seed: int, dim: int) -> SuiteResult:
                     and not oracle.check_witness(level, a, b, BoundN(n - 1)),
                     i, f"minimal-bound-l{level}", a, b, n,
                 )
-    return r
 
 
-def suite_witness_sets(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("witness-sets", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
-        a3, b3 = equivalent_pair(s, 3)
-        pool = oracle.default_pool(a3, b3, n_max=6)
-        inside = []
-        for c in pool:
-            same = oracle.powers_stay_below(c, a3) == oracle.powers_stay_below(c, b3)
-            r.check(same, i, "power-smallness-invariant", c, a3, b3)
-            if oracle.powers_stay_below(c, a3) and not c.is_zero():
-                inside.append(c)
-        for j in range(min(len(inside) - 1, 4)):
-            c1, c2 = inside[j], inside[j + 1]
+def _small_neighbours(r: SuiteResult, s: Sampler, i: int, level: int, small, kind: str) -> tuple:
+    """Draw a pair equivalent at the level and check that ``small(c, .)``
+    agrees on both for every candidate c of their pool.  Returns the first
+    element of the pair and up to four neighbouring pairs of the nonzero
+    candidates small below it."""
+    a, b = equivalent_pair(s, level)
+    members = []
+    for c in oracle.default_pool(a, b, n_max=6):
+        below_a = small(c, a)
+        r.check(below_a == small(c, b), i, f"{kind}-smallness-invariant", c, a, b)
+        if below_a and not c.is_zero():
+            members.append(c)
+    return a, zip(members, members[1:5])
+
+
+@_suite("witness-sets", 0.1)
+def suite_witness_sets(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
+        a3, neighbours = _small_neighbours(r, s, i, 3, oracle.powers_stay_below, "power")
+        for c1, c2 in neighbours:
             r.check(oracle.powers_stay_below(c1 * c2, a3), i, "power-small-closed-mul", c1, c2)
             r.check(oracle.powers_stay_below(c1 + c2, a3), i, "power-small-closed-add", c1, c2)
             lowmid, _ = divmod_scalar(c1 + c2, 2)
             if not lowmid.is_zero():
                 r.check(oracle.powers_stay_below(lowmid, a3), i, "power-small-convex", lowmid)
-        a1, b1 = equivalent_pair(s, 1)
-        pool1 = oracle.default_pool(a1, b1, n_max=6)
-        small = [c for c in pool1 if oracle.multiples_stay_below(c, a1) and not c.is_zero()]
-        for c in pool1:
-            r.check(
-                oracle.multiples_stay_below(c, a1) == oracle.multiples_stay_below(c, b1),
-                i, "multiple-smallness-invariant", c, a1, b1,
-            )
-        for j in range(min(len(small) - 1, 4)):
-            r.check(
-                oracle.multiples_stay_below(small[j] + small[j + 1], a1),
-                i, "multiple-small-closed-add", small[j], small[j + 1],
-            )
-    return r
+        a1, neighbours = _small_neighbours(r, s, i, 1, oracle.multiples_stay_below, "multiple")
+        for c1, c2 in neighbours:
+            r.check(oracle.multiples_stay_below(c1 + c2, a1), i, "multiple-small-closed-add", c1, c2)
 
 
 SEPARATION_EXHIBITS = {
@@ -353,12 +364,12 @@ SEPARATION_EXHIBITS = {
 }
 
 
-def suite_separation(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("separation", dim, samples, seed)
+@_suite("separation", 1.0)
+def suite_separation(r: SuiteResult, s: Sampler) -> None:
     r.stats["exhibits"] = []
-    for fails_at, holds_at, ta, tb in SEPARATION_EXHIBITS[dim]:
-        a = textform.parse_element(ta, dim)
-        b = textform.parse_element(tb, dim)
+    for fails_at, holds_at, ta, tb in SEPARATION_EXHIBITS[r.dim]:
+        a = textform.parse_element(ta, r.dim)
+        b = textform.parse_element(tb, r.dim)
         vh = equiv.decide(holds_at, a, b)
         r.check(vh.equivalent, 0, f"exhibit-holds-l{holds_at}", ta, tb)
         if vh.equivalent:
@@ -373,14 +384,10 @@ def suite_separation(samples: int, seed: int, dim: int) -> SuiteResult:
         r.stats["exhibits"].append(
             {"strict_in": fails_at, "holds_at": holds_at, "a": ta, "b": tb}
         )
-    return r
 
 
-def _probe_set(s: Sampler, dim: int, count: int, extra=()) -> list:
+def _probe_set(s: Sampler, dim: int, count: int) -> list:
     probes = {Element.integer(k, dim) for k in (0, 1, 2, 7)}
-    for e in extra:
-        probes.add(e)
-        probes.add(e + 1)
     guard = 0
     while len(probes) < count and guard < 20 * count:
         guard += 1
@@ -388,16 +395,11 @@ def _probe_set(s: Sampler, dim: int, count: int, extra=()) -> list:
     return sorted(probes)
 
 
-def _run_automorph_cases(
-    r: SuiteResult, samples: int, seed: int, dim: int, level: int, probe_pairs: int
-) -> None:
-    from bisect import insort
-
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
+def _automorph_cases(r: SuiteResult, s: Sampler, level: int, probe_pairs: int = 48) -> None:
     build = automorph.build_from_e2 if level == 2 else automorph.build_from_e3
-    base_probes = _probe_set(s, dim, probe_pairs + 1)
+    base_probes = _probe_set(s, r.dim, probe_pairs + 1)
     base_set = set(base_probes)
-    for i in range(samples):
+    for i in range(r.samples):
         a, b = equivalent_pair(s, level)
         if level == 3 and s.chance(0.5) and a.dim == 2 and deg(a).level() == 0:
             # bias toward the genuinely non-finite-ratio regime
@@ -422,42 +424,26 @@ def _run_automorph_cases(
         r.check(failure is None, i, f"validate-e{level}", failure)
 
 
-def suite_auto_e2(samples: int, seed: int, dim: int, probe_pairs: int = 48) -> SuiteResult:
-    r = SuiteResult("auto-e2", dim, samples, seed)
-    _run_automorph_cases(r, samples, seed, dim, 2, probe_pairs)
-    return r
+suite_auto_e2 = _suite("auto-e2", 0.1, level=2)(_automorph_cases)
+suite_auto_e3 = _suite(
+    "auto-e3", 0.1, dim2_only="level-3 construction is nontrivial only for dim 2", level=3
+)(_automorph_cases)
 
 
-def suite_auto_e3(samples: int, seed: int, dim: int, probe_pairs: int = 48) -> SuiteResult:
-    r = SuiteResult("auto-e3", dim, samples, seed)
-    if dim != 2:
-        r.stats["skipped"] = "level-3 construction is nontrivial only for dim 2"
-        return r
-    _run_automorph_cases(r, samples, seed, dim, 3, probe_pairs)
-    return r
-
-
-def suite_sequences(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("sequences", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("sequences", 0.1)
+def suite_sequences(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         a = s.nonstandard()
-        up0 = analysis.e0_seq(a, 6, "up")
-        down0 = analysis.e0_seq(a, 6, "down")
-        r.check(all(up0.terms[j] < up0.terms[j + 1] for j in range(5)), i, "e0-up-strictly-increasing", a)
-        r.check(all(down0.terms[j] > down0.terms[j + 1] for j in range(5)), i, "e0-down-strictly-decreasing", a)
-        up2 = analysis.e2_seq(a, 6, "up")
-        down2 = analysis.e2_seq(a, 6, "down")
-        r.check(all(up2.terms[j] < up2.terms[j + 1] for j in range(5)), i, "e2-up-strictly-increasing", a)
-        r.check(all(down2.terms[j] > down2.terms[j + 1] for j in range(5)), i, "e2-down-strictly-decreasing", a)
-        for t in up0.terms + down0.terms:
-            r.check(equiv.decide(0, a, t).equivalent, i, "e0-terms-in-class", t)
-        for t in up2.terms + down2.terms:
-            r.check(equiv.decide(2, a, t).equivalent, i, "e2-terms-in-class", t)
+        for level, seq in ((0, analysis.e0_seq), (2, analysis.e2_seq)):
+            up, down = seq(a, 6, "up").terms, seq(a, 6, "down").terms
+            r.check(all(x < y for x, y in zip(up, up[1:])), i, f"e{level}-up-strictly-increasing", a)
+            r.check(all(x > y for x, y in zip(down, down[1:])), i, f"e{level}-down-strictly-decreasing", a)
+            for t in up + down:
+                r.check(equiv.decide(level, a, t).equivalent, i, f"e{level}-terms-in-class", t)
         for n in range(1, 6):
             cq = ceil_quotient_scalar(a, n)
             r.check(
-                cq * n >= a and (cq.is_zero() or sub(cq, Element.integer(1, dim)) * n < a),
+                cq * n >= a and (cq.is_zero() or sub(cq, Element.integer(1, r.dim)) * n < a),
                 i, "ceil-division-minimality", a, n,
             )
         # cofinality against class-mates, passing index from the witness
@@ -474,21 +460,19 @@ def suite_sequences(samples: int, seed: int, dim: int) -> SuiteResult:
         seqdn = analysis.e2_seq(a, dn_idx, "down")
         r.check(sequp.terms[up_idx - 1] > mate2, i, "e2-cofinal", a, mate2)
         r.check(seqdn.terms[dn_idx - 1] < mate2, i, "e2-coinitial", a, mate2)
-    return r
 
 
-def suite_b11(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("b11", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    one = Element.integer(1, dim)
-    for i in range(samples):
+@_suite("b11", 0.1)
+def suite_b11(r: SuiteResult, s: Sampler) -> None:
+    one = Element.integer(1, r.dim)
+    for i in range(r.samples):
         a = s.nonstandard()
         if s.chance(0.5):
             # unit leading coefficient: every 2**n-th root floor is representable
-            a = Element([(deg(a), 1)], dim) + s.integer(0, 5)
+            a = Element([(deg(a), 1)], r.dim) + s.integer(0, 5)
         for direction in ("up", "down"):
             try:
-                seq = analysis.b11_seq(a, 3, direction)
+                terms = analysis.b11_seq(a, 3, direction).terms
             except CoefficientNotRepresentable:
                 r.bump("not_representable")
                 continue
@@ -496,40 +480,27 @@ def suite_b11(samples: int, seed: int, dim: int) -> SuiteResult:
                 r.bump("budget_exceeded")
                 continue
             r.bump(f"emitted_{direction}")
-            terms = seq.terms
             if direction == "up":
-                r.check(
-                    all(terms[j] > terms[j + 1] for j in range(len(terms) - 1)),
-                    i, "b11-upper-strictly-decreasing", a,
-                )
-            else:
-                r.check(
-                    all(terms[j] < terms[j + 1] for j in range(len(terms) - 1)),
-                    i, "b11-lower-strictly-increasing", a,
-                )
-            for n, t in enumerate(terms, start=1):
-                if direction == "up":
+                r.check(all(x > y for x, y in zip(terms, terms[1:])), i, "b11-upper-strictly-decreasing", a)
+                for n, t in enumerate(terms, start=1):
                     holds = analysis.b11_upper_holds(a, n, t)
                     next_refuted = not analysis.b11_upper_holds(a, n, t + a)
                     off_lattice = not analysis.b11_upper_holds(a, n, t + 1)
                     r.check(holds and next_refuted and off_lattice, i, "b11-upper-max-certified", a, n)
                     mate = a * s.integer(1, 3) + s.integer(0, 4)
                     r.check(t > mate, i, "b11-upper-bounds-class", t, mate)
-                else:
+            else:
+                r.check(all(x < y for x, y in zip(terms, terms[1:])), i, "b11-lower-strictly-increasing", a)
+                for n, t in enumerate(terms, start=1):
                     holds = analysis.b11_lower_holds(a, n, t)
                     next_refuted = not analysis.b11_lower_holds(a, n, t + one)
                     r.check(holds and next_refuted, i, "b11-lower-max-certified", a, n)
                     mate = ceil_quotient_scalar(a, s.integer(1, 3))
                     r.check(t < mate, i, "b11-lower-bounded-by-class", t, mate)
-    return r
 
 
-def suite_embed(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("embed", dim, samples, seed)
-    if dim != 2:
-        r.stats["skipped"] = "the real embedding is computed on the dim-2 lattice"
-        return r
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
+@_suite("embed", 0.25, dim2_only="the real embedding is computed on the dim-2 lattice")
+def suite_embed(r: SuiteResult, s: Sampler) -> None:
     anchor = textform.parse_element("t^(1,0)", 2)
 
     def class_member() -> Element:
@@ -540,7 +511,7 @@ def suite_embed(samples: int, seed: int, dim: int) -> SuiteResult:
             b = b + _lower_perturbation(s, b)
         return b
 
-    for i in range(samples):
+    for i in range(r.samples):
         b1, b2 = class_member(), class_member()
         v1 = analysis.real_embed(anchor, b1)
         v2 = analysis.real_embed(anchor, b2)
@@ -548,47 +519,19 @@ def suite_embed(samples: int, seed: int, dim: int) -> SuiteResult:
         same_class = equiv.decide(3, b1, b2).equivalent
         r.check(same_class == (v1.value == v2.value), i, "embed-constant-iff-same-class", b1, b2)
         if not same_class:
-            lo, hi = (b1, b2) if b1 < b2 else (b2, b1)
-            r.check(
-                analysis.real_embed(anchor, lo).value < analysis.real_embed(anchor, hi).value,
-                i, "embed-order-preserving", lo, hi,
-            )
+            (lo, vlo), (hi, vhi) = ((b1, v1), (b2, v2)) if b1 < b2 else ((b2, v2), (b1, v1))
+            r.check(vlo.value < vhi.value, i, "embed-order-preserving", lo, hi)
         v12 = analysis.real_embed(anchor * anchor, b1 * b2)
         r.check(v12.value == v1.value + v2.value, i, "embed-additive-over-products", b1, b2)
-    return r
 
 
-def suite_roundtrip(samples: int, seed: int, dim: int) -> SuiteResult:
-    r = SuiteResult("roundtrip", dim, samples, seed)
-    s = Sampler(SampleProfile(dim=dim, seed=seed))
-    for i in range(samples):
+@_suite("roundtrip", 1.0)
+def suite_roundtrip(r: SuiteResult, s: Sampler) -> None:
+    for i in range(r.samples):
         e = s.element()
         text = textform.format_element(e)
-        r.check(textform.parse_element(text, dim) == e, i, "parse-format-roundtrip", text)
-        r.check(jsonio.element_from_json(jsonio.element_to_json(e), dim) == e, i, "json-roundtrip", text)
-    return r
-
-
-# Each suite with the share of the requested sample count it runs: the
-# heavier suites run a fraction.  The order is the order of ``all``.
-SUITES = {
-    "algebra": (suite_algebra, 1.0),
-    "division": (suite_division, 0.25),
-    "refinement": (suite_refinement, 1.0),
-    "convexity": (suite_convexity, 0.5),
-    "closure-add": (suite_closure_add, 0.5),
-    "closure-mul": (suite_closure_mul, 0.25),
-    "equivalence": (suite_equivalence, 0.25),
-    "agreement": (suite_agreement, 0.25),
-    "witness-sets": (suite_witness_sets, 0.1),
-    "separation": (suite_separation, 1.0),
-    "auto-e2": (suite_auto_e2, 0.1),
-    "auto-e3": (suite_auto_e3, 0.1),
-    "sequences": (suite_sequences, 0.1),
-    "b11": (suite_b11, 0.1),
-    "embed": (suite_embed, 0.25),
-    "roundtrip": (suite_roundtrip, 1.0),
-}
+        r.check(textform.parse_element(text, r.dim) == e, i, "parse-format-roundtrip", text)
+        r.check(jsonio.element_from_json(jsonio.element_to_json(e), r.dim) == e, i, "json-roundtrip", text)
 
 
 def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
@@ -609,13 +552,4 @@ def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
 
 
 def result_to_json(r: SuiteResult) -> dict:
-    return {
-        "name": r.name,
-        "dim": r.dim,
-        "samples": r.samples,
-        "seed": r.seed,
-        "cases": r.cases,
-        "violations": r.violations,
-        "stats": r.stats,
-        "ok": r.ok,
-    }
+    return {**asdict(r), "ok": r.ok}

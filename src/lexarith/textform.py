@@ -18,6 +18,8 @@ round-trips exactly through ``parse_element``.
 
 from __future__ import annotations
 
+import sys
+
 from ._backend import kernel as K
 from .errors import ParseError
 from .model import Element, format_rational
@@ -81,7 +83,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "digits", self.peek() or "end of input")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(start, f"at most {limit} digits", f"{self.pos - start} digits") from None
 
     def rational(self, signed: bool) -> tuple:
         self.skip_ws()

@@ -27,6 +27,16 @@ def test_negative_count_rejected(seq):
     assert seq(P("t^2"), 0, "up").terms == ()
 
 
+@pytest.mark.parametrize("seq", [an.e0_seq, an.e2_seq, an.b11_seq])
+def test_bad_direction_rejected_before_any_term(monkeypatch, seq):
+    calls = []
+    root_floor = an.root_floor
+    monkeypatch.setattr(an, "root_floor", lambda *args: calls.append(args) or root_floor(*args))
+    with pytest.raises(InvariantViolation, match="direction"):
+        seq(P("t^2"), 3, "sideways")
+    assert calls == []
+
+
 class TestE0Seq:
     def test_terms(self):
         assert [t for t in an.e0_seq(P("t"), 3, "up").terms] == [P("t"), P("t + 1"), P("t + 2")]

@@ -6,6 +6,7 @@ import pytest
 
 from lexarith import equiv, model, suites, textform
 from lexarith.cli import main
+from lexarith.errors import ValidationFailure
 from lexarith.model import Element, Exponent
 
 
@@ -141,6 +142,13 @@ def test_invariant_violation_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "t^" + "1" * 5000], ids=["coefficient", "exponent"])
+def test_overlong_digit_run_exit_two(capsys, text):
+    code, out = run(capsys, "eval", text)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_partiality_exit_three(capsys):
     code, out = run(capsys, "arith", "divmod", "t^(2,0)", "t^(1,0) - t^(1,-1)", "--dim", "2")
     assert code == 3
@@ -158,6 +166,23 @@ def test_internal_error_exit_four(capsys, monkeypatch):
     code, out = run(capsys, "equiv", "--level", "2", "t", "2*t")
     assert code == 4
     assert json.loads(out) == {"error": "internal", "detail": "closed form failed its check"}
+
+
+def test_validation_failure_is_negative_not_internal(capsys, monkeypatch):
+    # ValidationFailure is also an AssertionError: it still exits 1, not 4
+    def failing(*_):
+        raise ValidationFailure("monotone", "probe order broken")
+
+    monkeypatch.setattr(equiv, "decide", failing)
+    code, out = run(capsys, "equiv", "--level", "2", "t", "2*t")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValidationFailure", "detail": "monotone: probe order broken"}
+
+
+def test_missing_descriptor_file_is_io(capsys, tmp_path):
+    code, out = run(capsys, "apply", "--desc", str(tmp_path / "missing.json"), "t")
+    assert code == 2
+    assert json.loads(out)["error"] == "io"
 
 
 def test_unsettled_floor_root_is_internal_not_partial(capsys, monkeypatch):

@@ -100,3 +100,11 @@ def test_rational_codec_matches_fraction(text):
     doc = jsonio.element_to_json(e)
     assert doc["terms"][0]["exp"] == ["2", str(f)]
     assert jsonio.element_from_json(doc, 2) == e
+
+
+@pytest.mark.parametrize("text, position", [("1" * 5000, 0), ("t^" + "1" * 5000, 2)], ids=["coefficient", "exponent"])
+def test_overlong_digit_run_is_a_parse_error(text, position):
+    # more digits than the interpreter's int-string limit
+    with pytest.raises(ParseError) as info:
+        parse_element(text, 1)
+    assert info.value.position == position
