@@ -37,5 +37,3 @@ __all__ = [
     "root_floor",
     "sub",
 ]
-
-__version__ = "0.1.0"

@@ -26,7 +26,12 @@ Representative sets are never materialized: the canonical representative
 of a finite-distance class drops the constant term, the canonical
 representative of a dominated-difference class drops every dominated
 term, and finitely many anchor overrides pin designated elements to be
-their own representatives.
+their own representatives.  Class keys come from the model:
+:func:`~lexarith.model.split_const` and :func:`~lexarith.model.split_level`
+split an element into its key and the rest, :func:`~lexarith.model.from_key`
+builds one back, and :func:`~lexarith.model.monomial_inverse` divides by the
+companion of ``E3Shift``.  This module compares keys and combines them with
+the kernel's series operations, but never reads the term layout.
 
 The sign convention for images of elements below their class
 representative is ``f(y) = f(x) - (x - y)``, i.e. offsets are preserved;
@@ -48,8 +53,7 @@ annotated ``Element``, ``int``, ``Descriptor`` or ``tuple[Descriptor, ...]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ._backend import kernel as K
 from .errors import (
@@ -64,7 +68,11 @@ from .model import (
     const_value,
     deg,
     divmod_scalar,
+    from_key,
     is_standard,
+    monomial_inverse,
+    split_const,
+    split_level,
     sub,
     trunc_const,
 )
@@ -116,13 +124,13 @@ class E0ClassShift(Descriptor):
     def __post_init__(self):
         if is_standard(self.anchor):
             raise InvariantViolation("anchor of a class shift must be nonstandard")
-        object.__setattr__(self, "_key", K.terms_split_const(self.anchor.raw)[0])
+        object.__setattr__(self, "_key", split_const(self.anchor)[0])
 
     def apply(self, x: Element) -> Element:
-        return add_int(x, self.offset) if K.terms_split_const(x.raw)[0] == self._key else x
+        return add_int(x, self.offset) if split_const(x)[0] == self._key else x
 
     def apply_inverse(self, y: Element) -> Element:
-        return add_int(y, -self.offset) if K.terms_split_const(y.raw)[0] == self._key else y
+        return add_int(y, -self.offset) if split_const(y)[0] == self._key else y
 
     def inverse(self) -> Descriptor:
         return E0ClassShift(self.anchor, -self.offset)
@@ -136,10 +144,12 @@ class E2Affine(Descriptor):
     """Identity on the classes at or below c's, and n*(r - a) + b on the
     representative r of each class above, offsets preserved.
 
-    The inverse is in closed form on the (key, constant) split, key being
-    the terms above the constant: y's class comes from the one keyed
-    ``(key(y) + (n-1)*key(c)) / n``, whose representative r gives
-    ``r + const(y) - n*const(r) - const(b - n*a)``.
+    Both directions work on the (key, constant) split.  Since
+    ``b + (n-1)*c = n*a + m``, the class keyed k maps to the one keyed
+    ``n*k - (n-1)*key(c)``, and x's image has the constant
+    ``const(x) + (n-1)*const(r) + const(b) - n*const(a)``, where r is a on
+    a's class and the bare key elsewhere.  The inverse divides the key back
+    and subtracts the same constant shift.
     """
 
     a: Element
@@ -159,55 +169,37 @@ class E2Affine(Descriptor):
         # b - a = (n-1)*(a - c) + m, rearranged so that nothing is subtracted
         if self.b + self.c * (self.n - 1) != self.a * self.n + self.m:
             raise InvariantViolation("affine descriptor must satisfy b - a = (n-1)*(a - c) + m")
-        key_a, const_a = K.terms_split_const(self.a.raw)
-        key_c = K.terms_split_const(self.c.raw)[0]
+        key_a, const_a = split_const(self.a)
+        key_c = split_const(self.c)[0]
         # a threshold c in a's finite-distance class or above it breaks one
         # of the anchors claimed below: (c, c) inside the class, where c
         # shares a's representative, and (a, b) above it, where a is fixed
         if not K.terms_cmp(key_c, key_a) < 0:
             raise InvariantViolation("affine threshold c must lie below the finite-distance class of a")
+        shift = split_const(self.b)[1] - self.n * const_a
         object.__setattr__(self, "_key_a", key_a)
-        object.__setattr__(self, "_const_a", const_a[0])
         object.__setattr__(self, "_key_c", key_c)
-        # the fixed parts of the affine formulas: b - n*a, its constant, and
-        # the raw (n-1)*key(c) of the inverse
-        b_minus_na = K.terms_sub(self.b.raw, K.terms_scale(self.a.raw, (self.n, 1)))
-        object.__setattr__(self, "_b_minus_na", b_minus_na)
-        object.__setattr__(self, "_const_b_minus_na", K.terms_split_const(b_minus_na)[1][0])
         object.__setattr__(self, "_key_c_n1", K.terms_scale(key_c, (self.n - 1, 1)))
-
-    def _rep(self, key: tuple, dim: int) -> tuple:
-        """The representative of the finite-distance class with this raw key
-        (the class's terms above the constant), and its constant."""
-        if key == self._key_a:
-            return self.a, self._const_a
-        return Element._wrap(key, dim), 0
-
-    def _image_of_rep(self, r: Element) -> Element:
-        # n*(r - a) + b; equivalently n*r - (n-1)*c + m by the defining relation
-        raw = K.terms_add(K.terms_scale(r.raw, (self.n, 1)), self._b_minus_na)
-        return Element._wrap(raw, r.dim)
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_shift_a", shift + (self.n - 1) * const_a)
 
     def apply(self, x: Element) -> Element:
-        key, const = K.terms_split_const(x.raw)
+        key, const = split_const(x)
         # identity on c's class and on the classes below it
         if K.terms_cmp(key, self._key_c) <= 0:
             return x
-        r, r_const = self._rep(key, x.dim)
-        return add_int(self._image_of_rep(r), const[0] - r_const)
+        shift = self._shift_a if key == self._key_a else self._shift
+        return from_key(K.terms_sub(K.terms_scale(key, (self.n, 1)), self._key_c_n1), x.dim, const + shift)
 
     def apply_inverse(self, y: Element) -> Element:
-        key, const = K.terms_split_const(y.raw)
+        key, const = split_const(y)
         if K.terms_cmp(key, self._key_c) <= 0:
             return y
-        # The image of a representative r is n*r + (b - n*a).  On the keys,
-        # b + (n-1)*c = n*a + m gives key(b) - n*key(a) = -(n-1)*key(c), so
-        # the class keyed k goes to the one keyed n*k - (n-1)*key(c): y's
-        # class comes from the one keyed (key(y) + (n-1)*key(c)) / n, which
-        # lies above c's.  The image of its representative r then has the
-        # constant n*const(r) + const(b - n*a), and offsets are preserved.
-        r, r_const = self._rep(K.terms_scale(K.terms_add(key, self._key_c_n1), (1, self.n)), y.dim)
-        return add_int(r, const[0] - self.n * r_const - self._const_b_minus_na)
+        # y's class comes from the one keyed (key(y) + (n-1)*key(c)) / n,
+        # which lies above c's
+        key_r = K.terms_scale(K.terms_add(key, self._key_c_n1), (1, self.n))
+        shift = self._shift_a if key_r == self._key_a else self._shift
+        return from_key(key_r, y.dim, const - shift)
 
     def anchors(self) -> tuple:
         return ((self.a, self.b), (self.c, self.c))
@@ -219,11 +211,9 @@ class E3Shift(Descriptor):
     ``rep -> c*rep`` on the other class representatives (a1 representing
     its own class), offsets preserved.
 
-    The inverse is in closed form on the (key, rest) split at c's level:
-    y's class comes from the one keyed ``key(y) / c``.  That is a1's class
-    when the key is a1's, and then y comes from ``a1 + rest(y) - rest(a2)``;
-    otherwise the key represents its class and y comes from
-    ``key(y)/c + rest(y)``.
+    Both directions work on the (key, rest) split at c's level.  a1's class
+    moves by ``a2 - a1``; every other key represents its class, so x maps
+    to ``c*key(x) + rest(x)`` and y comes from ``key(y)/c + rest(y)``.
     """
 
     a1: Element
@@ -234,58 +224,39 @@ class E3Shift(Descriptor):
     def __post_init__(self):
         if self.c.dim != 2:
             raise InvariantViolation("dominated-class shift needs the dim-2 lattice")
-        if len(self.c.raw) != 1 or is_standard(self.c):
+        if is_standard(self.c):
             raise InvariantViolation("scaling companion must be a nonstandard monomial")
-        if deg(self.c).level() < 1:
+        object.__setattr__(self, "_inv_c", monomial_inverse(self.c))
+        lvl = deg(self.c).level()
+        if lvl < 1:
             raise InvariantViolation("scaling companion must be dominated by the anchors")
-        if is_standard(self.a1) or deg(self.a1).level() >= deg(self.c).level():
+        if is_standard(self.a1) or deg(self.a1).level() >= lvl:
             raise InvariantViolation("anchor must dominate every power of the companion")
         if self.a2 != self.a1 * self.c:
             raise InvariantViolation("normalized anchor must satisfy a2 = c * a1")
-        object.__setattr__(self, "_lvl", deg(self.c).level())
-        key_a1, rest_a1 = self._split(self.a1)
-        object.__setattr__(self, "_key_a1", key_a1)
-        object.__setattr__(self, "_rest_a1", rest_a1)
-        # a2 = c*a1 splits as (c*key(a1), c*rest(a1)): the companion's
-        # exponent has a zero first component, so it moves no term across
-        # the split
-        object.__setattr__(self, "_rest_a2", self._split(self.a2)[1])
-        ce, cc = self.c.raw[0]
-        object.__setattr__(self, "_inv_c", ((K.exp_scale(ce, (-1, 1)), K.rat_div((1, 1), cc)),))
-
-    def _split(self, x: Element) -> tuple:
-        """x's terms as (the class key: those of level below the companion's,
-        the rest); x is the sum of the two, and every key term lies above
-        every other term."""
-        return K.terms_split_level(x.raw, self._lvl)
+        object.__setattr__(self, "_lvl", lvl)
+        object.__setattr__(self, "_key_a1", split_level(self.a1, lvl)[0])
+        object.__setattr__(self, "_key_c", split_const(self.c)[0])
+        # c's exponent has a zero first component and a positive second, so
+        # a2 = c*a1 > a1, and c*key moves no term across the split
+        object.__setattr__(self, "_step", sub(self.a2, self.a1))
 
     def apply(self, x: Element) -> Element:
-        key, rest = self._split(x)
+        key, rest = split_level(x, self._lvl)
         if not key:
             return x
         if key == self._key_a1:
-            # a1 represents the class and maps to a2; x - a1 = rest - a1's rest
-            raw = K.terms_add(self.a2.raw, K.terms_sub(rest, self._rest_a1))
-        else:
-            # the key represents its class and maps to c * key; x - key = rest,
-            # and c * key is still all above rest
-            raw = K.terms_mul(self.c.raw, key) + rest
-        return Element._wrap(raw, x.dim)
+            return x + self._step
+        return from_key(K.terms_mul(key, self._key_c), x.dim, rest=rest)
 
     def apply_inverse(self, y: Element) -> Element:
-        key, rest = self._split(y)
+        key, rest = split_level(y, self._lvl)
         if not key:
             return y
-        # apply maps the class keyed k to the one keyed c*k, so y's class
-        # comes from the one keyed key/c; offsets from the representative
-        # are preserved
         key_r = K.terms_mul(key, self._inv_c)
         if key_r == self._key_a1:
-            # y - a2 = rest - a2's rest, and a1 + that maps to y
-            raw = K.terms_add(self.a1.raw, K.terms_sub(rest, self._rest_a2))
-        else:
-            raw = key_r + rest
-        return Element._wrap(raw, y.dim)
+            return sub(y, self._step)
+        return from_key(key_r, y.dim, rest=rest)
 
     def anchors(self) -> tuple:
         return ((self.a1, self.a2),)
@@ -433,7 +404,6 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
 class ValidationReport:
     probes: int
     pairs: int
-    checks: dict = field(default_factory=dict)
 
 
 def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
@@ -449,7 +419,6 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
         if not probes[i] < probes[i + 1]:
             raise InvariantViolation("probes must be strictly sorted")
     images = [d.apply(p) for p in probes]
-    counts = {"monotonicity": 0, "inverse": 0, "anchors": 0, "e0_transport": 0, "standard": 0}
 
     for i in range(len(probes) - 1):
         if not images[i] < images[i + 1]:
@@ -459,7 +428,6 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
                 probe=probes[i],
                 other=probes[i + 1],
             )
-        counts["monotonicity"] += 1
 
     for p, img in zip(probes, images):
         back = d.apply_inverse(img)
@@ -469,14 +437,12 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
                 f"inverse(image({p!r})) = {back!r}",
                 probe=p,
             )
-        counts["inverse"] += 1
         if is_standard(p) != is_standard(img):
             raise ValidationFailure(
                 "standard-preservation",
                 f"{p!r} and its image {img!r} disagree on standardness",
                 probe=p,
             )
-        counts["standard"] += 1
 
     for x, expected in d.anchors() + tuple(anchors):
         got = d.apply(x)
@@ -487,12 +453,11 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
                 probe=x,
                 other=expected,
             )
-        counts["anchors"] += 1
 
-    # a finite-distance class is its raw key: the terms above the constant,
-    # empty exactly for the standard elements
-    classes = [K.terms_split_const(p.raw)[0] for p in probes]
-    image_classes = [K.terms_split_const(img.raw)[0] for img in images]
+    # a finite-distance class is its key, empty exactly for the standard
+    # elements
+    classes = [split_const(p)[0] for p in probes]
+    image_classes = [split_const(img)[0] for img in images]
     for i in range(len(probes) - 1):
         x, y = probes[i], probes[i + 1]
         if not classes[i] or not classes[i + 1]:
@@ -504,24 +469,5 @@ def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
                 probe=x,
                 other=y,
             )
-        counts["e0_transport"] += 1
 
-    return ValidationReport(probes=len(probes), pairs=max(len(probes) - 1, 0), checks=counts)
-
-
-def almost_add_defect(d: Descriptor, a: Element, b: Element) -> Optional[int]:
-    """f(a+b) - (f(a) + f(b)) when it is a standard integer, else None.
-
-    None marks a nonstandard additive defect: the map is then not an
-    almost-additive order-isomorphism on this pair.
-    """
-    total = d.apply(a + b)
-    parts = K.terms_add(d.apply(a).raw, d.apply(b).raw)
-    diff = K.terms_sub(total.raw, parts)
-    if not diff:
-        return 0
-    if len(diff) == 1 and K.exp_is_zero(diff[0][0]):
-        num, den = diff[0][1]
-        if den == 1:
-            return num
-    return None
+    return ValidationReport(probes=len(probes), pairs=max(len(probes) - 1, 0))

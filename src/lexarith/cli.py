@@ -137,7 +137,10 @@ def _run(args) -> tuple:
     if args.command == "arith":
         a = parse(args.a)
         if args.op in ("pow", "root"):
-            k = int(args.b)
+            try:
+                k = int(args.b)
+            except ValueError:
+                raise InvariantViolation(f"{args.op} needs an integer, got {args.b!r}") from None
             result = pow_int(a, k) if args.op == "pow" else root_floor(a, k, args.budget)
             return _element_doc(result), 0
         b = parse(args.b)

@@ -23,9 +23,7 @@ Two neighboring notions are documented here but intentionally undecided:
 - *order-rigidity at a level*: a model where any order-isomorphism between
   two proper initial segments forces the endpoints to be equivalent at
   that level.  This package makes no rigidity claim about its model in
-  either direction; the additive-defect instrumentation in
-  :func:`lexarith.automorph.almost_add_defect` exists to measure concrete
-  maps, not to certify rigidity.
+  either direction.
 - the *coarsest convex relation refined by orbit equivalence* (two points
   are related when some order-automorphism carries the smaller at least up
   to the larger).  It is characterized by such reachability but is not

@@ -22,8 +22,15 @@ in the public views of this module (``Exponent.components``,
 ``Element.terms()`` and :class:`Term`), in the constructors, which accept
 ``int`` and ``Fraction`` besides pairs, and in the public value of
 ``analysis.EmbedResult``.  :func:`format_rational` is the one ``"p/q"``
-formatter.  Internal code reads ``.raw`` and uses the ``Exponent``
-operations, never the views.
+formatter.
+
+Who reads the term layout: this module and the kernel build and take apart
+raw term tuples; only they call ``Element._wrap``, which skips validation.
+The serializers (textform, jsonio) and a few degree readers (analysis,
+equiv, oracle) read ``.raw`` of an element or exponent, and use the
+``Exponent`` operations, never the views.  Automorphisms work on class keys
+through the four functions of the "class keys" section below and never
+read ``.raw``.
 
 Everything here is immutable and pure.
 """
@@ -43,8 +50,6 @@ from .errors import (
 )
 
 RatLike = Union[int, Fraction, tuple]
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 DEFAULT_DIV_BUDGET = 64
 
@@ -362,6 +367,49 @@ def const_value(a: Element) -> int:
 def trunc_const(a: Element) -> Element:
     """Drop the constant term: the canonical finite-distance representative."""
     return Element._wrap(K.terms_split_const(a._raw)[0], a._dim)
+
+
+# --- class keys ---------------------------------------------------------------
+#
+# A key is the kernel series of an element's terms that name its class: those
+# above the constant for the finite-distance class, those above a level for a
+# dominated-difference class.  Keys are opaque outside this module: callers
+# compare them (``==``, ``K.terms_cmp``) and combine them with the kernel's
+# series operations, and only the functions here split an element into a key
+# or build one back.
+
+
+def split_const(x: Element) -> tuple:
+    """x as (its key: the terms above the constant, the constant as an int)."""
+    key, c = K.terms_split_const(x._raw)
+    return key, c[0]
+
+
+def split_level(x: Element, lvl: int) -> tuple:
+    """x as (its key: the terms with a nonzero among the first lvl exponent
+    components, the rest); every key term lies above every other term."""
+    return K.terms_split_level(x._raw, lvl)
+
+
+def from_key(key: tuple, dim: int, const: int = 0, rest: tuple = ()) -> Element:
+    """The element key + rest + const, unvalidated.
+
+    Every term of a nonempty key must lie above every term of rest, rest
+    must have no constant term when const is nonzero, and the sum must be
+    an element.
+    """
+    raw = key + rest
+    if const:
+        raw += _const_terms(const, dim)
+    return Element._wrap(raw, dim)
+
+
+def monomial_inverse(m: Element) -> tuple:
+    """The series of 1/m, for a monomial m; not an element unless m is 1."""
+    if len(m._raw) != 1:
+        raise InvariantViolation(f"{m!r} is not a monomial")
+    (e, c), = m._raw
+    return ((K.exp_scale(e, (-1, 1)), K.rat_div((1, 1), c)),)
 
 
 def divmod_scalar(a: Element, n: int) -> tuple:

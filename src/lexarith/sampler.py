@@ -105,8 +105,3 @@ class Sampler:
 
     def chance(self, p: float) -> bool:
         return self.rng.random() < p
-
-
-def sample(profile: SampleProfile) -> Element:
-    """The first element of the profile's stream (pure in the profile)."""
-    return Sampler(profile).element()

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 from . import analysis, automorph, equiv, jsonio, oracle, textform
 from .errors import (
     CoefficientNotRepresentable,
+    InvariantViolation,
     NonTerminatingQuotient,
     ValidationFailure,
 )
@@ -537,13 +538,13 @@ def suite_roundtrip(r: SuiteResult, s: Sampler) -> None:
 def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
     """Run one named suite, or all of them, deterministically."""
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise InvariantViolation(f"samples must be >= 1, got {samples}")
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
-        raise ValueError(f"unknown suite {name!r}; try one of {', '.join(SUITES)} or 'all'")
+        raise InvariantViolation(f"unknown suite {name!r}; try one of {', '.join(SUITES)} or 'all'")
     results = []
     for n in names:
         suite, scale = SUITES[n]

@@ -254,7 +254,7 @@ class TestClosedFormInverse:
 
         monkeypatch.setattr(am, "divmod_scalar", refused)
         monkeypatch.setattr(model, "divmod_scalar", refused)
-        monkeypatch.setattr(am.E2Affine, "_image_of_rep", refused)
+        monkeypatch.setattr(am.E2Affine, "apply", refused)
         for y in ys:
             d.apply_inverse(y)
 
@@ -324,7 +324,15 @@ class TestValidate:
         d = am.build_from_e2(a, b)
         report = am.validate(d, probes_for(1, 41, extra=[a, b]), anchors=((a, b),))
         assert report.probes > 100
-        assert report.checks["anchors"] == 3
+        assert report.pairs == report.probes - 1
+
+    def test_wrong_passed_anchor_fails(self):
+        a, b = P("t"), P("2*t + 1")
+        d = am.build_from_e2(a, b)
+        with pytest.raises(ValidationFailure) as exc:
+            am.validate(d, probes_for(1, 41, extra=[a, b]), anchors=((a, b + 1),))
+        assert exc.value.check == "anchor"
+        assert (exc.value.probe, exc.value.other) == (a, b + 1)
 
     def test_corrupted_descriptor_fails(self):
         d = am.build_from_e2(P("t"), P("2*t + 1"))
@@ -344,22 +352,27 @@ class TestValidate:
         d = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,4)", 2))
         probes = probes_for(2, 47)
         extra = [P("t^(1,0) + 3", 2), P("t^(1,0) + 4", 2)]
+        # the two extras share a class, and so do their images
         report = am.validate(d, sorted(set(probes + extra)))
-        assert report.checks["e0_transport"] > 0
+        assert report.pairs == len(set(probes + extra)) - 1
 
+    def test_class_split_fails_e0_transport(self):
+        # monotone, invertible and fixing the standard elements, but t + 2
+        # and t + 3 leave the one finite-distance class for two
+        cut, lift = P("t + 3"), P("t^(1/2)")
 
-class TestAlmostAddDefect:
-    def test_identity_is_additive(self):
-        assert am.almost_add_defect(am.Identity(), P("t"), P("t^2")) == 0
+        class Split(am.Descriptor):
+            def apply(self, x):
+                return x if x < cut else x + lift
 
-    def test_class_shift_has_standard_defect(self):
-        sh = am.E0ClassShift(P("t"), 1)
-        # f(2t) = 2t, f(t) = t+1: defect -2
-        assert am.almost_add_defect(sh, P("t"), P("t")) == -2
+            def apply_inverse(self, y):
+                return y if y < cut else sub(y, lift)
 
-    def test_affine_defect_is_nonstandard(self):
-        d = am.build_from_e2(P("t"), P("2*t + 1"))
-        assert am.almost_add_defect(d, P("t^2"), P("t^3")) is None
+        probes = [Element.integer(1, 1), P("t + 2"), cut, P("t^2")]
+        with pytest.raises(ValidationFailure) as exc:
+            am.validate(Split(), probes)
+        assert exc.value.check == "e0-transport"
+        assert (exc.value.probe, exc.value.other) == (P("t + 2"), cut)
 
 
 def _roundtrip_cases():

@@ -198,11 +198,13 @@ def test_unsettled_floor_root_is_internal_not_partial(capsys, monkeypatch):
     ("arith", "divmod", "t^2", "t", "--budget", "-1"),
     ("seq", "e2", "t", "--count", "-3"),
     ("suite", "--name", "algebra", "--samples", "-5"),
-], ids=["budget-zero", "budget-negative", "count-negative", "samples-negative"])
+    ("suite", "--name", "nope"),
+    ("arith", "pow", "t", "x"),
+], ids=["budget-zero", "budget-negative", "count-negative", "samples-negative", "unknown-suite", "pow-not-int"])
 def test_bad_limits_exit_two(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
-    assert json.loads(out)["error"] in ("InvariantViolation", "ValueError")
+    assert json.loads(out)["error"] == "InvariantViolation"
 
 
 def test_arith_ops(capsys):

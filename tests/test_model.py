@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lexarith._backend import kernel as K
 from lexarith.errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
@@ -21,10 +22,14 @@ from lexarith.model import (
     divmod_floor,
     divmod_scalar,
     floor_quotient,
+    from_key,
     is_standard,
+    monomial_inverse,
     pow_int,
     pow_lt,
     root_floor,
+    split_const,
+    split_level,
     sub,
     trunc_const,
 )
@@ -308,6 +313,44 @@ class TestStandardness:
     def test_trunc_const(self):
         assert trunc_const(P("t^2 - t + 9")) == P("t^2 - t")
         assert trunc_const(P("42")).is_zero()
+
+
+def _keyed_samples(dim, seed, count=200):
+    s = Sampler(SampleProfile(dim=dim, seed=seed))
+    return [s.element() for _ in range(count)] + [Element.zero(dim), Element.integer(5, dim)]
+
+
+class TestClassKeys:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_split_const_and_from_key_invert(self, dim):
+        for x in _keyed_samples(dim, 71):
+            key, c = split_const(x)
+            assert type(c) is int and c == const_value(x)
+            assert from_key(key, dim, c) == x
+            assert from_key(key, dim) == trunc_const(x)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_split_level_and_from_key_invert(self, dim):
+        for x in _keyed_samples(dim, 73):
+            for lvl in range(dim + 1):
+                key, rest = split_level(x, lvl)
+                assert from_key(key, dim, rest=rest) == x
+            # at the last level the key is the finite-distance one
+            assert split_level(x, dim)[0] == split_const(x)[0]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_monomial_times_its_inverse_is_one(self, dim):
+        s = Sampler(SampleProfile(dim=dim, seed=79))
+        for _ in range(100):
+            e = [s.integer(0, 4) for _ in range(dim)]
+            # a constant has an integer coefficient
+            m = Element.monomial(Fraction(s.integer(1, 9), s.integer(1, 9) if any(e) else 1), e)
+            assert K.terms_mul(m.raw, monomial_inverse(m)) == Element.integer(1, dim).raw
+
+    def test_monomial_inverse_refuses_other_elements(self):
+        for text in ("t + 1", "0"):
+            with pytest.raises(InvariantViolation):
+                monomial_inverse(P(text))
 
 
 class TestCertifiedMax:
