@@ -55,8 +55,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import equiv
 from ._backend import kernel as K
 from .errors import (
+    CannotProve,
     InvariantViolation,
     NotE2Equivalent,
     NotE3Equivalent,
@@ -350,8 +352,6 @@ def compose(*descriptors: Descriptor) -> Descriptor:
 
 def build_from_e2(a: Element, b: Element) -> Descriptor:
     """An order-automorphism mapping a to b, given a finite ratio a ~ b."""
-    from . import equiv
-
     equiv.require_nonstandard(a, b)
     if not equiv._positive(2, a, b):
         raise NotE2Equivalent(f"degrees differ: {deg(a)!r} vs {deg(b)!r}")
@@ -380,8 +380,6 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     In dim 1, or whenever the pair already has a finite ratio, the affine
     route alone suffices.
     """
-    from . import equiv
-
     equiv.require_nonstandard(a1, a2)
     if not equiv._positive(3, a1, a2):
         raise NotE3Equivalent(f"no dominated companion links {deg(a1)!r} and {deg(a2)!r}")
@@ -397,6 +395,19 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     return compose(build_from_e2(mid, a2), shift)
 
 
+def prove_E5(a: Element, b: Element) -> Descriptor:
+    """Sound orbit-equivalence prover: an order-automorphism mapping a to b
+    by the level-2 or level-3 construction (every level-2 pair is level-3).
+
+    Raises CannotProve when neither route applies; that is *not* a proof of
+    inequivalence.
+    """
+    try:
+        return build_from_e3(a, b)
+    except NotE3Equivalent:
+        raise CannotProve("no constructive route: pair is neither level-2 nor level-3 equivalent") from None
+
+
 # --- validation and instrumentation -----------------------------------------
 
 
@@ -409,15 +420,13 @@ class ValidationReport:
 def validate(d: Descriptor, probes, anchors: tuple = ()) -> ValidationReport:
     """Probe-based certification of a descriptor.
 
-    Asserts strict monotonicity of images, inverse round-trips, anchor
-    correctness, pointwise fixing of standard elements, and transport of
-    the finite-distance relation across every adjacent probe pair.  Raises
-    ValidationFailure carrying the violating probe pair.
+    The probes may come in any order and repeat: they are checked as their
+    sorted set.  Asserts strict monotonicity of images, inverse round-trips,
+    anchor correctness, pointwise fixing of standard elements, and transport
+    of the finite-distance relation across every adjacent probe pair.
+    Raises ValidationFailure carrying the violating probe pair.
     """
-    probes = list(probes)
-    for i in range(len(probes) - 1):
-        if not probes[i] < probes[i + 1]:
-            raise InvariantViolation("probes must be strictly sorted")
+    probes = sorted(dict.fromkeys(probes))
     images = [d.apply(p) for p in probes]
 
     for i in range(len(probes) - 1):

@@ -4,16 +4,17 @@ All machine output is a single JSON document on stdout, canonical enough to
 be byte-identical for identical command and seed.  ``--pretty`` switches to
 indented JSON for humans.
 
-Exit codes:
+Exit codes follow the one failure rule of :mod:`lexarith.errors`:
   0  success
   1  violation, or a negative verdict where the command promises a positive
      (equiv that decides "no", auto without a route, failing suite)
   2  usage, parse, or precondition errors, including an ``apply`` descriptor
-     file that is not JSON, nests too deeply, or fails the checks of
-     :func:`lexarith.jsonio.descriptor_from_json`
+     file that is not UTF-8 JSON, nests too deeply, or fails the checks of
+     :func:`lexarith.jsonio.descriptor_from_json`; an unreadable file is
+     ``"io"``
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
-  4  internal errors: a closed form failed its own exact check (a bug, never
-     partiality); the document is ``{"error": "internal", "detail": ...}``
+  4  internal errors: any exception that is not a lexarith error (a bug,
+     never partiality); the document is ``{"error": "internal", "detail": ...}``
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ import json
 import sys
 
 from . import analysis, automorph, equiv, jsonio, suites, textform
-from .errors import (
-    CannotProve,
-    CoefficientNotRepresentable,
-    InvariantViolation,
-    LexarithError,
-    NonTerminatingQuotient,
-    NotEquivalent,
-    ValidationFailure,
-)
+from .errors import CannotProve, InvariantViolation, LexarithError
 from .model import (
     DEFAULT_DIV_BUDGET,
     Element,
@@ -41,18 +34,6 @@ from .model import (
     root_floor,
     sub,
 )
-
-# (exception types, exit code, error tag) in the order they are tried; a
-# tag of None names the exception's type.  ValidationFailure is also an
-# AssertionError, so the negative row comes before the internal one.
-_ERRORS = (
-    ((NonTerminatingQuotient, CoefficientNotRepresentable), 3, None),
-    ((NotEquivalent, CannotProve, ValidationFailure), 1, None),
-    ((AssertionError,), 4, "internal"),
-    ((LexarithError, ValueError), 2, None),
-    ((OSError,), 2, "io"),
-)
-_HANDLED = tuple(t for types, _, _ in _ERRORS for t in types)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,7 +146,7 @@ def _run(args) -> tuple:
     if args.command == "auto":
         a, b = parse(args.src), parse(args.dst)
         try:
-            d = equiv.prove_E5(a, b)
+            d = automorph.prove_E5(a, b)
         except CannotProve as exc:
             return {"error": "cannot_prove", "detail": str(exc)}, 1
         return jsonio.descriptor_to_json(d), 0
@@ -174,6 +155,8 @@ def _run(args) -> tuple:
         with open(args.desc, "r", encoding="utf-8") as fh:
             try:
                 desc = jsonio.descriptor_from_json(json.load(fh), dim)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise InvariantViolation(f"descriptor file is not UTF-8 JSON: {exc}") from None
             except RecursionError:
                 raise InvariantViolation("descriptor file nests too deeply") from None
         return _element_doc(automorph.apply(desc, parse(args.x))), 0
@@ -214,10 +197,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         doc, code = _run(args)
-    except _HANDLED as exc:
-        _, exit_code, tag = next(row for row in _ERRORS if isinstance(exc, row[0]))
-        _emit({"error": tag or type(exc).__name__, "detail": str(exc)}, args.pretty)
-        return exit_code
+    except LexarithError as exc:
+        doc, code = {"error": type(exc).__name__, "detail": str(exc)}, exc.exit_code
+    except OSError as exc:
+        doc, code = {"error": "io", "detail": str(exc)}, 2
+    except Exception as exc:
+        doc, code = {"error": "internal", "detail": str(exc)}, 4
     _emit(doc, args.pretty)
     return code
 

@@ -15,8 +15,9 @@ Positive verdicts carry a witness synthesized once from the closed form
 and checked once against the literal definition by
 :func:`lexarith.oracle.check_witness`; a witness that fails its check is a
 bug in the closed form and raises ``AssertionError``, never a retry.
-Negative verdicts carry a structured reason.  The level-5 prover is sound
-but deliberately incomplete: it only knows the level-2 and level-3 routes.
+Negative verdicts carry a structured reason.  The level-5 prover,
+:func:`lexarith.automorph.prove_E5`, is sound but deliberately incomplete:
+it only knows the level-2 and level-3 routes.
 
 Two neighboring notions are documented here but intentionally undecided:
 
@@ -27,8 +28,8 @@ Two neighboring notions are documented here but intentionally undecided:
 - the *coarsest convex relation refined by orbit equivalence* (two points
   are related when some order-automorphism carries the smaller at least up
   to the larger).  It is characterized by such reachability but is not
-  decided by this package; only the sound one-directional prover below
-  touches orbit equivalence at all.
+  decided by this package; only the sound one-directional prover in
+  :mod:`lexarith.automorph` touches orbit equivalence at all.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import oracle
-from .errors import CannotProve, NotEquivalent, StandardInput
+from .errors import InvariantViolation, NotEquivalent, StandardInput
 from .model import (
     Element,
     Exponent,
@@ -66,7 +67,7 @@ class Verdict:
 
 def _require_level(level: int) -> None:
     if level not in LEVELS:
-        raise ValueError(f"undecidable level {level}; only 0..4 have deciders")
+        raise InvariantViolation(f"undecidable level {level}; only 0..4 have deciders")
 
 
 def require_nonstandard(a: Element, b: Element) -> None:
@@ -188,7 +189,7 @@ def decide(level: int, a: Element, b: Element) -> Verdict:
 def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     """Least witness bound for levels 0, 2, 4: n passes, n-1 does not."""
     if level not in BOUND_LEVELS:
-        raise ValueError(f"level {level} has companion witnesses, not bounds")
+        raise InvariantViolation(f"level {level} has companion witnesses, not bounds")
     require_nonstandard(a, b)
     if not _positive(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
@@ -196,22 +197,3 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     if oracle.check_witness(level, a, b, BoundN(n - 1)):
         raise AssertionError(f"computed bound {n} is not minimal")
     return n
-
-
-def prove_E5(a: Element, b: Element):
-    """Sound orbit-equivalence prover: build an order-automorphism mapping
-    a to b via the level-2 or level-3 construction.
-
-    Raises CannotProve when neither route applies; that is *not* a proof of
-    inequivalence.
-    """
-    from . import automorph  # deferred: automorph uses the deciders above
-
-    require_nonstandard(a, b)
-    if _positive(2, a, b):
-        return automorph.build_from_e2(a, b)
-    if _positive(3, a, b):
-        return automorph.build_from_e3(a, b)
-    raise CannotProve(
-        "no constructive route: pair is neither level-2 nor level-3 equivalent"
-    )

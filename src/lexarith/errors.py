@@ -1,15 +1,26 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the CLI's one failure rule.
 
-The CLI maps these onto its exit-code contract: input/precondition problems
-exit 2, negative results where a command promises a positive exit 1, and
-model-partiality errors exit 3.  A closed form that fails its own exact
-check raises a plain ``AssertionError``: an internal error (exit 4), never
-partiality.
+Each lexarith error type carries its exit code as the class attribute
+``exit_code``, and the CLI reports it as
+``{"error": <type name>, "detail": ...}``:
+
+- 2: usage, input and precondition errors (the base class's code);
+- 3: model partiality (:class:`NonTerminatingQuotient`,
+  :class:`CoefficientNotRepresentable`);
+- 1: a negative result where a command promises a positive
+  (:class:`NotEquivalent`, :class:`CannotProve`, :class:`ValidationFailure`).
+
+An ``OSError`` is ``"io"`` with exit 2.  Any other exception is a bug and is
+``"internal"`` with exit 4, never partiality and never a usage error; a
+closed form that fails its own exact check raises a plain
+``AssertionError`` for this reason.
 """
 
 
 class LexarithError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InvariantViolation(LexarithError, ValueError):
@@ -40,9 +51,13 @@ class NonTerminatingQuotient(LexarithError, ArithmeticError):
     expansions with unboundedly many nonnegative-exponent terms.
     """
 
+    exit_code = 3
+
 
 class CoefficientNotRepresentable(LexarithError, ArithmeticError):
     """A root-floor needs an irrational leading coefficient."""
+
+    exit_code = 3
 
 
 class StandardInput(LexarithError, ValueError):
@@ -51,6 +66,8 @@ class StandardInput(LexarithError, ValueError):
 
 class NotEquivalent(LexarithError, ValueError):
     """Witness requested for a pair that is not equivalent at the level."""
+
+    exit_code = 1
 
 
 class NotE2Equivalent(NotEquivalent):
@@ -68,9 +85,13 @@ class NotE4Equivalent(NotEquivalent):
 class CannotProve(LexarithError):
     """The sound orbit-equivalence prover has no route; not a refutation."""
 
+    exit_code = 1
 
-class ValidationFailure(LexarithError, AssertionError):
+
+class ValidationFailure(LexarithError):
     """An automorphism descriptor failed a probe check."""
+
+    exit_code = 1
 
     def __init__(self, check: str, detail: str, probe=None, other=None):
         self.check = check

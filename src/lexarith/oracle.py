@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import StandardInput
+from .errors import InvariantViolation, StandardInput
 from .model import Element, Exponent, deg, is_standard, pow_lt
 # unused here: perfbench/test_perfbench.py checks that perfbench/tracing.py
 # rebinds and restores oracle.pow_int
@@ -122,7 +122,7 @@ def search(
     only reports exhaustion.
     """
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise InvariantViolation("n_max must be >= 2")
     _require_nonstandard(a, b)
     if level in (0, 2, 4):
         if isinstance(hint, BoundN):
@@ -134,5 +134,5 @@ def search(
             pool = sorted({*pool, hint.c})
         candidates = map(Companion, pool)
     else:
-        raise ValueError(f"no searcher for level {level}")
+        raise InvariantViolation(f"no searcher for level {level}")
     return next((w for w in candidates if check_witness(level, a, b, w)), None)

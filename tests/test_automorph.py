@@ -344,9 +344,15 @@ class TestValidate:
         with pytest.raises(ValidationFailure):
             am.validate(bad, probes_for(1, 43), anchors=((P("t"), P("2*t + 1")),))
 
-    def test_unsorted_probes_rejected(self):
-        with pytest.raises(InvariantViolation):
-            am.validate(am.Identity(), [P("t + 1"), P("t")])
+    def test_probes_in_any_order_with_repeats(self):
+        a, b = P("t"), P("2*t + 1")
+        d = am.build_from_e2(a, b)
+        probes = probes_for(1, 41, extra=[a, b])
+        # reversed, then the even-indexed probes a second time
+        shuffled = probes[::-1] + probes[::2]
+        report = am.validate(d, shuffled, anchors=((a, b),))
+        assert report == am.validate(d, probes, anchors=((a, b),))
+        assert report.probes == len(probes)
 
     def test_e0_transport_on_probe_pairs(self):
         d = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,4)", 2))

@@ -117,6 +117,8 @@ MALFORMED = {
     "zero-e3-anchor": lambda aff: {
         "kind": "e3_shift", "a1": _element(), "a2": _element(), "c": _element((["0", "1"], "1")),
     },
+    "not-json": lambda aff: "{nope",
+    "not-utf8": lambda aff: b'{"kind": "identity\xff"}',
 }
 
 
@@ -124,7 +126,9 @@ MALFORMED = {
 def test_malformed_descriptor_exit_two(capsys, tmp_path, case):
     desc = tmp_path / "d.json"
     doc = MALFORMED[case](_affine_doc(capsys))
-    desc.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if not isinstance(doc, (str, bytes)):
+        doc = json.dumps(doc)
+    desc.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     dim = "2" if case == "zero-e3-anchor" else "1"
     code, out = run(capsys, "apply", "--desc", str(desc), "t + 7", "--dim", dim)
     assert code == 2
@@ -169,7 +173,7 @@ def test_internal_error_exit_four(capsys, monkeypatch):
 
 
 def test_validation_failure_is_negative_not_internal(capsys, monkeypatch):
-    # ValidationFailure is also an AssertionError: it still exits 1, not 4
+    # a failed probe check is a negative result (exit 1), not a bug (exit 4)
     def failing(*_):
         raise ValidationFailure("monotone", "probe order broken")
 
@@ -177,6 +181,17 @@ def test_validation_failure_is_negative_not_internal(capsys, monkeypatch):
     code, out = run(capsys, "equiv", "--level", "2", "t", "2*t")
     assert code == 1
     assert json.loads(out) == {"error": "ValidationFailure", "detail": "monotone: probe order broken"}
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, TypeError, KeyError, RecursionError])
+def test_any_other_exception_is_internal(capsys, monkeypatch, error):
+    def broken(*_):
+        raise error("injected")
+
+    monkeypatch.setattr(Element, "__mul__", broken)
+    code, out = run(capsys, "arith", "mul", "t", "t")
+    assert code == 4
+    assert json.loads(out) == {"error": "internal", "detail": str(error("injected"))}
 
 
 def test_missing_descriptor_file_is_io(capsys, tmp_path):

@@ -3,11 +3,8 @@
 import pytest
 
 from lexarith import automorph, equiv, oracle, suites
-from lexarith.equiv import (
-    decide,
-    minimal_bound_n,
-    prove_E5,
-)
+from lexarith.automorph import prove_E5
+from lexarith.equiv import decide, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
 from lexarith.model import Element, deg, pow_int, sub
 from lexarith.sampler import SampleProfile, Sampler

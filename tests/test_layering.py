@@ -1,5 +1,7 @@
-"""One seam for the term layout: only the model builds or takes apart the
-raw terms of an element, and automorphisms reach class keys through it."""
+"""Module layering.  One seam for the term layout: only the model builds or
+takes apart the raw terms of an element, and automorphisms reach class keys
+through it.  No import cycle: every module imports at the top, never inside
+a function."""
 
 import ast
 import pathlib
@@ -25,3 +27,15 @@ def test_only_the_model_wraps_or_touches_private_terms():
 
 def test_automorph_reads_no_raw_terms():
     assert _touches(SRC / "automorph.py", ("raw",)) == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexarith import automorph as am
-from lexarith import suites
-from lexarith.errors import NonTerminatingQuotient
+from lexarith import oracle, suites
+from lexarith.errors import InvariantViolation, NonTerminatingQuotient, Underflow
 from lexarith.model import (
     Element,
+    const_value,
     deg,
     divmod_floor,
     divmod_scalar,
@@ -51,6 +52,10 @@ def elements(draw, dim=1):
     if constant:
         items.append(((Fraction(0),) * dim, Fraction(constant)))
     return Element(items, dim)
+
+
+def nonstandard(dim):
+    return elements(dim=dim).filter(lambda x: not is_standard(x))
 
 
 @given(elements(), elements(), elements())
@@ -174,3 +179,108 @@ def test_built_maps_invert_exactly(dim, data):
         y = near + y
     assert d.apply(d.apply_inverse(y)) == y
     assert d.apply_inverse(d.apply(y)) == y
+
+
+# The oracle's universal conditions "for every standard n", against the
+# literal inequalities.  Where a condition fails, the breaking n is found
+# without the degree rule: from a Euclidean quotient for multiples, by
+# raising the power one step at a time for powers.  The drawn exponents
+# need at most 33 steps: a positive first component lies in [1/4, 8], and
+# a positive second one in [1/3, 6].
+POWER_STEPS = 40
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_multiples_stay_below_is_the_literal_condition(dim, data):
+    c, a = data.draw(elements(dim=dim)), data.draw(nonstandard(dim))
+    if oracle.multiples_stay_below(c, a):
+        for n in (data.draw(st.integers(min_value=1, max_value=10**6)), 10**40):
+            assert c * n < a
+    else:
+        # a = q*c + r with r < c, so (q + 1)*c > a
+        q, _ = divmod_floor(a, c)
+        assert is_standard(q)
+        assert not c * (const_value(q) + 1) < a
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_powers_stay_below_is_the_literal_condition(dim, data):
+    c, a = data.draw(elements(dim=dim)), data.draw(nonstandard(dim))
+    if oracle.powers_stay_below(c, a):
+        assert pow_int(c, data.draw(st.integers(min_value=1, max_value=8))) < a
+    else:
+        power = c
+        for _ in range(POWER_STEPS):
+            if not power < a:
+                break
+            power = power * c
+        else:
+            raise AssertionError(f"no power of {c!r} up to {POWER_STEPS} reaches {a!r}")
+
+
+@st.composite
+def descriptor_fields(draw, dim, depth=2):
+    """(descriptor, its field elements): constructor fields drawn for a kind
+    of automorph.KINDS, mostly tied as the kind needs and sometimes free, so
+    that the constructor's own checks decide.  None when it refuses them, or
+    when no element meets the kind's equation."""
+    kinds = sorted(am.KINDS) if depth else ["e0_class_shift", "e2_affine", "e3_shift", "identity"]
+    kind = draw(st.sampled_from([k for k in kinds if dim == 2 or k != "e3_shift"]))
+    free = draw(st.integers(min_value=0, max_value=3)) == 0
+    inner = descriptor_fields(dim, depth - 1)
+    cls = am.KINDS[kind]
+    try:
+        if kind == "identity":
+            return cls(), []
+        if kind == "e0_class_shift":
+            anchor = draw(nonstandard(dim))
+            return cls(anchor, draw(st.integers(min_value=-9, max_value=9))), [anchor]
+        if kind == "e2_affine":
+            a, c = draw(nonstandard(dim)), draw(elements(dim=dim))
+            n = draw(st.integers(min_value=2, max_value=6))
+            m = draw(st.integers(min_value=0, max_value=n - 2))
+            if not free:
+                # below a/k, so below a's finite-distance class
+                c = min(c, divmod_scalar(a, draw(st.integers(min_value=2, max_value=5)))[0])
+            # b - a = (n-1)*(a - c) + m
+            b = sub(a * n + m, c * (n - 1))
+            return cls(a=a, b=b, n=n, c=c, m=m), [a, b, c]
+        if kind == "e3_shift":
+            a1 = draw(nonstandard(2).filter(lambda x: deg(x).level() == 0))
+            c = Element.monomial(draw(coeffs.map(abs)), (0, draw(rationals.filter(bool))), dim=2)
+            a2 = draw(nonstandard(2)) if free else a1 * c
+            return cls(a1=a1, a2=a2, c=c), [a1, a2]
+        if kind == "compose":
+            drawn = [x for x in draw(st.lists(inner, max_size=3)) if x is not None]
+            return cls(tuple(d for d, _ in drawn)), [p for _, points in drawn for p in points]
+        below = draw(inner)
+        if below is None:
+            return None
+        d, points = below
+        if kind == "inverse":
+            return cls(d), points
+        a = draw(nonstandard(dim))
+        b = draw(elements(dim=dim)) if free else d.apply(a)
+        return cls(below=d, a=a, b=b), points + [a, b]
+    except (InvariantViolation, Underflow):  # Underflow: no b meets c's equation
+        return None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_accepted_descriptor_is_an_automorphism(dim, data):
+    drawn = data.draw(descriptor_fields(dim))
+    if drawn is None:
+        return
+    d, points = drawn
+    one = Element.integer(1, dim)
+    # the drawn probes, and each field element with its neighbours
+    probes = data.draw(st.lists(elements(dim=dim), max_size=20)) + points
+    probes += [p + 1 for p in points] + [sub(p, one) for p in points if p >= one]
+    am.validate(d, probes)
+    am.validate(am.invert(d), probes)
