@@ -135,7 +135,7 @@ def degree_weight(b: Element) -> Fraction:
     d = deg(b)
     if d is None:
         raise InvariantViolation("zero element has no degree weight")
-    return Fraction(*d.raw[0])
+    return Fraction(*d.component(0))
 
 
 def real_embed(anchor: Element, b: Element) -> EmbedResult:
@@ -147,8 +147,8 @@ def real_embed(anchor: Element, b: Element) -> EmbedResult:
     components, dim 2) the image is the second component, flagged.
     """
     equiv.require_nonstandard(anchor, b)
-    if not equiv._positive(4, anchor, b):
+    if not equiv.holds(4, anchor, b):
         raise NotE4Equivalent(f"{b!r} is not in the level-4 class of {anchor!r}")
     if deg(anchor).level() > 0:
-        return EmbedResult(value=Fraction(*deg(b).raw[1]), degenerate=True)
+        return EmbedResult(value=Fraction(*deg(b).component(1)), degenerate=True)
     return EmbedResult(value=degree_weight(b), degenerate=False)

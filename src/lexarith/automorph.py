@@ -353,7 +353,7 @@ def compose(*descriptors: Descriptor) -> Descriptor:
 def build_from_e2(a: Element, b: Element) -> Descriptor:
     """An order-automorphism mapping a to b, given a finite ratio a ~ b."""
     equiv.require_nonstandard(a, b)
-    if not equiv._positive(2, a, b):
+    if not equiv.holds(2, a, b):
         raise NotE2Equivalent(f"degrees differ: {deg(a)!r} vs {deg(b)!r}")
     if a == b:
         return Identity()
@@ -381,9 +381,9 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     route alone suffices.
     """
     equiv.require_nonstandard(a1, a2)
-    if not equiv._positive(3, a1, a2):
+    if not equiv.holds(3, a1, a2):
         raise NotE3Equivalent(f"no dominated companion links {deg(a1)!r} and {deg(a2)!r}")
-    if equiv._positive(2, a1, a2):
+    if equiv.holds(2, a1, a2):
         return build_from_e2(a1, a2)
     if a1 > a2:
         return invert(build_from_e3(a2, a1))

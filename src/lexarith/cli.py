@@ -8,8 +8,10 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
   0  success
   1  violation, or a negative verdict where the command promises a positive
      (equiv that decides "no", auto without a route, failing suite)
-  2  usage, parse, or precondition errors, including an ``apply`` descriptor
-     file that is not UTF-8 JSON, nests too deeply, or fails the checks of
+  2  usage, parse, or precondition errors, including a command line the
+     argument parser refuses (an ``InvariantViolation``; ``--help`` exits 0)
+     and an ``apply`` descriptor file that is not UTF-8 JSON, nests too
+     deeply, or fails the checks of
      :func:`lexarith.jsonio.descriptor_from_json`; an unreadable file is
      ``"io"``
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
@@ -36,8 +38,16 @@ from .model import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are lexarith errors, not exits;
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise InvariantViolation(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lexarith",
         description="Exact arithmetic and order-automorphism toolkit",
     )
@@ -190,20 +200,19 @@ def _run(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         doc, code = _run(args)
+    except SystemExit as exc:  # --help, after printing the help text
+        return int(exc.code or 0)
     except LexarithError as exc:
         doc, code = {"error": type(exc).__name__, "detail": str(exc)}, exc.exit_code
     except OSError as exc:
         doc, code = {"error": "io", "detail": str(exc)}, 2
     except Exception as exc:
         doc, code = {"error": "internal", "detail": str(exc)}, 4
-    _emit(doc, args.pretty)
+    _emit(doc, args is not None and args.pretty)
     return code
 
 

@@ -45,13 +45,12 @@ from .model import (
     const_value,
     deg,
     floor_quotient,
-    format_rational,
     is_standard,
     pow_lt,
     sub,
     trunc_const,
 )
-from .witnesses import BoundN, Companion, Witness
+from .oracle import BoundN, Companion, Witness
 
 LEVELS = (0, 1, 2, 3, 4)
 BOUND_LEVELS = (0, 2, 4)
@@ -77,18 +76,12 @@ def require_nonstandard(a: Element, b: Element) -> None:
         raise StandardInput(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _deg_strs(a: Element) -> list:
-    d = deg(a)
-    return [format_rational(r) for r in d.raw] if d is not None else []
+def _reason(rule: str, a: Element, b: Element) -> dict:
+    return {"rule": rule, "deg_a": deg(a).texts(), "deg_b": deg(b).texts()}
 
 
-def _reason(rule: str, a: Element, b: Element, **extra) -> dict:
-    out = {"rule": rule, "deg_a": _deg_strs(a), "deg_b": _deg_strs(b)}
-    out.update(extra)
-    return out
-
-
-def _positive(level: int, a: Element, b: Element) -> bool:
+def holds(level: int, a: Element, b: Element) -> bool:
+    """Whether the nonstandard pair a, b is level-equivalent, by the closed form."""
     da, db = deg(a), deg(b)
     if level == 0:
         return trunc_const(a) == trunc_const(b)
@@ -145,7 +138,7 @@ def _least_power_above(a: Element, b: Element) -> int:
     """
     da, db = deg(a), deg(b)
     lvl = da.level()
-    (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
+    (an, ad), (bn, bd) = da.component(lvl), db.component(lvl)
     # least k with k*db >= da at the class's first component, both positive
     k = max(1, -(-an * bd // (ad * bn)))
     if not pow_lt(a, b, k):
@@ -180,7 +173,7 @@ def decide(level: int, a: Element, b: Element) -> Verdict:
     """Closed-form verdict with a definitionally validated witness."""
     _require_level(level)
     require_nonstandard(a, b)
-    if not _positive(level, a, b):
+    if not holds(level, a, b):
         return Verdict(level, False, None, _reason(_RULES_NO[level], a, b))
     w = _validated_witness(level, a, b)
     return Verdict(level, True, w, _reason(_RULES_YES[level], a, b))
@@ -191,7 +184,7 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     if level not in BOUND_LEVELS:
         raise InvariantViolation(f"level {level} has companion witnesses, not bounds")
     require_nonstandard(a, b)
-    if not _positive(level, a, b):
+    if not holds(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
     n = _validated_witness(level, a, b).n
     if oracle.check_witness(level, a, b, BoundN(n - 1)):

@@ -26,13 +26,12 @@ import re
 import typing
 
 from . import automorph
-from ._backend import kernel as K
 from .analysis import ClassSequence, EmbedResult
 from .equiv import Verdict
 from .errors import InvariantViolation
-from .model import Element, format_rational
+from .model import Element, format_rational, rat
+from .oracle import BoundN, Witness
 from .textform import format_element
-from .witnesses import BoundN, Witness
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -51,7 +50,7 @@ def rational_from_json(s: str) -> tuple:
         raise InvariantViolation(f'rational must be a "p" or "p/q" string, got {s!r:.40}')
     num, _, den = s.partition("/")
     try:
-        return K.rat(int(num), int(den or 1))
+        return rat(int(num), int(den or 1))
     except ValueError as exc:  # more digits than int() converts
         raise InvariantViolation(str(exc)) from None
 
@@ -59,8 +58,8 @@ def rational_from_json(s: str) -> tuple:
 def element_to_json(e: Element) -> dict:
     return {
         "terms": [
-            {"exp": [format_rational(r) for r in exponent], "coeff": format_rational(coeff)}
-            for exponent, coeff in e.raw
+            {"exp": exponent.texts(), "coeff": format_rational(coeff)}
+            for exponent, coeff in e.term_pairs()
         ]
     }
 

@@ -24,13 +24,15 @@ in the public views of this module (``Exponent.components``,
 ``analysis.EmbedResult``.  :func:`format_rational` is the one ``"p/q"``
 formatter.
 
-Who reads the term layout: this module and the kernel build and take apart
-raw term tuples; only they call ``Element._wrap``, which skips validation.
-The serializers (textform, jsonio) and a few degree readers (analysis,
-equiv, oracle) read ``.raw`` of an element or exponent, and use the
-``Exponent`` operations, never the views.  Automorphisms work on class keys
-through the four functions of the "class keys" section below and never
-read ``.raw``.
+Who reads the term layout: only this module and the kernel build and take
+apart raw term tuples, read ``.raw`` and call ``Element._wrap``, which
+skips validation.  Every other module reads terms through the pair reads
+below: :meth:`Element.term_pairs`, :meth:`Exponent.component` and
+:meth:`Exponent.texts`, with :func:`rat` for a canonical pair and
+:func:`sum_terms` to build an element from parsed terms.  Automorphisms
+work on opaque class keys through the four functions of the "class keys"
+section below.  ``Element.raw`` stays public because the layered benchmark
+(``perfbench/``) checks its outputs with it.
 
 Everything here is immutable and pure.
 """
@@ -64,6 +66,11 @@ def _to_rat(x: RatLike) -> tuple:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def rat(num: int, den: int = 1) -> tuple:
+    """The canonical ``(num, den)`` pair of num/den; den must be nonzero."""
+    return K.rat(num, den)
+
+
 def format_rational(r: tuple) -> str:
     """``"p/q"``, or ``"p"`` when the denominator is 1, of a canonical pair."""
     return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
@@ -95,16 +102,20 @@ class Exponent:
         return cls._wrap(((0, 1),) * dim)
 
     @property
-    def raw(self) -> tuple:
-        return self._raw
-
-    @property
     def dim(self) -> int:
         return len(self._raw)
 
     @property
     def components(self) -> tuple:
         return tuple(_rat_to_fraction(r) for r in self._raw)
+
+    def component(self, i: int) -> tuple:
+        """The i-th component as a canonical pair."""
+        return self._raw[i]
+
+    def texts(self) -> list:
+        """The components as ``"p/q"`` strings."""
+        return [format_rational(r) for r in self._raw]
 
     def is_zero(self) -> bool:
         return K.exp_is_zero(self._raw)
@@ -150,7 +161,7 @@ class Exponent:
         return K.exp_cmp(self._raw, other._raw) >= 0
 
     def __repr__(self) -> str:
-        return f"Exponent({','.join(format_rational(r) for r in self._raw)})"
+        return f"Exponent({','.join(self.texts())})"
 
 
 class Term(NamedTuple):
@@ -166,7 +177,7 @@ class Element:
     def __init__(self, terms: Iterable[tuple], dim: int):
         raw = []
         for exponent, coeff in terms:
-            e = exponent.raw if isinstance(exponent, Exponent) else tuple(_to_rat(c) for c in exponent)
+            e = exponent._raw if isinstance(exponent, Exponent) else tuple(_to_rat(c) for c in exponent)
             # the kernel's exponent order compares equal-length exponents only
             if len(e) != dim:
                 raise InvariantViolation(f"exponent {e} has wrong dimension for dim={dim}")
@@ -208,6 +219,10 @@ class Element:
 
     def terms(self) -> tuple:
         return tuple(Term(Exponent._wrap(e), _rat_to_fraction(c)) for e, c in self._raw)
+
+    def term_pairs(self) -> tuple:
+        """The terms, highest first, as (Exponent, coefficient pair)."""
+        return tuple((Exponent._wrap(e), c) for e, c in self._raw)
 
     def is_zero(self) -> bool:
         return not self._raw
@@ -273,7 +288,7 @@ class Element:
     def __repr__(self) -> str:
         if not self._raw:
             return "Element<0>"
-        bits = [f"{format_rational(c)}*t^({','.join(format_rational(r) for r in e)})" for e, c in self._raw]
+        bits = [f"{format_rational(c)}*t^({','.join(e.texts())})" for e, c in self.term_pairs()]
         return f"Element<{' + '.join(bits)}>"
 
 
@@ -303,6 +318,16 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
         elif lead_c[0] < 0:
             raise InvariantViolation("leading coefficient must be positive")
     return raw
+
+
+def sum_terms(terms: Iterable[tuple], dim: int) -> Element:
+    """The element that is the sum of signed terms (exponent components,
+    coefficient pair), like terms merged; validated as ``Element(...)`` is."""
+    raw = ()
+    for e, c in terms:
+        if c[0]:
+            raw = K.terms_add(raw, ((e, c),))
+    return Element(raw, dim)
 
 
 def _const_terms(n: int, dim: int) -> tuple:

@@ -1,4 +1,9 @@
-"""Definitional, brute-force semantics for the equivalence levels.
+"""Witness certificates and the definitional, brute-force semantics of the
+equivalence levels.
+
+Levels 0, 2 and 4 are certified by a standard bound n (:class:`BoundN`);
+levels 1 and 3 by a companion element c (:class:`Companion`).  A witness
+is only ever a *claim*: ``check_witness`` decides whether it certifies.
 
 ``check_witness`` evaluates the literal defining conditions of a level
 against a supplied certificate: the existential inequalities exactly, and
@@ -21,14 +26,27 @@ closed-form verdicts are justified by the decider's reason field.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .errors import InvariantViolation, StandardInput
 from .model import Element, Exponent, deg, is_standard, pow_lt
 # unused here: perfbench/test_perfbench.py checks that perfbench/tracing.py
 # rebinds and restores oracle.pow_int
 from .model import pow_int  # noqa: F401
-from .witnesses import BoundN, Companion, Witness
+
+
+@dataclass(frozen=True)
+class BoundN:
+    n: int
+
+
+@dataclass(frozen=True)
+class Companion:
+    c: Element
+
+
+Witness = Union[BoundN, Companion]
 
 
 def _require_nonstandard(a: Element, b: Element) -> None:
@@ -87,8 +105,8 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     zero = Exponent.zero(dim)
     exps = {zero}
     for x in (a, b):
-        for e, _ in x.raw:
-            exps.add(Exponent(e))
+        for e, _ in x.term_pairs():
+            exps.add(e)
     diffs = {e - f for e in exps for f in exps}
     candidates = []
     for k in range(1, min(n_max, 9) + 1):
@@ -97,7 +115,7 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     if dim == 2:
         bound = 2
         for e in exps:
-            num, den = e.raw[1]
+            num, den = e.component(1)
             bound = max(bound, abs(num) // den + 2)
         for j in range(1, min(bound, 12) + 1):
             seen_exps.add(Exponent((0, j)))

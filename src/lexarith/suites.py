@@ -49,8 +49,8 @@ from .model import (
     root_floor,
     sub,
 )
+from .oracle import BoundN
 from .sampler import SampleProfile, Sampler
-from .witnesses import BoundN
 
 
 @dataclass

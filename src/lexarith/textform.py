@@ -20,26 +20,28 @@ from __future__ import annotations
 
 import sys
 
-from ._backend import kernel as K
 from .errors import ParseError
-from .model import Element, format_rational
+from .model import Element, Exponent, format_rational, rat, sum_terms
 
 _WS = " \t\n\r"
+_DIGITS = frozenset("0123456789")
 
 
-def _format_exponent(raw: tuple) -> str:
-    if len(raw) == 1 and raw[0][1] == 1:
-        return f"t^{raw[0][0]}" if raw[0][0] != 1 else "t"
-    return f"t^({','.join(format_rational(r) for r in raw)})"
+def _format_exponent(e: Exponent) -> str:
+    if e.dim == 1:
+        num, den = e.component(0)
+        if den == 1:
+            return f"t^{num}" if num != 1 else "t"
+    return f"t^({','.join(e.texts())})"
 
 
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    for i, (exponent, (num, den)) in enumerate(e.raw):
+    for i, (exponent, (num, den)) in enumerate(e.term_pairs()):
         mag = (abs(num), den)
-        if K.exp_is_zero(exponent):
+        if exponent.is_zero():
             body = format_rational(mag)
         elif mag == (1, 1):
             body = _format_exponent(exponent)
@@ -79,7 +81,7 @@ class _Scanner:
 
     def uint(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "digits", self.peek() or "end of input")
@@ -103,7 +105,7 @@ class _Scanner:
             den = self.uint()
             if den == 0:
                 raise ParseError(den_pos, "nonzero denominator", "0")
-        return K.rat(-num if neg else num, den)
+        return rat(-num if neg else num, den)
 
 
 def _parse_exponent(s: _Scanner, dim: int) -> tuple:
@@ -138,7 +140,7 @@ def _parse_term(s: _Scanner, dim: int) -> tuple:
             s.take()
             return _parse_exponent(s, dim), (1, 1)
         return one, (1, 1)
-    if not (s.peek().isdigit()):
+    if s.peek() not in _DIGITS:
         raise ParseError(s.pos, "a term ('t', coefficient, or digits)", s.peek() or "end of input")
     coeff = s.rational(signed=False)
     s.skip_ws()
@@ -161,14 +163,13 @@ def parse_element(text: str, dim: int) -> Element:
     s.skip_ws()
     if s.at_end():
         raise ParseError(0, "an element expression", "end of input")
-    raw = ()
+    terms = []
     sign = 1
     if s.peek() in "+-":
         sign = -1 if s.take() == "-" else 1
     while True:
         exp, (num, den) = _parse_term(s, dim)
-        if num:
-            raw = K.terms_add(raw, ((exp, (sign * num, den)),))
+        terms.append((exp, (sign * num, den)))
         s.skip_ws()
         if s.at_end():
             break
@@ -177,4 +178,4 @@ def parse_element(text: str, dim: int) -> Element:
             raise ParseError(s.pos, "'+', '-' or end of input", ch)
         s.take()
         sign = -1 if ch == "-" else 1
-    return Element(raw, dim)
+    return sum_terms(terms, dim)

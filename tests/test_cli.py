@@ -215,11 +215,24 @@ def test_unsettled_floor_root_is_internal_not_partial(capsys, monkeypatch):
     ("suite", "--name", "algebra", "--samples", "-5"),
     ("suite", "--name", "nope"),
     ("arith", "pow", "t", "x"),
-], ids=["budget-zero", "budget-negative", "count-negative", "samples-negative", "unknown-suite", "pow-not-int"])
+    # command lines the argument parser refuses
+    ("eval", "-t"),
+    ("eval", "t", "--dim", "3"),
+    ("equiv", "t", "t"),
+    ("nope", "t"),
+], ids=[
+    "budget-zero", "budget-negative", "count-negative", "samples-negative", "unknown-suite", "pow-not-int",
+    "option-unknown", "dim-not-a-choice", "level-missing", "command-unknown",
+])
 def test_bad_limits_exit_two(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"] == "InvariantViolation"
+
+
+def test_help_exits_zero(capsys):
+    assert main(["eval", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lexarith eval")
 
 
 def test_arith_ops(capsys):

@@ -7,9 +7,9 @@ from lexarith.automorph import prove_E5
 from lexarith.equiv import decide, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
 from lexarith.model import Element, deg, pow_int, sub
+from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
-from lexarith.witnesses import BoundN, Companion
 
 
 def P(text, dim=1):
@@ -115,7 +115,7 @@ class TestMinimalBound:
         def least_n_by_search(a, b):
             da, db = deg(a), deg(b)
             lvl = da.level()
-            (an, ad), (bn, bd) = da.raw[lvl], db.raw[lvl]
+            (an, ad), (bn, bd) = da.component(lvl), db.component(lvl)
             cap = max(an * bd // (ad * bn), ad * bn // (an * bd)) + 2
             return next(n for n in range(1, cap + 1) if oracle.check_witness(4, a, b, BoundN(n)))
 

@@ -6,10 +6,9 @@ from lexarith import model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import StandardInput
 from lexarith.model import Element, pow_int
-from lexarith.oracle import check_witness, search
+from lexarith.oracle import BoundN, Companion, check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
-from lexarith.witnesses import BoundN, Companion
 
 
 def P(text, dim=1):

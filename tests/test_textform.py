@@ -65,6 +65,10 @@ def test_parse_errors_carry_position():
         parse_element("t^(1/0)", 1)
     with pytest.raises(ParseError):
         parse_element("3 * ", 1)
+    for text in ("t^\u0663", "t^\u00b2"):  # an Arabic-Indic three, a superscript two
+        with pytest.raises(ParseError) as exc:
+            parse_element(text, 1)
+        assert exc.value.position == 2 and exc.value.expected == "digits", text
 
 
 @pytest.mark.parametrize("dim", [1, 2])
