@@ -26,6 +26,12 @@ def test_only_the_model_wraps_or_touches_private_terms():
     assert found and all(t.startswith("model.py:") for t in found), found
 
 
+def test_automorph_reads_no_raw_terms():
+    tree = ast.parse((SRC / "automorph.py").read_text(encoding="utf-8"))
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "raw"]
+    assert found == []
+
+
 def test_only_the_model_and_automorphisms_take_the_kernel():
     found = {
         f"{name}: {node.module or ''}.{alias.name}"
