@@ -13,7 +13,6 @@ from fractions import Fraction
 from . import equiv
 from .errors import InvariantViolation, NotE4Equivalent
 from .model import (
-    DEFAULT_DIV_BUDGET,
     Element,
     add_int,
     ceil_quotient_scalar,
@@ -76,23 +75,23 @@ def e2_passing_index(a: Element, b: Element, direction: str) -> int:
 # --- root-based boundary sequences ------------------------------------------
 
 
-def b11_upper_holds(a: Element, n: int, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> bool:
+def b11_upper_holds(a: Element, n: int, b: Element) -> bool:
     """The defining predicate of the upper boundary terms:
     a divides b and (b/a) ** (2**n) <= a."""
-    q, r = divmod_floor(b, a, budget)
+    q, r = divmod_floor(b, a)
     return r.is_zero() and pow_int(q, 2**n) <= a
 
 
-def b11_lower_holds(a: Element, n: int, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> bool:
+def b11_lower_holds(a: Element, n: int, b: Element) -> bool:
     """The defining predicate of the lower boundary terms:
     floor(a/b) ** (2**n) >= a (the quotient still reaches a)."""
     if b.is_zero():
         return False
-    q = floor_quotient(a, b, budget)
+    q = floor_quotient(a, b)
     return pow_int(q, 2**n) >= a
 
 
-def b11_seq(a: Element, count: int, direction: str, budget: int = DEFAULT_DIV_BUDGET) -> ClassSequence:
+def b11_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """Boundary sequences of the dominated-ratio class of a.
 
     direction "up": the decreasing sequence max{b : a | b and (b/a)**(2**n) <= a}
@@ -111,12 +110,12 @@ def b11_seq(a: Element, count: int, direction: str, budget: int = DEFAULT_DIV_BU
     for n in range(1, count + 1):
         k = 2**n
         if direction == "up":
-            q = root_floor(a, k, budget)
-            term = certified_max(lambda b: b11_upper_holds(a, n, b, budget), a * q, a)
+            q = root_floor(a, k)
+            term = certified_max(lambda b: b11_upper_holds(a, n, b), a * q, a)
         else:
-            m = root_floor(a, k, budget)
+            m = root_floor(a, k)
             r = m if pow_int(m, k) == a else m + one
-            term = certified_max(lambda b: b11_lower_holds(a, n, b, budget), floor_quotient(a, r, budget), one)
+            term = certified_max(lambda b: b11_lower_holds(a, n, b), floor_quotient(a, r), one)
         terms.append(term)
     return ClassSequence(kind="b11", level=3, direction=direction, terms=tuple(terms))
 
@@ -130,25 +129,18 @@ class EmbedResult:
     degenerate: bool
 
 
-def degree_weight(b: Element) -> Fraction:
-    """First degree component: the raw additive invariant of level-3 classes."""
-    d = deg(b)
-    if d is None:
-        raise InvariantViolation("zero element has no degree weight")
-    return Fraction(*d.component(0))
-
-
 def real_embed(anchor: Element, b: Element) -> EmbedResult:
     """Order-embedding of the level-3 classes inside anchor's level-4 class.
 
     Constant on level-3 classes, injective and strictly order-preserving
     across them, and additive over the products that induce addition on
-    the class quotient.  For the degenerate level-4 class (vanishing first
-    components, dim 2) the image is the second component, flagged.
+    the class quotient: the image is the first degree component of b.  For
+    the degenerate level-4 class (vanishing first components, dim 2) it is
+    the second component, flagged.
     """
     equiv.require_nonstandard(anchor, b)
     if not equiv.holds(4, anchor, b):
         raise NotE4Equivalent(f"{b!r} is not in the level-4 class of {anchor!r}")
     if deg(anchor).level() > 0:
         return EmbedResult(value=Fraction(*deg(b).component(1)), degenerate=True)
-    return EmbedResult(value=degree_weight(b), degenerate=False)
+    return EmbedResult(value=Fraction(*deg(b).component(0)), degenerate=False)

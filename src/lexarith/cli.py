@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=DEFAULT_DIV_BUDGET)
 
     sp = with_dim(sub_p.add_parser("equiv", help="decide an equivalence level"))
-    sp.add_argument("--level", type=int, required=True, choices=(0, 1, 2, 3, 4))
+    sp.add_argument("--level", type=int, required=True, choices=equiv.LEVELS)
     sp.add_argument("a")
     sp.add_argument("b")
 

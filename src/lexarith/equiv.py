@@ -11,8 +11,11 @@ Every verdict for a nonstandard pair is computed from the degree lattice:
   components vanish; in dim 1 it collapses to level 2
 - level 4: degrees in the same Archimedean class of the exponent lattice
 
-Positive verdicts carry a witness synthesized once from the closed form
-and checked once against the literal definition by
+The level set and which levels take a bound are the oracle's
+(:data:`lexarith.oracle.LEVELS`, :data:`lexarith.oracle.BOUND_LEVELS`),
+re-exported here.  Positive verdicts carry a witness that one ladder,
+``_witness``, builds from the closed form, one rung per level, and checks
+once against the literal definition by
 :func:`lexarith.oracle.check_witness`; a witness that fails its check is a
 bug in the closed form and raises ``AssertionError``, never a retry.
 Negative verdicts carry a structured reason.  The level-5 prover,
@@ -50,10 +53,8 @@ from .model import (
     sub,
     trunc_const,
 )
-from .oracle import BoundN, Companion, Witness
-
-LEVELS = (0, 1, 2, 3, 4)
-BOUND_LEVELS = (0, 2, 4)
+# the level set is the oracle's; re-exported for the suites and the CLI
+from .oracle import BOUND_LEVELS, LEVELS, BoundN, Companion, Witness
 
 
 @dataclass(frozen=True)
@@ -100,33 +101,14 @@ def holds(level: int, a: Element, b: Element) -> bool:
     raise AssertionError(level)
 
 
-_RULES_YES = {
-    0: "nonconstant-parts-equal",
-    1: "difference-degree-dominated",
-    2: "degrees-equal",
-    3: "archimedean-components-match",
-    4: "degree-classes-match",
+# (positive, negative) rule name of each level
+_RULES = {
+    0: ("nonconstant-parts-equal", "nonconstant-parts-differ"),
+    1: ("difference-degree-dominated", "difference-degree-not-dominated"),
+    2: ("degrees-equal", "degrees-differ"),
+    3: ("archimedean-components-match", "archimedean-components-differ"),
+    4: ("degree-classes-match", "degree-classes-differ"),
 }
-_RULES_NO = {
-    0: "nonconstant-parts-differ",
-    1: "difference-degree-not-dominated",
-    2: "degrees-differ",
-    3: "archimedean-components-differ",
-    4: "degree-classes-differ",
-}
-
-
-def _minimal_n(level: int, a: Element, b: Element) -> int:
-    """Least n certifying an already-positive bound-type verdict."""
-    if level == 0:
-        return abs(const_value(a) - const_value(b)) + 1
-    if level == 2:
-        qa = const_value(floor_quotient(a, b))
-        qb = const_value(floor_quotient(b, a))
-        return max(qa, qb) + 1
-    if level == 4:
-        return max(_least_power_above(a, b), _least_power_above(b, a))
-    raise AssertionError(level)
 
 
 def _least_power_above(a: Element, b: Element) -> int:
@@ -146,24 +128,29 @@ def _least_power_above(a: Element, b: Element) -> int:
     return k
 
 
-def _synth_companion(level: int, a: Element, b: Element) -> Element:
-    if level == 1:
-        diff = sub(a, b) if a >= b else sub(b, a)
-        return diff + Element.integer(1, a.dim)
-    # level 3: a standard ratio bound when the degrees agree, otherwise a
-    # monomial one archimedean notch above the second-component gap
-    da, db = deg(a), deg(b)
-    if da == db:
-        return Element.integer(_minimal_n(2, a, b), a.dim)
-    gap = da - db if da > db else db - da
-    return Element([(gap + Exponent((0, 1)), 1)], 2)
-
-
-def _validated_witness(level: int, a: Element, b: Element) -> Witness:
-    if level in BOUND_LEVELS:
-        w: Witness = BoundN(_minimal_n(level, a, b))
+def _witness(level: int, a: Element, b: Element) -> Witness:
+    """The witness of a pair that holds at the level, checked once: the
+    least bound n at the bound levels, a companion c at the others.  A
+    witness that fails its check is a bug in the closed form."""
+    if level == 0:
+        w: Witness = BoundN(abs(const_value(a) - const_value(b)) + 1)
+    elif level == 1:
+        w = Companion((sub(a, b) if a >= b else sub(b, a)) + Element.integer(1, a.dim))
+    elif level == 4:
+        w = BoundN(max(_least_power_above(a, b), _least_power_above(b, a)))
+    elif level == 2 or deg(a) == deg(b):
+        # for lo <= hi of equal degree, floor(lo/hi) is 0 (1 when lo = hi),
+        # so floor(hi/lo) + 1 is the least n with hi < n*lo and lo < n*hi;
+        # at level 3 that standard ratio bound is the companion
+        lo, hi = (a, b) if a <= b else (b, a)
+        n = const_value(floor_quotient(hi, lo)) + 1
+        w = BoundN(n) if level == 2 else Companion(Element.integer(n, a.dim))
     else:
-        w = Companion(_synth_companion(level, a, b))
+        # level 3 with differing degrees: a monomial one archimedean notch
+        # above the second-component gap
+        da, db = deg(a), deg(b)
+        gap = da - db if da > db else db - da
+        w = Companion(Element([(gap + Exponent((0, 1)), 1)], 2))
     if not oracle.check_witness(level, a, b, w):
         raise AssertionError(f"synthesized level-{level} witness {w!r} fails its check on {a!r}, {b!r}")
     return w
@@ -174,9 +161,8 @@ def decide(level: int, a: Element, b: Element) -> Verdict:
     _require_level(level)
     require_nonstandard(a, b)
     if not holds(level, a, b):
-        return Verdict(level, False, None, _reason(_RULES_NO[level], a, b))
-    w = _validated_witness(level, a, b)
-    return Verdict(level, True, w, _reason(_RULES_YES[level], a, b))
+        return Verdict(level, False, None, _reason(_RULES[level][1], a, b))
+    return Verdict(level, True, _witness(level, a, b), _reason(_RULES[level][0], a, b))
 
 
 def minimal_bound_n(level: int, a: Element, b: Element) -> int:
@@ -186,7 +172,7 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     require_nonstandard(a, b)
     if not holds(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
-    n = _validated_witness(level, a, b).n
+    n = _witness(level, a, b).n
     if oracle.check_witness(level, a, b, BoundN(n - 1)):
         raise AssertionError(f"computed bound {n} is not minimal")
     return n

@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import json
 import re
+import sys
 import typing
 
 from . import automorph
@@ -51,8 +52,9 @@ def rational_from_json(s: str) -> tuple:
     num, _, den = s.partition("/")
     try:
         return rat(int(num), int(den or 1))
-    except ValueError as exc:  # more digits than int() converts
-        raise InvariantViolation(str(exc)) from None
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise InvariantViolation(f"rational parts must have at most {limit} digits") from None
 
 
 def element_to_json(e: Element) -> dict:

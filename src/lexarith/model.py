@@ -76,6 +76,11 @@ def format_rational(r: tuple) -> str:
     return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
 
 
+def _exp_text(e: tuple) -> str:
+    """``(p/q,r/s)``: an exponent's components as ``"p/q"`` texts."""
+    return f"({','.join(map(format_rational, e))})"
+
+
 def _rat_to_fraction(r: tuple) -> Fraction:
     return Fraction(r[0], r[1])
 
@@ -161,7 +166,7 @@ class Exponent:
         return K.exp_cmp(self._raw, other._raw) >= 0
 
     def __repr__(self) -> str:
-        return f"Exponent({','.join(self.texts())})"
+        return f"Exponent{_exp_text(self._raw)}"
 
 
 class Term(NamedTuple):
@@ -180,7 +185,7 @@ class Element:
             e = exponent._raw if isinstance(exponent, Exponent) else tuple(_to_rat(c) for c in exponent)
             # the kernel's exponent order compares equal-length exponents only
             if len(e) != dim:
-                raise InvariantViolation(f"exponent {e} has wrong dimension for dim={dim}")
+                raise InvariantViolation(f"exponent {_exp_text(e)} has wrong dimension for dim={dim}")
             raw.append((e, _to_rat(coeff)))
         raw.sort(key=_BY_EXPONENT, reverse=True)
         validated = _validate_raw(tuple(raw), dim)
@@ -302,12 +307,12 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
     seen = set()
     for e, c in raw:
         if e in seen:
-            raise InvariantViolation(f"duplicate exponent {e}")
+            raise InvariantViolation(f"duplicate exponent {_exp_text(e)}")
         seen.add(e)
         if c[0] == 0:
             raise InvariantViolation("zero coefficient term")
         if K.exp_cmp(e, zero_exp) < 0:
-            raise InvariantViolation(f"negative exponent {e}")
+            raise InvariantViolation(f"negative exponent {_exp_text(e)}")
         if K.exp_is_zero(e) and c[1] != 1:
             raise InvariantViolation(f"constant coefficient {c[0]}/{c[1]} is not an integer")
     if raw:

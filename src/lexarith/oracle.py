@@ -1,9 +1,12 @@
 """Witness certificates and the definitional, brute-force semantics of the
 equivalence levels.
 
-Levels 0, 2 and 4 are certified by a standard bound n (:class:`BoundN`);
-levels 1 and 3 by a companion element c (:class:`Companion`).  A witness
-is only ever a *claim*: ``check_witness`` decides whether it certifies.
+The level set is defined here, with the definitions it names:
+:data:`LEVELS` are 0..4, and the :data:`BOUND_LEVELS` 0, 2 and 4 are
+certified by a standard bound n (:class:`BoundN`); levels 1 and 3 by a
+companion element c (:class:`Companion`).  The deciders, the suites and
+the CLI read both names.  A witness is only ever a *claim*:
+``check_witness`` decides whether it certifies.
 
 ``check_witness`` evaluates the literal defining conditions of a level
 against a supplied certificate: the existential inequalities exactly, and
@@ -48,6 +51,11 @@ class Companion:
 
 Witness = Union[BoundN, Companion]
 
+# the equivalence levels, and those of them certified by a standard bound n;
+# the others (1 and 3) are certified by a companion element c
+LEVELS = (0, 1, 2, 3, 4)
+BOUND_LEVELS = (0, 2, 4)
+
 
 def _require_nonstandard(a: Element, b: Element) -> None:
     if is_standard(a) or is_standard(b):
@@ -70,7 +78,7 @@ def powers_stay_below(c: Element, a: Element) -> bool:
 
 def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
     _require_nonstandard(a, b)
-    if level in (0, 2, 4):
+    if level in BOUND_LEVELS:
         if not isinstance(w, BoundN) or not isinstance(w.n, int) or w.n < 1:
             return False
         n = w.n
@@ -79,7 +87,7 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
         if level == 2:
             return a < b * n and b < a * n
         return pow_lt(a, b, n) and pow_lt(b, a, n)
-    if level in (1, 3):
+    if level in LEVELS:  # a companion level
         if not isinstance(w, Companion) or not isinstance(w.c, Element) or w.c.dim != a.dim:
             return False
         c = w.c
@@ -142,11 +150,11 @@ def search(
     if n_max < 2:
         raise InvariantViolation("n_max must be >= 2")
     _require_nonstandard(a, b)
-    if level in (0, 2, 4):
+    if level in BOUND_LEVELS:
         if isinstance(hint, BoundN):
             n_max = max(n_max, hint.n + 1)
         candidates = map(BoundN, range(1, n_max + 1))
-    elif level in (1, 3):
+    elif level in LEVELS:  # a companion level
         pool = default_pool(a, b, n_max)
         if isinstance(hint, Companion):
             pool = sorted({*pool, hint.c})

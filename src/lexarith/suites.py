@@ -236,7 +236,7 @@ def suite_refinement(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
         a, b = related_pair(s)
         prev = None
-        for level in range(5):
+        for level in equiv.LEVELS:
             v = equiv.decide(level, a, b)
             if v.equivalent:
                 r.bump(f"positive_l{level}")
@@ -248,7 +248,7 @@ def suite_refinement(r: SuiteResult, s: Sampler) -> None:
 @_suite("convexity", 0.5)
 def suite_convexity(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
-        for level in range(5):
+        for level in equiv.LEVELS:
             lo, mid, hi = ordered_equiv_triple(s, level)
             if not equiv.decide(level, lo, hi).equivalent:
                 r.check(False, i, f"generator-l{level}", lo, hi)
@@ -273,14 +273,14 @@ def _closure(r: SuiteResult, s: Sampler, op, levels) -> None:
             )
 
 
-suite_closure_add = _suite("closure-add", 0.5, op=operator.add, levels=range(5))(_closure)
+suite_closure_add = _suite("closure-add", 0.5, op=operator.add, levels=equiv.LEVELS)(_closure)
 suite_closure_mul = _suite("closure-mul", 0.25, op=operator.mul, levels=(2, 3, 4))(_closure)
 
 
 @_suite("equivalence", 0.25)
 def suite_equivalence(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
-        for level in range(5):
+        for level in equiv.LEVELS:
             a, b = equivalent_pair(s, level)
             c = equivalent_to(s, b, level)
             r.check(equiv.decide(level, a, a).equivalent, i, f"reflexive-l{level}", a)
@@ -296,7 +296,7 @@ def suite_equivalence(r: SuiteResult, s: Sampler) -> None:
 def suite_agreement(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
         a, b = related_pair(s)
-        verdicts = [equiv.decide(level, a, b) for level in range(5)]
+        verdicts = [equiv.decide(level, a, b) for level in equiv.LEVELS]
         for level, v in enumerate(verdicts):
             if v.equivalent:
                 r.bump(f"positive_l{level}")

@@ -1,6 +1,10 @@
 """CLI contract: JSON shapes, exit codes, determinism."""
 
 import json
+import pathlib
+import re
+import shlex
+import sys
 
 import pytest
 
@@ -87,52 +91,121 @@ def _element(*terms):
     return {"terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
 
 
+T = _element((["1"], "1"))  # t in dim 1
+T2 = _element((["1", "0"], "1"))  # t^(1,0) in dim 2
+
+# case -> (descriptor document from the affine one, a phrase of the error detail)
 MALFORMED = {
-    "missing-fields": lambda aff: {"kind": "e2_affine"},
-    "not-an-object": lambda aff: [1],
-    "int-as-string": lambda aff: dict(aff, n="3"),
-    "int-as-bool": lambda aff: dict(aff, m=True),
-    "int-as-float": lambda aff: dict(aff, n=3.0),
-    "tampered-affine": lambda aff: dict(aff, b=_element((["1"], "3"), (["0"], "1"))),
-    "unknown-kind": lambda aff: {"kind": "rotate"},
-    "unhashable-kind": lambda aff: {"kind": [1]},
-    "extra-field": lambda aff: dict(aff, z=1),
-    "float-coefficient": lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], 1.5)), "offset": 1},
-    "zero-denominator": lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "1/0")), "offset": 1},
-    "element-not-terms": lambda aff: {"kind": "e0_class_shift", "anchor": ["1"], "offset": 1},
-    "parts-not-a-list": lambda aff: {"kind": "compose", "parts": {"0": aff}},
-    "too-deep": lambda aff: _nested_text(2000),
-    "segment-not-glued": lambda aff: {
-        "kind": "segment_extend", "below": {"kind": "identity"},
-        "a": _element((["1"], "1")), "b": _element((["1"], "1/2")),
-    },
-    "threshold-above-anchor-class": lambda aff: {
-        "kind": "e2_affine", "a": _element((["1"], "1")), "b": _element((["1"], "1"), (["0"], "-1")),
-        "n": 2, "c": _element((["1"], "1"), (["0"], "1")), "m": 0,
-    },
-    "threshold-in-anchor-class": lambda aff: {
-        "kind": "e2_affine", "a": _element((["1"], "1")), "b": _element((["1"], "1"), (["0"], "1")),
-        "n": 2, "c": _element((["1"], "1"), (["0"], "-1")), "m": 0,
-    },
-    "zero-e3-anchor": lambda aff: {
-        "kind": "e3_shift", "a1": _element(), "a2": _element(), "c": _element((["0", "1"], "1")),
-    },
-    "not-json": lambda aff: "{nope",
-    "not-utf8": lambda aff: b'{"kind": "identity\xff"}',
+    "missing-fields": (lambda aff: {"kind": "e2_affine"}, "needs exactly the fields"),
+    "not-an-object": (lambda aff: [1], "must be an object with a kind"),
+    "int-as-string": (lambda aff: dict(aff, n="3"), "expected a JSON integer, got '3'"),
+    "int-as-bool": (lambda aff: dict(aff, m=True), "expected a JSON integer, got True"),
+    "int-as-float": (lambda aff: dict(aff, n=3.0), "expected a JSON integer, got 3.0"),
+    "tampered-affine": (
+        lambda aff: dict(aff, b=_element((["1"], "3"), (["0"], "1"))), "must satisfy b - a = (n-1)*(a - c) + m",
+    ),
+    "unknown-kind": (lambda aff: {"kind": "rotate"}, "must be an object with a kind"),
+    "unhashable-kind": (lambda aff: {"kind": [1]}, "must be an object with a kind"),
+    "extra-field": (lambda aff: dict(aff, z=1), "needs exactly the fields"),
+    "float-coefficient": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], 1.5)), "offset": 1},
+        'rational must be a "p" or "p/q" string',
+    ),
+    "zero-denominator": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "1/0")), "offset": 1},
+        'rational must be a "p" or "p/q" string',
+    ),
+    "element-not-terms": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": ["1"], "offset": 1}, 'element must be {"terms"',
+    ),
+    "parts-not-a-list": (lambda aff: {"kind": "compose", "parts": {"0": aff}}, "parts must be a JSON list"),
+    "too-deep": (lambda aff: _nested_text(2000), "nests too deeply"),
+    "segment-not-glued": (
+        lambda aff: {
+            "kind": "segment_extend", "below": {"kind": "identity"},
+            "a": _element((["1"], "1")), "b": _element((["1"], "1/2")),
+        },
+        "needs below(a) == b",
+    ),
+    "threshold-above-anchor-class": (
+        lambda aff: {
+            "kind": "e2_affine", "a": _element((["1"], "1")), "b": _element((["1"], "1"), (["0"], "-1")),
+            "n": 2, "c": _element((["1"], "1"), (["0"], "1")), "m": 0,
+        },
+        "threshold c must lie below",
+    ),
+    "threshold-in-anchor-class": (
+        lambda aff: {
+            "kind": "e2_affine", "a": _element((["1"], "1")), "b": _element((["1"], "1"), (["0"], "1")),
+            "n": 2, "c": _element((["1"], "1"), (["0"], "-1")), "m": 0,
+        },
+        "threshold c must lie below",
+    ),
+    "zero-e3-anchor": (
+        lambda aff: {"kind": "e3_shift", "a1": _element(), "a2": _element(), "c": _element((["0", "1"], "1"))},
+        "anchor must dominate every power",
+    ),
+    "not-json": (lambda aff: "{nope", "not UTF-8 JSON"),
+    "not-utf8": (lambda aff: b'{"kind": "identity\xff"}', "not UTF-8 JSON"),
+    # each constructor check, one case apiece
+    "e0-standard-anchor": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["0"], "5")), "offset": 1},
+        "anchor of a class shift must be nonstandard",
+    ),
+    "e2-factor-below-two": (lambda aff: dict(aff, n=1, m=0), "affine factor n must be >= 2"),
+    "e2-remainder-out-of-range": (lambda aff: dict(aff, m=aff["n"] - 1), "remainder m must satisfy"),
+    "e2-standard-anchors": (
+        lambda aff: dict(aff, a=_element((["0"], "1")), b=_element((["0"], "3")), c=_element(), m=0),
+        "affine anchors must be nonstandard",
+    ),
+    "e3-dim-one": (lambda aff: {"kind": "e3_shift", "a1": T, "a2": T, "c": T}, "needs the dim-2 lattice"),
+    "e3-standard-companion": (
+        lambda aff: {"kind": "e3_shift", "a1": T2, "a2": T2, "c": _element((["0", "0"], "2"))},
+        "must be a nonstandard monomial",
+    ),
+    "e3-companion-not-dominated": (
+        lambda aff: {"kind": "e3_shift", "a1": T2, "a2": _element((["2", "0"], "1")), "c": T2},
+        "must be dominated by the anchors",
+    ),
+    # the element loader
+    "duplicate-exponent": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "1"), (["1"], "2")), "offset": 1},
+        "duplicate exponent (1)",
+    ),
+    "zero-coefficient": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "0")), "offset": 1},
+        "zero coefficient",
+    ),
+    "exponent-wrong-length": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1", "1"], "1")), "offset": 1},
+        "exponent (1,1) has wrong dimension",
+    ),
+    "term-not-exp-coeff": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": {"terms": [{"exp": ["1"]}]}, "offset": 1},
+        'element term must be {"exp"',
+    ),
+    "overlong-rational": (
+        lambda aff: {"kind": "e0_class_shift", "anchor": _element((["1"], "1" * 5000)), "offset": 1},
+        f"at most {sys.get_int_max_str_digits()} digits",
+    ),
 }
+DIM2 = {"zero-e3-anchor", "e3-standard-companion", "e3-companion-not-dominated"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_descriptor_exit_two(capsys, tmp_path, case):
     desc = tmp_path / "d.json"
-    doc = MALFORMED[case](_affine_doc(capsys))
+    build, phrase = MALFORMED[case]
+    doc = build(_affine_doc(capsys))
     if not isinstance(doc, (str, bytes)):
         doc = json.dumps(doc)
     desc.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
-    dim = "2" if case == "zero-e3-anchor" else "1"
+    dim = "2" if case in DIM2 else "1"
     code, out = run(capsys, "apply", "--desc", str(desc), "t + 7", "--dim", dim)
     assert code == 2
-    assert json.loads(out)["error"] == "InvariantViolation"
+    doc = json.loads(out)
+    assert doc["error"] == "InvariantViolation"
+    assert phrase in doc["detail"]
 
 
 def test_parse_error_exit_two(capsys):
@@ -144,6 +217,10 @@ def test_parse_error_exit_two(capsys):
 def test_invariant_violation_exit_two(capsys):
     code, out = run(capsys, "eval", "t + 1/2")
     assert code == 2
+    # an exponent in a detail is written by its "p/q" texts
+    code, out = run(capsys, "eval", "t^(0,-1)", "--dim", "2")
+    assert code == 2
+    assert json.loads(out) == {"error": "InvariantViolation", "detail": "negative exponent (0,-1)"}
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "t^" + "1" * 5000], ids=["coefficient", "exponent"])
@@ -208,26 +285,33 @@ def test_unsettled_floor_root_is_internal_not_partial(capsys, monkeypatch):
     assert json.loads(out)["error"] == "internal"
 
 
-@pytest.mark.parametrize("argv", [
-    ("arith", "divmod", "t^(1,0)", "t^(0,1)", "--dim", "2", "--budget", "0"),
-    ("arith", "divmod", "t^2", "t", "--budget", "-1"),
-    ("seq", "e2", "t", "--count", "-3"),
-    ("suite", "--name", "algebra", "--samples", "-5"),
-    ("suite", "--name", "nope"),
-    ("arith", "pow", "t", "x"),
+# case -> (command line, a phrase of the error detail)
+BAD_LIMITS = {
+    "budget-zero": (("arith", "divmod", "t^(1,0)", "t^(0,1)", "--dim", "2", "--budget", "0"), "budget must be >= 1"),
+    "budget-negative": (("arith", "divmod", "t^2", "t", "--budget", "-1"), "budget must be >= 1"),
+    "count-negative": (("seq", "e2", "t", "--count", "-3"), "count must be >= 0"),
+    "samples-negative": (("suite", "--name", "algebra", "--samples", "-5"), "samples must be >= 1"),
+    "unknown-suite": (("suite", "--name", "nope"), "unknown suite 'nope'"),
+    "pow-not-int": (("arith", "pow", "t", "x"), "pow needs an integer"),
+    "divisor-zero": (("arith", "divmod", "t", "0"), "divisor must be positive"),
+    "root-index-zero": (("arith", "root", "t", "0"), "root index must be >= 1"),
+    "root-of-zero": (("arith", "root", "0", "2"), "requires a >= 1"),
     # command lines the argument parser refuses
-    ("eval", "-t"),
-    ("eval", "t", "--dim", "3"),
-    ("equiv", "t", "t"),
-    ("nope", "t"),
-], ids=[
-    "budget-zero", "budget-negative", "count-negative", "samples-negative", "unknown-suite", "pow-not-int",
-    "option-unknown", "dim-not-a-choice", "level-missing", "command-unknown",
-])
-def test_bad_limits_exit_two(capsys, argv):
+    "option-unknown": (("eval", "-t"), "lexarith eval:"),
+    "dim-not-a-choice": (("eval", "t", "--dim", "3"), "invalid choice: 3"),
+    "level-missing": (("equiv", "t", "t"), "--level"),
+    "command-unknown": (("nope", "t"), "invalid choice: 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIMITS))
+def test_bad_limits_exit_two(capsys, case):
+    argv, phrase = BAD_LIMITS[case]
     code, out = run(capsys, *argv)
     assert code == 2
-    assert json.loads(out)["error"] == "InvariantViolation"
+    doc = json.loads(out)
+    assert doc["error"] == "InvariantViolation"
+    assert phrase in doc["detail"]
 
 
 def test_help_exits_zero(capsys):
@@ -337,3 +421,31 @@ def test_suites_decide_each_pair_once(monkeypatch, dim):
     r = suites.suite_equivalence(4, 7, dim)
     # (a, a), (a, b), (b, a) and (b, c) per sample and level, (a, c) per chain
     assert calls == {level: 4 * 4 + r.stats.get(f"chains_l{level}", 0) for level in range(5)}
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    """Every ``lexarith`` line of the README's CLI block exits 0 with one JSON
+    document, which shows what a ``->`` line under it states."""
+    text = README.read_text(encoding="utf-8")
+    lines = re.search(r"\n## CLI\n.*?\n```\n(.*?)\n```\n", text, re.S).group(1).splitlines()
+    monkeypatch.chdir(tmp_path)
+    docs = {}
+    for line, below in zip(lines, lines[1:] + [""]):
+        # criterion 10 of the acceptance gate runs the 1000-sample suite
+        if not line.startswith("lexarith ") or "--samples 1000" in line:
+            continue
+        argv, _, target = line.partition(" > ")
+        code, out = run(capsys, *shlex.split(argv)[1:])
+        assert code == 0 and out.count("\n") == 1 and out.endswith("\n"), line
+        docs[line] = json.loads(out)
+        if target:
+            pathlib.Path(target).write_text(out)
+        stated = below.strip()
+        if stated.startswith("-> {"):
+            for part in stated[4:-1].split(",...,"):
+                assert part in out, (line, part)
+    assert len(docs) == 11
+    assert docs['lexarith equiv --level 2 "t" "3*t+5"']["witness"] == {"n": 4}

@@ -1,12 +1,14 @@
 """Closed-form deciders, witness synthesis, and the level-5 prover."""
 
+import itertools
+
 import pytest
 
-from lexarith import automorph, equiv, oracle, suites
+from lexarith import automorph, oracle, suites
 from lexarith.automorph import prove_E5
-from lexarith.equiv import decide, minimal_bound_n
+from lexarith.equiv import LEVELS, decide, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
-from lexarith.model import Element, deg, pow_int, sub
+from lexarith.model import Element, pow_int, sub
 from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -27,17 +29,17 @@ class TestDecide:
     def test_wrong_synthesis_is_an_internal_error(self, monkeypatch):
         # one synthesis and one check: a witness that fails is never retried
         checks = []
-        check = oracle.check_witness
 
-        def counted(*args):
+        def rejecting(*args):
             checks.append(args)
-            return check(*args)
+            return False
 
-        monkeypatch.setattr(equiv, "_synth_companion", lambda level, a, b: Element.integer(1, 1))
-        monkeypatch.setattr(oracle, "check_witness", counted)
-        with pytest.raises(AssertionError):
-            decide(1, P("t + 5"), P("t"))
-        assert len(checks) == 1
+        monkeypatch.setattr(oracle, "check_witness", rejecting)
+        for level in LEVELS:
+            checks.clear()
+            with pytest.raises(AssertionError):
+                decide(level, P("t + 5"), P("t"))
+            assert len(checks) == 1, level
 
     def test_level2_negative(self):
         v = decide(2, P("t"), P("t^2"))
@@ -109,30 +111,32 @@ class TestMinimalBound:
             assert not oracle.check_witness(level, a, b, BoundN(n - 1))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_level4_closed_form_matches_search(self, dim):
-        """The closed-form level-4 bound is the least n found by trying n = 1, 2, ..."""
-
-        def least_n_by_search(a, b):
-            da, db = deg(a), deg(b)
-            lvl = da.level()
-            (an, ad), (bn, bd) = da.component(lvl), db.component(lvl)
-            cap = max(an * bd // (ad * bn), ad * bn // (an * bd)) + 2
-            return next(n for n in range(1, cap + 1) if oracle.check_witness(4, a, b, BoundN(n)))
-
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_level4_closed_form_matches_search(self, level, dim):
+        """The closed-form level-2 and level-4 bounds are the least n found by
+        trying n = 1, 2, ... against the literal definition."""
         s = Sampler(SampleProfile(dim=dim, seed=11))
+        one = Element.integer(1, dim)
         pairs = []
         for _ in range(60):
-            pairs.append(suites.equivalent_pair(s, 4))
+            pairs.append(suites.equivalent_pair(s, level))
             c = s.nonstandard()
             k = s.integer(1, 3)
+            if level == 2:
+                # ratio ties: c itself, k*c on either side, and its neighbours
+                pairs += [(c, c), (c * k, c), (c, c * k), (c * k + 1, c), (sub(c * k, one), c)]
+                continue
             ck = pow_int(c, k)
             # degree ties: a**k itself and its neighbours on either side
-            pairs += [(c, ck), (ck + 1, c), (c, sub(ck, Element.integer(1, dim)))]
+            pairs += [(c, ck), (ck + 1, c), (c, sub(ck, one))]
             if dim == 2:
                 # first components tie, the second ones do not
                 pairs.append((ck * Element.monomial(1, (0, s.integer(1, 3)), dim=2), c))
         for a, b in pairs:
-            assert equiv._minimal_n(4, a, b) == least_n_by_search(a, b), (a, b)
+            n = minimal_bound_n(level, a, b)
+            # n passes its check, so the search below ends at n at the latest
+            least = next(m for m in itertools.count(1) if oracle.check_witness(level, a, b, BoundN(m)))
+            assert n == least, (a, b)
 
     def test_not_equivalent(self):
         with pytest.raises(NotEquivalent):

@@ -2,7 +2,8 @@
 takes apart the raw terms of an element, only the model and automorphisms
 (on opaque class keys) call the kernel, and no module reads another
 module's private name.  No import cycle: every module imports at the top,
-never inside a function."""
+never inside a function.  The oracle, which defines the equivalence
+levels, is the one module that writes the level set."""
 
 import ast
 import pathlib
@@ -24,6 +25,27 @@ def test_only_the_model_wraps_or_touches_private_terms():
     ]
     # the model's own accesses show that the check sees them
     assert found and all(t.startswith("model.py:") for t in found), found
+
+
+# the level set, the bound levels and the companion levels
+LEVEL_LITERALS = {(0, 1, 2, 3, 4), (0, 2, 4), (1, 3)}
+
+
+def _constants(nodes):
+    return tuple(n.value for n in nodes) if all(isinstance(n, ast.Constant) for n in nodes) else None
+
+
+def test_only_the_oracle_writes_the_level_set():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Tuple, ast.List)) and _constants(node.elts) in LEVEL_LITERALS
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+        and _constants(node.args) == (5,)
+    ]
+    # the oracle's own definitions show that the check sees them
+    assert found and all(t.startswith("oracle.py:") for t in found), found
 
 
 def test_automorph_reads_no_raw_terms():
