@@ -13,7 +13,8 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
      and an ``apply`` descriptor file that is not UTF-8 JSON, nests too
      deeply, or fails the checks of
      :func:`lexarith.jsonio.descriptor_from_json`; an unreadable file is
-     ``"io"``
+     ``"io"``; an input larger than the package does work for is a
+     ``ResourceLimit`` (a ``--budget`` above 1024)
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
   4  internal errors: any exception that is not a lexarith error (a bug,
      never partiality); the document is ``{"error": "internal", "detail": ...}``

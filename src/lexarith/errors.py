@@ -4,7 +4,9 @@ Each lexarith error type carries its exit code as the class attribute
 ``exit_code``, and the CLI reports it as
 ``{"error": <type name>, "detail": ...}``:
 
-- 2: usage, input and precondition errors (the base class's code);
+- 2: usage, input and precondition errors (the base class's code),
+  including :class:`ResourceLimit`, an input larger than the package does
+  work for;
 - 3: model partiality (:class:`NonTerminatingQuotient`,
   :class:`CoefficientNotRepresentable`);
 - 1: a negative result where a command promises a positive
@@ -42,6 +44,16 @@ class ParseError(LexarithError, ValueError):
 
 class Underflow(LexarithError, ArithmeticError):
     """Subtraction would leave the nonnegative part of the model."""
+
+
+class ResourceLimit(LexarithError):
+    """An input is larger than the package does work for, refused before
+    the work starts.
+
+    A refused precondition on input size, like a term budget below 1, so
+    exit 2: the model is not partial there, and a smaller input gets an
+    answer.
+    """
 
 
 class NonTerminatingQuotient(LexarithError, ArithmeticError):

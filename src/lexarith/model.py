@@ -24,12 +24,21 @@ in the public views of this module (``Exponent.components``,
 ``analysis.EmbedResult``.  :func:`format_rational` is the one ``"p/q"``
 formatter.
 
-Who reads the term layout: only this module and the kernel build and take
-apart raw term tuples, read ``.raw`` and call ``Element._wrap``, which
-skips validation.  Every other module reads terms through the pair reads
-below: :meth:`Element.term_pairs`, :meth:`Exponent.component` and
-:meth:`Exponent.texts`, with :func:`rat` for a canonical pair and
-:func:`sum_terms` to build an element from parsed terms.  Automorphisms
+Every element built from terms passes one check: exponents of ``dim``
+canonical pairs, nonzero canonical coefficients, strictly descending
+exponents, then the model invariants above.  :meth:`Element.from_pairs`
+takes terms in that form and only checks them; its callers are the
+sampler, which draws canonical pairs and sorts them once with
+:data:`exponent_key`, and :func:`sum_terms`, the parser's path, whose merge
+leaves them in that form.  ``Element(...)``, the public door, first
+normalizes ``int``, ``Fraction`` and pair input and sorts it.
+
+Who reads the term layout: only this module and the kernel take apart raw
+term tuples, read ``.raw`` and call ``Element._wrap``, which skips
+validation.  Every other module reads terms through the pair reads below:
+:meth:`Element.term_pairs`, :meth:`Exponent.component` and
+:meth:`Exponent.texts`, and builds an element through the checked doors,
+with :func:`rat` for a canonical pair.  Automorphisms
 work on opaque class keys through the four functions of the "class keys"
 section below.  ``Element.raw`` stays public because the layered benchmark
 (``perfbench/``) checks its outputs with it.
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernel as K
@@ -48,12 +58,16 @@ from .errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
     NonTerminatingQuotient,
+    ResourceLimit,
     Underflow,
 )
 
 RatLike = Union[int, Fraction, tuple]
 
 DEFAULT_DIV_BUDGET = 64
+# the largest term budget: a dim-2 division that exhausts it takes about half
+# a second, and the cost grows faster than the square of the budget
+MAX_DIV_BUDGET = 1024
 
 
 def _to_rat(x: RatLike) -> tuple:
@@ -66,9 +80,13 @@ def _to_rat(x: RatLike) -> tuple:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def rat(num: int, den: int = 1) -> tuple:
-    """The canonical ``(num, den)`` pair of num/den; den must be nonzero."""
-    return K.rat(num, den)
+# rat(num, den=1): the canonical ``(num, den)`` pair of num/den, den nonzero;
+# the kernel's own function, so a caller pays no extra call per pair
+rat = K.rat
+
+# the sort key of an exponent (a tuple of canonical pairs) in the
+# lexicographic order, for callers that order exponents without the kernel
+exponent_key = cmp_to_key(K.exp_cmp)
 
 
 def format_rational(r: tuple) -> str:
@@ -180,17 +198,26 @@ class Element:
     __slots__ = ("_raw", "_dim")
 
     def __init__(self, terms: Iterable[tuple], dim: int):
-        raw = []
-        for exponent, coeff in terms:
-            e = exponent._raw if isinstance(exponent, Exponent) else tuple(_to_rat(c) for c in exponent)
-            # the kernel's exponent order compares equal-length exponents only
-            if len(e) != dim:
-                raise InvariantViolation(f"exponent {_exp_text(e)} has wrong dimension for dim={dim}")
-            raw.append((e, _to_rat(coeff)))
-        raw.sort(key=_BY_EXPONENT, reverse=True)
-        validated = _validate_raw(tuple(raw), dim)
-        self._raw = validated
+        raw = [
+            (exponent._raw if isinstance(exponent, Exponent) else tuple(map(_to_rat, exponent)), _to_rat(coeff))
+            for exponent, coeff in terms
+        ]
+        # the kernel orders equal-length exponents only; the check names a wrong length
+        if all(len(e) == dim for e, _ in raw):
+            raw.sort(key=lambda t: exponent_key(t[0]), reverse=True)
+        self._raw = _check_terms(tuple(raw), dim)
         self._dim = dim
+
+    @classmethod
+    def from_pairs(cls, terms: Iterable[tuple], dim: int) -> "Element":
+        """The element of (exponent, coefficient) terms that are already in
+        the kernel's form: exponents are tuples of canonical pairs,
+        coefficients canonical pairs, in strictly descending order.
+
+        Nothing is normalized or sorted, but everything is checked, as
+        ``Element(...)`` checks it after normalizing and sorting.
+        """
+        return cls._wrap(_check_terms(tuple(terms), dim), dim)
 
     @classmethod
     def _wrap(cls, raw: tuple, dim: int) -> "Element":
@@ -297,42 +324,67 @@ class Element:
         return f"Element<{' + '.join(bits)}>"
 
 
-_BY_EXPONENT = cmp_to_key(lambda s, t: K.exp_cmp(s[0], t[0]))
+def _check_terms(raw: tuple, dim: int) -> tuple:
+    """raw, if it is the kernel series of an element: exponents of dim
+    canonical pairs, nonzero canonical coefficients, strictly descending
+    exponents, and the model invariants of :func:`_validate_raw`."""
+    for e, (num, den) in raw:
+        if len(e) != dim:
+            raise InvariantViolation(f"exponent {_exp_text(e)} has wrong dimension for dim={dim}")
+        for p, q in e:
+            if q < 1 or gcd(p, q) != 1:
+                raise _not_canonical(p, q)
+        if den < 1 or gcd(num, den) != 1:
+            raise _not_canonical(num, den)
+        if not num:
+            raise InvariantViolation("zero coefficient term")
+    for (e, _), (f, _) in zip(raw, raw[1:]):
+        side = K.exp_cmp(e, f)
+        if side < 0:
+            raise InvariantViolation(f"terms out of order: exponent {_exp_text(f)} after {_exp_text(e)}")
+        if side == 0:
+            raise InvariantViolation(f"duplicate exponent {_exp_text(e)}")
+    return _validate_raw(raw, dim)
+
+
+def _not_canonical(num: int, den: int) -> InvariantViolation:
+    return InvariantViolation(f"rational pair ({num}, {den}) is not canonical")
 
 
 def _validate_raw(raw: tuple, dim: int) -> tuple:
+    """raw, if its terms, canonical and strictly descending, make an element:
+    the least exponent, the last, is not negative, a constant term (the last
+    term) is an integer, and the leading coefficient is positive unless the
+    element is a constant, which is nonnegative."""
     if dim not in (1, 2):
         raise InvariantViolation(f"dim must be 1 or 2, got {dim}")
+    if not raw:
+        return raw
     zero_exp = ((0, 1),) * dim
-    seen = set()
-    for e, c in raw:
-        if e in seen:
-            raise InvariantViolation(f"duplicate exponent {_exp_text(e)}")
-        seen.add(e)
-        if c[0] == 0:
-            raise InvariantViolation("zero coefficient term")
-        if K.exp_cmp(e, zero_exp) < 0:
-            raise InvariantViolation(f"negative exponent {_exp_text(e)}")
-        if K.exp_is_zero(e) and c[1] != 1:
+    least, c = raw[-1]
+    if least == zero_exp:
+        if c[1] != 1:
             raise InvariantViolation(f"constant coefficient {c[0]}/{c[1]} is not an integer")
-    if raw:
-        lead_e, lead_c = raw[0]
-        if K.exp_is_zero(lead_e):
-            if lead_c[0] < 0:
-                raise InvariantViolation("constant element must be nonnegative")
-        elif lead_c[0] < 0:
-            raise InvariantViolation("leading coefficient must be positive")
+    elif K.exp_cmp(least, zero_exp) < 0:
+        first = next(e for e, _ in raw if K.exp_cmp(e, zero_exp) < 0)
+        raise InvariantViolation(f"negative exponent {_exp_text(first)}")
+    lead_e, lead_c = raw[0]
+    if lead_c[0] < 0:
+        if lead_e == zero_exp:
+            raise InvariantViolation("constant element must be nonnegative")
+        raise InvariantViolation("leading coefficient must be positive")
     return raw
 
 
 def sum_terms(terms: Iterable[tuple], dim: int) -> Element:
     """The element that is the sum of signed terms (exponent components,
-    coefficient pair), like terms merged; validated as ``Element(...)`` is."""
+    coefficient pair), like terms merged; the merge leaves them canonical and
+    descending, so they are only checked."""
     raw = ()
     for e, c in terms:
         if c[0]:
             raw = K.terms_add(raw, ((e, c),))
-    return Element(raw, dim)
+    return Element.from_pairs(raw, dim)
 
 
 def _const_terms(n: int, dim: int) -> tuple:
@@ -458,6 +510,8 @@ def divmod_scalar(a: Element, n: int) -> tuple:
 def _require_budget(budget: int) -> None:
     if budget < 1:
         raise InvariantViolation(f"term budget must be >= 1, got {budget}")
+    if budget > MAX_DIV_BUDGET:
+        raise ResourceLimit(f"term budget must be <= {MAX_DIV_BUDGET}, got {budget}")
 
 
 def _floor_constant(raw: tuple, dim: int) -> Element:

@@ -5,6 +5,7 @@ import pathlib
 import re
 import shlex
 import sys
+import time
 
 import pytest
 
@@ -312,6 +313,19 @@ def test_bad_limits_exit_two(capsys, case):
     doc = json.loads(out)
     assert doc["error"] == "InvariantViolation"
     assert phrase in doc["detail"]
+
+
+def test_budget_above_the_ceiling_is_a_resource_limit(capsys):
+    argv = ("arith", "divmod", "t^(2,0)", "t^(1,0) - t^(1,-1)", "--dim", "2", "--budget")
+    start = time.perf_counter()
+    code, out = run(capsys, *argv, "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {"error": "ResourceLimit", "detail": "term budget must be <= 1024, got 100000"}
+    # the ceiling itself is still worked: the expansion runs out of budget
+    code, out = run(capsys, *argv, "1024")
+    assert code == 3
+    assert json.loads(out)["error"] == "NonTerminatingQuotient"
 
 
 def test_help_exits_zero(capsys):

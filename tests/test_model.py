@@ -9,9 +9,11 @@ from lexarith.errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
     NonTerminatingQuotient,
+    ResourceLimit,
     Underflow,
 )
 from lexarith.model import (
+    MAX_DIV_BUDGET,
     Element,
     Exponent,
     add_int,
@@ -204,6 +206,15 @@ class TestDivision:
                 divmod_floor(P("t^2"), P("t"), budget)
             with pytest.raises(InvariantViolation):
                 root_floor(P("t^2"), 2, budget)
+
+    def test_budget_above_the_ceiling_is_a_resource_limit(self):
+        # refused before any work, in both dims and for roots too
+        for a, b, dim in (("t^2", "t", 1), ("t^(2,0)", "t^(1,0)", 2)):
+            with pytest.raises(ResourceLimit):
+                divmod_floor(P(a, dim), P(b, dim), MAX_DIV_BUDGET + 1)
+            with pytest.raises(ResourceLimit):
+                root_floor(P(a, dim), 2, MAX_DIV_BUDGET + 1)
+        assert divmod_floor(P("t^2"), P("t"), MAX_DIV_BUDGET)[0] == P("t")
 
     def test_dim1_divmod_total(self):
         # the same shape that diverges in dim 2 terminates in dim 1
