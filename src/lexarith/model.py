@@ -27,11 +27,11 @@ formatter.
 Every element built from terms passes one check: exponents of ``dim``
 canonical pairs, nonzero canonical coefficients, strictly descending
 exponents, then the model invariants above.  :meth:`Element.from_pairs`
-takes terms in that form and only checks them; its callers are the
+takes terms in that form and only checks them; its one caller is the
 sampler, which draws canonical pairs and sorts them once with
-:data:`exponent_key`, and :func:`sum_terms`, the parser's path, whose merge
-leaves them in that form.  ``Element(...)``, the public door, first
-normalizes ``int``, ``Fraction`` and pair input and sorts it.
+:data:`exponent_key`.  ``Element(...)``, the public door, first normalizes
+``int``, ``Fraction`` and pair input and sorts it; :func:`sum_terms`, the
+parser's path, collects like terms and ends in it.
 
 Who reads the term layout: only this module and the kernel take apart raw
 term tuples, read ``.raw`` and call ``Element._wrap``, which skips
@@ -65,9 +65,16 @@ from .errors import (
 RatLike = Union[int, Fraction, tuple]
 
 DEFAULT_DIV_BUDGET = 64
-# the largest term budget: a dim-2 division that exhausts it takes about half
-# a second, and the cost grows faster than the square of the budget
+# the largest term budget, and the most terms a power may build.  A dim-2
+# division that exhausts it takes tens of ms; the ceiling stays for roots,
+# whose every expansion step multiplies by the tail again (it does not bound
+# them well: a dim-2 root within it can take tens of seconds)
 MAX_DIV_BUDGET = 1024
+# the most coefficient products one multiply inside a power may take: four
+# times as many, squaring the 513-term (t^2 - 10)^512, takes over a second
+MAX_POW_PRODUCTS = 1 << 16
+# the most bits a power may need for a coefficient's numerator or denominator
+MAX_POW_BITS = 1 << 20
 
 
 def _to_rat(x: RatLike) -> tuple:
@@ -90,8 +97,16 @@ exponent_key = cmp_to_key(K.exp_cmp)
 
 
 def format_rational(r: tuple) -> str:
-    """``"p/q"``, or ``"p"`` when the denominator is 1, of a canonical pair."""
-    return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
+    """``"p/q"``, or ``"p"`` when the denominator is 1, of a canonical pair.
+
+    Raises ResourceLimit for an int longer than ``str`` converts (4300
+    digits by default, as many as the parser reads).
+    """
+    try:
+        return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
+    except ValueError:
+        width = max(abs(r[0]).bit_length(), r[1].bit_length())
+        raise ResourceLimit(f"a {width}-bit rational is too long to print") from None
 
 
 def _exp_text(e: tuple) -> str:
@@ -377,14 +392,13 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
 
 
 def sum_terms(terms: Iterable[tuple], dim: int) -> Element:
-    """The element that is the sum of signed terms (exponent components,
-    coefficient pair), like terms merged; the merge leaves them canonical and
-    descending, so they are only checked."""
-    raw = ()
+    """The element that is the sum of signed terms (exponent components as
+    canonical pairs, coefficient pair), like terms collected; ``Element(...)``
+    sorts them once and checks them."""
+    acc = {}
     for e, c in terms:
-        if c[0]:
-            raw = K.terms_add(raw, ((e, c),))
-    return Element.from_pairs(raw, dim)
+        acc[e] = K.rat_add(acc[e], c) if e in acc else c
+    return Element([(e, c) for e, c in acc.items() if c[0]], dim)
 
 
 def _const_terms(n: int, dim: int) -> tuple:
@@ -543,26 +557,25 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     zero_exp = ((0, 1),) * dim
     b_lead_e, b_lead_c = b.raw[0]
 
-    q_acc = ()
+    # each step cancels the remainder's leading term, so the quotient's terms
+    # come out strictly descending and are only appended
+    q_terms = []
     r_acc = a.raw
-    steps = 0
     while r_acc:
         e = K.exp_sub(r_acc[0][0], b_lead_e)
         if K.exp_cmp(e, zero_exp) < 0:
             break
-        steps += 1
         # dim 1 expansions are provably finite (exponents live in a bounded
         # sublattice of (1/D)Z), so the budget only guards dim 2
-        if dim == 2 and steps > budget:
+        if dim == 2 and len(q_terms) == budget:
             raise NonTerminatingQuotient(
                 f"quotient expansion exceeded {budget} nonnegative-exponent terms"
             )
-        coef = K.rat_div(r_acc[0][1], b_lead_c)
-        mono = ((e, coef),)
-        q_acc = K.terms_add(q_acc, mono)
-        r_acc = K.terms_sub(r_acc, K.terms_mul(mono, b.raw))
+        term = (e, K.rat_div(r_acc[0][1], b_lead_c))
+        q_terms.append(term)
+        r_acc = K.terms_sub(r_acc, K.terms_mul((term,), b.raw))
 
-    q = _floor_constant(q_acc, dim)
+    q = _floor_constant(q_terms, dim)
     r_raw = K.terms_sub(a.raw, K.terms_mul(q.raw, b.raw))
     if K.terms_sign(r_raw) < 0:
         q = sub(q, Element.integer(1, dim))
@@ -585,17 +598,45 @@ def ceil_quotient_scalar(a: Element, n: int) -> Element:
     return q
 
 
+def _require_pow_bits(terms: tuple, n: int) -> None:
+    """Refuse the n-th power of terms with a coefficient whose numerator or
+    denominator x has n*(bit_length(x) - 1) > MAX_POW_BITS: x**n has at
+    least one bit more than that."""
+    width = max((x.bit_length() for _, c in terms for x in c), default=1)
+    if n * (width - 1) > MAX_POW_BITS:
+        raise ResourceLimit(f"power {n} of a {width}-bit coefficient exceeds {MAX_POW_BITS} bits")
+
+
+def _power_mul(x: tuple, y: tuple) -> tuple:
+    """The series x*y inside a power: refused before the work when it takes
+    more than MAX_POW_PRODUCTS term products, and after it when it has more
+    than MAX_DIV_BUDGET terms."""
+    if len(x) * len(y) > MAX_POW_PRODUCTS:
+        raise ResourceLimit(f"power needs {len(x)}x{len(y)} term products, over {MAX_POW_PRODUCTS}")
+    xy = K.terms_mul(x, y)
+    if len(xy) > MAX_DIV_BUDGET:
+        raise ResourceLimit(f"power exceeded {MAX_DIV_BUDGET} terms")
+    return xy
+
+
 def pow_int(a: Element, n: int) -> Element:
+    """a**n by repeated squaring.
+
+    Raises ResourceLimit before any work when a coefficient is too wide for
+    the power (see :func:`_require_pow_bits`), and at a multiply too large
+    for :func:`_power_mul`.
+    """
     if n < 0:
         raise InvariantViolation(f"negative power {n}")
-    result = Element.integer(1, a.dim)
-    base = a
+    _require_pow_bits(a._raw, n)
+    result = None
+    base = a._raw
     while n:
         if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
+            result = base if result is None else _power_mul(result, base)
+        base = _power_mul(base, base) if n > 1 else base
         n >>= 1
-    return result
+    return Element._wrap(_const_terms(1, a._dim) if result is None else result, a._dim)
 
 
 def pow_lt(a: Element, b: Element, n: int) -> bool:
@@ -606,7 +647,8 @@ def pow_lt(a: Element, b: Element, n: int) -> bool:
     ``lc(b)**n * t^(n*deg(b))``.  So the degrees decide first, then the
     leading coefficients (``(num**n, den**n)`` is still a canonical pair),
     and the power is built only when both tie, or when n < 1 or a or b is
-    zero.
+    zero.  Raises ResourceLimit where :func:`pow_int` would, and for a
+    leading coefficient of b too wide for ``lc(b)**n``.
     """
     _check_same_dim(a, b)
     if n >= 1 and a._raw and b._raw:
@@ -614,6 +656,7 @@ def pow_lt(a: Element, b: Element, n: int) -> bool:
         side = K.exp_cmp(ea, K.exp_scale(eb, (n, 1)))
         if side:
             return side < 0
+        _require_pow_bits(b._raw[:1], n)
         side = K.rat_cmp(ca, (cb[0] ** n, cb[1] ** n))
         if side:
             return side < 0
@@ -673,9 +716,8 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
 
     # a = lead * (1 + u); expand (1 + u)^(1/k) far enough that every dropped
     # term lands strictly below exponent 0 after the t^(e/k) shift.
-    lead = ((lead_e, lead_c),)
     lead_inv = ((K.exp_scale(lead_e, (-1, 1)), K.rat_div((1, 1), lead_c)),)
-    u = K.terms_mul(K.terms_sub(a.raw, lead), lead_inv)
+    u = K.terms_mul(a.raw[1:], lead_inv)
     neg_root_e = K.exp_scale(root_e, (-1, 1))
     zero_exp = ((0, 1),) * dim
 

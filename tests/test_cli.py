@@ -231,6 +231,16 @@ def test_overlong_digit_run_exit_two(capsys, text):
     assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv", [("arith", "pow", "3", "9013"), ("arith", "mul", "9" * 4300, "9" * 4300)], ids=["pow", "mul"]
+)
+def test_overlong_result_is_a_resource_limit(capsys, argv):
+    # a coefficient longer than the parser reads is not printed either
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "ResourceLimit"
+
+
 def test_partiality_exit_three(capsys):
     code, out = run(capsys, "arith", "divmod", "t^(2,0)", "t^(1,0) - t^(1,-1)", "--dim", "2")
     assert code == 3
@@ -326,6 +336,31 @@ def test_budget_above_the_ceiling_is_a_resource_limit(capsys):
     code, out = run(capsys, *argv, "1024")
     assert code == 3
     assert json.loads(out)["error"] == "NonTerminatingQuotient"
+
+
+# powers past a ceiling: too many terms or products, or too wide a coefficient
+POWER_LIMITS = {
+    "pow-terms": ("arith", "pow", "t+1", "100000"),
+    "b11-terms": ("seq", "b11", "t^2", "--count", "30"),
+    "level4-terms": ("equiv", "--level", "4", "t^1600 + 1", "t + 1"),
+    "pow-bits": ("arith", "pow", "7*t", "1073741824"),
+    "level4-bits": ("equiv", "--level", "4", "t^1000000000000", "2*t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POWER_LIMITS))
+def test_power_above_the_ceiling_is_a_resource_limit(capsys, case):
+    start = time.perf_counter()
+    code, out = run(capsys, *POWER_LIMITS[case])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "ResourceLimit"
+
+
+def test_power_of_a_monomial_is_not_limited_by_its_index(capsys):
+    code, out = run(capsys, "arith", "pow", "t", "1073741824")
+    assert code == 0
+    assert json.loads(out)["text"] == "t^1073741824"
 
 
 def test_help_exits_zero(capsys):

@@ -14,6 +14,8 @@ from lexarith.errors import (
 )
 from lexarith.model import (
     MAX_DIV_BUDGET,
+    MAX_POW_BITS,
+    MAX_POW_PRODUCTS,
     Element,
     Exponent,
     add_int,
@@ -36,7 +38,7 @@ from lexarith.model import (
     trunc_const,
 )
 from lexarith.sampler import SampleProfile, Sampler
-from lexarith.textform import parse_element
+from lexarith.textform import format_element, parse_element
 
 
 def P(text, dim=1):
@@ -192,12 +194,13 @@ class TestDivision:
             divmod_floor(a, b)
 
     def test_budget_controls_nontermination(self):
-        # terminating expansion, but only within a large enough budget
+        # terminating expansion of exactly two quotient terms: a budget of two
+        # is enough, and one is not
         a = P("t^(2,0)", 2)
         b = P("t^(1,0) - t^(0,5)", 2)
-        q, r = divmod_floor(a, b)
-        assert q * b + r == a
-        with pytest.raises(NonTerminatingQuotient):
+        assert divmod_floor(a, b, budget=2) == (P("t^(1,0) + t^(0,5)", 2), P("t^(0,10)", 2))
+        message = "^quotient expansion exceeded 1 nonnegative-exponent terms$"
+        with pytest.raises(NonTerminatingQuotient, match=message):
             divmod_floor(a, b, budget=1)
 
     def test_budget_below_one_is_a_usage_error(self):
@@ -238,11 +241,74 @@ class TestDivision:
         assert floor_quotient(P("t"), P("t^2")).is_zero()
 
 
+class TestWork:
+    """Exponent comparisons, counted in the kernel, stay linear in the terms
+    built where no merge is needed.  ``model.exponent_key`` holds the
+    original comparison, so a sort through it is not counted."""
+
+    @pytest.fixture
+    def comparisons(self, monkeypatch):
+        exp_cmp = K.exp_cmp
+        calls = [0]
+
+        def counted(e, f):
+            calls[0] += 1
+            return exp_cmp(e, f)
+
+        monkeypatch.setattr(K, "exp_cmp", counted)
+        return calls
+
+    def test_quotient_terms_are_appended(self, comparisons):
+        # every step of this dim-2 division leaves a two-term remainder
+        budget = MAX_DIV_BUDGET
+        with pytest.raises(NonTerminatingQuotient):
+            divmod_floor(P("t^(2,0)", 2), P("t^(1,0) - t^(1,-1)", 2), budget)
+        assert comparisons[0] <= 20 * budget
+
+    def test_parsed_terms_are_collected_once(self, comparisons):
+        n = 2000
+        text = format_element(Element([((k,), 1) for k in range(1, n + 1)], 1))
+        comparisons[0] = 0
+        assert len(parse_element(text, 1).raw) == n
+        assert comparisons[0] <= 20 * n
+
+
 class TestPowRoot:
     def test_pow_examples(self):
         assert pow_int(P("t"), 3) == P("t^3")
         assert pow_int(P("t^2 + 7"), 0) == P("1")
         assert pow_int(P("t + 1"), 2) == P("t^2 + 2*t + 1")
+
+    def test_power_term_ceiling(self):
+        # exponents 2^i: the square has a term for each pair i <= j
+        def sidon(n):
+            return Element([((2**i,), 1) for i in range(n)], 1)
+
+        assert len(pow_int(sidon(44), 2).raw) == 44 * 45 // 2 <= MAX_DIV_BUDGET
+        with pytest.raises(ResourceLimit, match="exceeded 1024 terms"):
+            pow_int(sidon(45), 2)
+
+    def test_power_product_ceiling_refuses_before_the_multiply(self, monkeypatch):
+        terms_mul = K.terms_mul
+        products = []
+
+        def recorded(A, B):
+            products.append(len(A) * len(B))
+            return terms_mul(A, B)
+
+        monkeypatch.setattr(K, "terms_mul", recorded)
+        # the next squaring would be of the 257-term (t^2 - 10)^256
+        with pytest.raises(ResourceLimit, match="257x257"):
+            pow_int(P("t^2 - 10"), 1214)
+        assert max(products) <= MAX_POW_PRODUCTS
+
+    def test_power_bit_ceiling(self):
+        n = MAX_POW_BITS
+        assert pow_int(P("2*t"), n).raw[0][1] == (2**n, 1)
+        with pytest.raises(ResourceLimit, match="2-bit coefficient"):
+            pow_int(P("2*t"), n + 1)
+        with pytest.raises(ResourceLimit, match="2-bit coefficient"):
+            pow_lt(P(f"t^{n + 1}"), P("2*t"), n + 1)
 
     def test_root_floor_examples(self):
         assert root_floor(P("t^2"), 2) == P("t")
