@@ -66,9 +66,8 @@ RatLike = Union[int, Fraction, tuple]
 
 DEFAULT_DIV_BUDGET = 64
 # the largest term budget, and the most terms a power may build.  A dim-2
-# division that exhausts it takes tens of ms; the ceiling stays for roots,
-# whose every expansion step multiplies by the tail again (it does not bound
-# them well: a dim-2 root within it can take tens of seconds)
+# division that exhausts it takes tens of ms; a dim-2 root is bounded by it
+# too, its expansion steps counted on exponents before any coefficient work
 MAX_DIV_BUDGET = 1024
 # the most coefficient products one multiply inside a power may take: four
 # times as many, squaring the 513-term (t^2 - 10)^512, takes over a second
@@ -667,6 +666,9 @@ def int_floor_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 2 or k == 1:
         return n
+    # 2**k > n: the root is 1, found without computing 2**k
+    if k >= n.bit_length():
+        return 1
     lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -691,8 +693,10 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     Partial: raises CoefficientNotRepresentable when the leading coefficient
     has no rational k-th root (no element of the model can then be the floor
     root), and NonTerminatingQuotient when the dim-2 root expansion has an
-    unbounded nonnegative-exponent part.  The truncated expansion is
-    certified exactly by :func:`certified_max`.
+    unbounded nonnegative-exponent part.  The budget counts expansion steps,
+    taken on exponents before any coefficient work: a dim-2 expansion of
+    ``budget`` steps or more raises.  The truncated expansion is certified
+    exactly by :func:`certified_max`.
     """
     _require_budget(budget)
     if k < 1:
@@ -721,22 +725,21 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     neg_root_e = K.exp_scale(root_e, (-1, 1))
     zero_exp = ((0, 1),) * dim
 
-    acc = ((zero_exp, (1, 1)),)
-    upow = ((zero_exp, (1, 1)),)
-    binom = (1, 1)
-    j = 0
-    while u:
-        j += 1
-        if dim == 2 and j > budget:
+    # u**j leads with t^(j*deg(u)), which nothing cancels, so the window
+    # keeps part of u**j exactly while it keeps j*deg(u): count those j first
+    steps, e = 0, zero_exp
+    while u and K.exp_cmp(e := K.exp_add(e, u[0][0]), neg_root_e) >= 0:
+        steps += 1
+        if dim == 2 and steps == budget:
             raise NonTerminatingQuotient(
                 f"root expansion exceeded {budget} terms with nonnegative exponent"
             )
+    acc = upow = ((zero_exp, (1, 1)),)
+    binom = (1, 1)
+    for j in range(1, steps + 1):
         binom = K.rat_mul(binom, K.rat_mul(K.rat_sub((1, k), (j - 1, 1)), (1, j)))
-        upow = K.terms_mul(upow, u)
         # discard exponents already below the representable window
-        upow = tuple(t for t in upow if K.exp_cmp(t[0], neg_root_e) >= 0)
-        if not upow:
-            break
+        upow = tuple(t for t in K.terms_mul(upow, u) if K.exp_cmp(t[0], neg_root_e) >= 0)
         acc = K.terms_add(acc, K.terms_scale(upow, binom))
 
     m = _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim)

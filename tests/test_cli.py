@@ -338,6 +338,37 @@ def test_budget_above_the_ceiling_is_a_resource_limit(capsys):
     assert json.loads(out)["error"] == "NonTerminatingQuotient"
 
 
+def test_root_expansion_ends_within_the_budget(capsys):
+    # every power of the tail has a term above the window: the budget runs
+    # out, counted on exponents before any coefficient work
+    argv = ("arith", "root", "t^(2,0) + t^(2,-1) + t^(2,-3)", "2", "--dim", "2", "--budget", "1024")
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["error"] == "NonTerminatingQuotient"
+
+
+# case -> (command line, exit code, result text or error type) of a root
+# whose index has more bits than the radicand's integers
+HUGE_ROOT_INDEX = {
+    "integer": (("arith", "root", "4", "9510524971336384590"), 0, "1"),
+    "irrational-lead": (("arith", "root", "2*t", "18446744073709551616"), 3, "CoefficientNotRepresentable"),
+    "certifier-square": (("arith", "root", "t^2", "18446744073709551616"), 2, "ResourceLimit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ROOT_INDEX))
+def test_huge_root_index_ends_fast(capsys, case):
+    argv, exit_code, answer = HUGE_ROOT_INDEX[case]
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == exit_code
+    doc = json.loads(out)
+    assert doc.get("text", doc.get("error")) == answer
+
+
 # powers past a ceiling: too many terms or products, or too wide a coefficient
 POWER_LIMITS = {
     "pow-terms": ("arith", "pow", "t+1", "100000"),

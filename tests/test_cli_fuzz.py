@@ -3,11 +3,9 @@ document with a documented exit code, and every input to the element
 loaders in an element or a lexarith error, fast, and never as an internal
 error or a traceback.
 
-Left out: ``arith root``, which can run for tens of seconds within the
-``--budget`` ceiling in dim 2.  The powers draw small coefficients: a
-power of a multi-term base with coefficients of hundreds of digits is
-bounded only by the ceiling on term products, and can run far past the
-deadline.
+Left out: the powers draw small coefficients.  A power of a multi-term
+base with coefficients of hundreds of digits is bounded only by the ceiling
+on term products, and can run far past the deadline.
 """
 
 import contextlib
@@ -114,6 +112,15 @@ def test_cmp_any_texts(dim, a, b):
 def test_pow_any_element_and_integer(dim_a, n):
     dim, a = dim_a
     assert run("arith", "pow", "--dim", dim, "--", a, str(n))[0] in (0, 2)
+
+
+@FUZZ
+@given(dim_elements, st.integers(), st.integers(-3, 1100))
+def test_root_any_element_index_and_budget(dim_a, k, budget):
+    # budgets on both sides of the floor (1) and of the ceiling (1024)
+    dim, a = dim_a
+    argv = ("arith", "root", "--dim", dim, "--budget", str(budget))
+    assert run(*argv, "--", a, str(k))[0] in (0, 2, 3)
 
 
 @FUZZ
