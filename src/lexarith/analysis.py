@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import equiv
-from .errors import InvariantViolation, NotE4Equivalent
+from .errors import InvariantViolation, NotE4Equivalent, ResourceLimit
 from .model import (
+    MAX_DIV_BUDGET,
     Element,
     add_int,
     ceil_quotient_scalar,
@@ -39,6 +40,8 @@ def _require_seq_args(a: Element, count: int, direction: str) -> None:
         raise InvariantViolation("class sequences need a nonstandard base point")
     if count < 0:
         raise InvariantViolation(f"sequence count must be >= 0, got {count}")
+    if count > MAX_DIV_BUDGET:
+        raise ResourceLimit(f"sequence count must be <= {MAX_DIV_BUDGET}, got {count}")
     if direction not in ("up", "down"):
         raise InvariantViolation(f"direction must be up or down, got {direction}")
 

@@ -14,9 +14,10 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
      deeply, or fails the checks of
      :func:`lexarith.jsonio.descriptor_from_json`; an unreadable file is
      ``"io"``; an input larger than the package does work for is a
-     ``ResourceLimit`` (a ``--budget`` above 1024, a power past its
-     ceilings on terms, products or coefficient bits, as in ``arith pow``,
-     ``seq b11`` and ``equiv --level 4``, or a result too long to print)
+     ``ResourceLimit`` (a ``--budget`` above 1024, a sequence count above
+     1024, a power past its ceilings on terms, products or coefficient
+     bits, as in ``arith pow``, ``seq b11`` and ``equiv --level 4``, or a
+     result too long to print)
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
   4  internal errors: any exception that is not a lexarith error (a bug,
      never partiality); the document is ``{"error": "internal", "detail": ...}``

@@ -82,15 +82,17 @@ def _reason(rule: str, a: Element, b: Element) -> dict:
 
 
 def holds(level: int, a: Element, b: Element) -> bool:
-    """Whether the nonstandard pair a, b is level-equivalent, by the closed form."""
+    """Whether the nonstandard pair a, b is level-equivalent, by the closed form.
+
+    At level 1 the terms of a and b are stored in descending order, and for
+    a != b their difference starts at the first term where they differ; so
+    deg(|a - b|) < deg(a) holds exactly when a and b share their leading
+    term, exponent and coefficient."""
     da, db = deg(a), deg(b)
     if level == 0:
         return trunc_const(a) == trunc_const(b)
     if level == 1:
-        if a == b:
-            return True
-        diff = sub(a, b) if a > b else sub(b, a)
-        return deg(diff) < da
+        return a == b or a.term_pairs()[0] == b.term_pairs()[0]
     if level == 2:
         return da == db
     if level == 3:

@@ -528,17 +528,11 @@ def _require_budget(budget: int) -> None:
 
 
 def _floor_constant(raw: tuple, dim: int) -> Element:
-    """The positive-exponent terms of a raw series plus the floor of its
-    constant term; terms below exponent zero are dropped."""
-    zero_exp = ((0, 1),) * dim
-    out = []
-    for e, c in raw:
-        side = K.exp_cmp(e, zero_exp)
-        if side > 0:
-            out.append((e, c))
-        elif side == 0 and c[0] // c[1]:
-            out.append((e, (c[0] // c[1], 1)))
-    return Element._wrap(tuple(out), dim)
+    """The positive-exponent terms of a raw series with no negative
+    exponent, plus the floor of its constant term.  Its terms descend, so
+    the constant, if there is one, is the last term."""
+    head, c = K.terms_split_const(raw)
+    return Element._wrap(tuple(head) + _const_terms(c[0] // c[1], dim), dim)
 
 
 def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tuple:

@@ -108,18 +108,20 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
 
 
 def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
-    """Deterministic companion candidates from the degree lattice of a, b."""
+    """Deterministic companion candidates from the degree lattice of a, b,
+    generated in ascending order: the integers 1..min(n_max, 9), then for
+    each exponent e > 0 of the difference set, ascending, the run
+    t^e < t^e + 1 < 2*t^e.  t^f dominates every multiple of t^e for e < f,
+    so each run lies above the one before it, and the pool is sorted with
+    no repeats as it is built.  (e - 0 is a difference, so the exponents of
+    a and b themselves are in the set.)"""
     dim = a.dim
     zero = Exponent.zero(dim)
     exps = {zero}
     for x in (a, b):
         for e, _ in x.term_pairs():
             exps.add(e)
-    diffs = {e - f for e in exps for f in exps}
-    candidates = []
-    for k in range(1, min(n_max, 9) + 1):
-        candidates.append(Element.integer(k, dim))
-    seen_exps = exps | diffs
+    seen_exps = {e - f for e in exps for f in exps}
     if dim == 2:
         bound = 2
         for e in exps:
@@ -127,15 +129,11 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
             bound = max(bound, abs(num) // den + 2)
         for j in range(1, min(bound, 12) + 1):
             seen_exps.add(Exponent((0, j)))
-    for e in seen_exps:
-        if not e > zero:
-            continue
+    candidates = [Element.integer(k, dim) for k in range(1, min(n_max, 9) + 1)]
+    for e in sorted(e for e in seen_exps if e > zero):
         mono = Element([(e, 1)], dim)
-        candidates.append(mono)
-        candidates.append(mono + Element.integer(1, dim))
-        candidates.append(mono * 2)
-    unique = sorted(set(candidates))
-    return tuple(unique[:96])
+        candidates += (mono, mono + 1, mono * 2)
+    return tuple(candidates[:96])
 
 
 def search(

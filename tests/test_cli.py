@@ -338,6 +338,20 @@ def test_budget_above_the_ceiling_is_a_resource_limit(capsys):
     assert json.loads(out)["error"] == "NonTerminatingQuotient"
 
 
+def test_sequence_count_above_the_ceiling_is_a_resource_limit(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "seq", "e0", "t", "--count", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {"error": "ResourceLimit", "detail": "sequence count must be <= 1024, got 100000"}
+    # the ceiling itself is still answered
+    for kind in ("e0", "e2"):
+        for direction in ("up", "down"):
+            code, out = run(capsys, "seq", kind, "t^2 + t", "--count", "1024", "--direction", direction)
+            assert code == 0
+            assert len(json.loads(out)["terms"]) == 1024
+
+
 def test_root_expansion_ends_within_the_budget(capsys):
     # every power of the tail has a term above the window: the budget runs
     # out, counted on exponents before any coefficient work

@@ -132,6 +132,14 @@ def test_b11_any_element_and_count(dim_a, count, direction):
 
 
 @FUZZ
+@given(st.sampled_from(("e0", "e2")), dim_elements, st.integers(), st.sampled_from(("up", "down")))
+def test_e0_e2_any_element_and_count(kind, dim_a, count, direction):
+    dim, a = dim_a
+    argv = ("seq", kind, "--dim", dim, "--count", str(count), "--direction", direction)
+    assert run(*argv, "--", a)[0] in (0, 2)
+
+
+@FUZZ
 @given(dim_elements, st.data())
 def test_equiv_level_four_any_elements(dim_a, draw):
     dim, a = dim_a

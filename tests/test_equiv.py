@@ -6,9 +6,9 @@ import pytest
 
 from lexarith import automorph, oracle, suites
 from lexarith.automorph import prove_E5
-from lexarith.equiv import LEVELS, decide, minimal_bound_n
+from lexarith.equiv import LEVELS, decide, holds, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
-from lexarith.model import Element, pow_int, sub
+from lexarith.model import Element, deg, pow_int, sub
 from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -91,6 +91,19 @@ class TestDecide:
             v = decide(level, a, b)
             assert v.equivalent and v.witness is not None
             assert oracle.check_witness(level, a, b, v.witness)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level1_closed_form_matches_the_definition(dim):
+    # a == b, or the difference is dominated in degree by the elements
+    s = Sampler(SampleProfile(dim=dim, seed=37))
+    positive = 0
+    for _ in range(400):
+        a, b = suites.related_pair(s)
+        literal = a == b or deg(sub(a, b) if a > b else sub(b, a)) < deg(a)
+        assert holds(1, a, b) == literal, (a, b)
+        positive += literal
+    assert 0 < positive < 400
 
 
 class TestMinimalBound:

@@ -5,7 +5,7 @@ import pytest
 from lexarith import model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import StandardInput
-from lexarith.model import Element, pow_int
+from lexarith.model import Element, Exponent, pow_int
 from lexarith.oracle import BoundN, Companion, check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -163,3 +163,51 @@ def test_search_builds_a_pool_only_at_companion_levels(monkeypatch, dim):
         searches[current_level] += 1
         search(current_level, a, b, **kwargs)
     assert built == {0: 0, 1: searches[1], 2: 0, 3: searches[3], 4: 0}
+
+
+def _pool_by_definition(a, b, n_max):
+    """The companion pool as defined: the integers 1..min(n_max, 9), and
+    t^e, t^e + 1 and 2*t^e for every e > 0 of the difference set of the
+    exponents of a, b and 0 (in dim 2 with (0, j) up to a bound), without
+    repeats, sorted as elements, the first 96."""
+    dim = a.dim
+    zero = Exponent.zero(dim)
+    exps = {zero} | {e for x in (a, b) for e, _ in x.term_pairs()}
+    diffs = {e - f for e in exps for f in exps}
+    if dim == 2:
+        bound = max([2] + [abs(num) // den + 2 for num, den in (e.component(1) for e in exps)])
+        diffs |= {Exponent((0, j)) for j in range(1, min(bound, 12) + 1)}
+    pool = {Element.integer(k, dim) for k in range(1, min(n_max, 9) + 1)}
+    for e in diffs:
+        if e > zero:
+            mono = Element([(e, 1)], dim)
+            pool |= {mono, mono + 1, mono * 2}
+    return tuple(sorted(pool)[:96])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_pool_matches_the_definition(dim):
+    s = Sampler(SampleProfile(dim=dim, seed=31))
+    for _ in range(60):
+        a, b = suites.related_pair(s)
+        for n_max in (6, 8, 12, 16):
+            assert oracle.default_pool(a, b, n_max) == _pool_by_definition(a, b, n_max), (a, b, n_max)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_pool_compares_no_elements(monkeypatch, dim):
+    # the pool is generated in ascending order: nothing is sorted or deduplicated
+    cmp = Element._cmp
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return cmp(x, y)
+
+    monkeypatch.setattr(Element, "_cmp", counted)
+    if dim == 1:
+        a, b = P("t^3 + 2*t^(3/2) + t + 5"), P("t^2 + t^(1/2)")
+    else:
+        a, b = P("t^(2,3) + t^(1,-1) + 4", 2), P("t^(1,2) + t^(0,5)", 2)
+    assert len(oracle.default_pool(a, b)) > 20
+    assert calls[0] == 0

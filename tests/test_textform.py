@@ -65,6 +65,12 @@ def test_parse_errors_carry_position():
         parse_element("t^(1/0)", 1)
     with pytest.raises(ParseError):
         parse_element("3 * ", 1)
+    with pytest.raises(ParseError) as exc:
+        parse_element("t^2", 2)  # a bare exponent in dim 2
+    assert (exc.value.position, exc.value.expected) == (2, "'(' starting a dim-2 exponent")
+    with pytest.raises(ParseError) as exc:
+        parse_element("t^(1", 1)  # an unclosed exponent
+    assert (exc.value.position, exc.value.expected, exc.value.found) == (4, "')'", "end of input")
     for text in ("t^\u0663", "t^\u00b2"):  # an Arabic-Indic three, a superscript two
         with pytest.raises(ParseError) as exc:
             parse_element(text, 1)
