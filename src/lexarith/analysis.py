@@ -7,8 +7,8 @@ the exact rational embedding of the level-3 classes inside a level-4 class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import equiv
 from .errors import InvariantViolation, NotE4Equivalent, ResourceLimit
@@ -27,8 +27,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ClassSequence:
+class ClassSequence(NamedTuple):
     kind: str  # "e0" | "e2" | "b11"
     level: int
     direction: str  # "up" | "down"
@@ -126,8 +125,7 @@ def b11_seq(a: Element, count: int, direction: str) -> ClassSequence:
 # --- real embedding of level-3 classes ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbedResult:
+class EmbedResult(NamedTuple):
     value: Fraction
     degenerate: bool
 

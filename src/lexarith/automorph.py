@@ -38,22 +38,24 @@ representative is ``f(y) = f(x) - (x - y)``, i.e. offsets are preserved;
 the validation suite enforces strict monotonicity, inverse round-trips,
 anchor correctness and finite-distance transport on every probe pair.
 
-Descriptor protocol: each kind is a frozen dataclass deriving from
-:class:`Descriptor`, with a class attribute ``kind`` (its JSON tag).  It
+Descriptor protocol: each kind is an immutable record deriving from
+:class:`Descriptor`: its fields are its own annotations, in order
+(``_fields``), and it has a class attribute ``kind`` (its JSON tag).  It
 implements ``apply(x)`` and ``apply_inverse(y)``, and may override
 ``inverse()`` (default ``Inverse(self)``), ``anchors()`` (the ``(x, image)``
 pairs its fields guarantee, checked by :func:`validate`; default none) and
 ``flatten()`` (its factors in :func:`compose`; default itself).  Its
-``__post_init__`` raises :class:`~lexarith.errors.InvariantViolation` for
-fields that describe no automorphism, so a descriptor loaded from JSON is
-checked where it is built.  A new kind registers by being listed in
+``__init__`` stores the fields and raises
+:class:`~lexarith.errors.InvariantViolation` for fields that describe no
+automorphism, so a descriptor loaded from JSON is checked where it is
+built.  A new kind registers by being listed in
 :data:`KINDS`; :mod:`lexarith.jsonio` then serializes it from its fields,
 annotated ``Element``, ``int``, ``Descriptor`` or ``tuple[Descriptor, ...]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import equiv
 from ._backend import kernel as K
@@ -81,9 +83,38 @@ from .model import (
 
 
 class Descriptor:
-    """Base of every descriptor kind; the protocol is in the module docstring."""
+    """Base of every descriptor kind; the protocol is in the module docstring.
+
+    Equality and hash read the fields alone, not the class keys a
+    constructor caches beside them, and no attribute can be assigned: a
+    constructor stores its fields through ``self.__dict__``.
+    """
 
     kind = ""
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
 
     def apply(self, x: Element) -> Element:
         raise NotImplementedError
@@ -101,7 +132,6 @@ class Descriptor:
         return (self,)
 
 
-@dataclass(frozen=True)
 class Identity(Descriptor):
     kind = "identity"
 
@@ -117,16 +147,15 @@ class Identity(Descriptor):
         return ()
 
 
-@dataclass(frozen=True)
 class E0ClassShift(Descriptor):
     anchor: Element
     offset: int
     kind = "e0_class_shift"
 
-    def __post_init__(self):
-        if is_standard(self.anchor):
+    def __init__(self, anchor: Element, offset: int):
+        if is_standard(anchor):
             raise InvariantViolation("anchor of a class shift must be nonstandard")
-        object.__setattr__(self, "_key", split_const(self.anchor)[0])
+        self.__dict__.update(anchor=anchor, offset=offset, _key=split_const(anchor)[0])
 
     def apply(self, x: Element) -> Element:
         return add_int(x, self.offset) if split_const(x)[0] == self._key else x
@@ -141,7 +170,6 @@ class E0ClassShift(Descriptor):
         return ((self.anchor, add_int(self.anchor, self.offset)),)
 
 
-@dataclass(frozen=True)
 class E2Affine(Descriptor):
     """Identity on the classes at or below c's, and n*(r - a) + b on the
     representative r of each class above, offsets preserved.
@@ -161,29 +189,28 @@ class E2Affine(Descriptor):
     m: int
     kind = "e2_affine"
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, a: Element, b: Element, n: int, c: Element, m: int):
+        if n < 2:
             raise InvariantViolation("affine factor n must be >= 2")
-        if not 0 <= self.m < self.n - 1:
+        if not 0 <= m < n - 1:
             raise InvariantViolation("remainder m must satisfy 0 <= m < n-1")
-        if is_standard(self.a) or is_standard(self.b):
+        if is_standard(a) or is_standard(b):
             raise InvariantViolation("affine anchors must be nonstandard")
         # b - a = (n-1)*(a - c) + m, rearranged so that nothing is subtracted
-        if self.b + self.c * (self.n - 1) != self.a * self.n + self.m:
+        if b + c * (n - 1) != a * n + m:
             raise InvariantViolation("affine descriptor must satisfy b - a = (n-1)*(a - c) + m")
-        key_a, const_a = split_const(self.a)
-        key_c = split_const(self.c)[0]
+        key_a, const_a = split_const(a)
+        key_c = split_const(c)[0]
         # a threshold c in a's finite-distance class or above it breaks one
         # of the anchors claimed below: (c, c) inside the class, where c
         # shares a's representative, and (a, b) above it, where a is fixed
         if not K.terms_cmp(key_c, key_a) < 0:
             raise InvariantViolation("affine threshold c must lie below the finite-distance class of a")
-        shift = split_const(self.b)[1] - self.n * const_a
-        object.__setattr__(self, "_key_a", key_a)
-        object.__setattr__(self, "_key_c", key_c)
-        object.__setattr__(self, "_key_c_n1", K.terms_scale(key_c, (self.n - 1, 1)))
-        object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_shift_a", shift + (self.n - 1) * const_a)
+        shift = split_const(b)[1] - n * const_a
+        self.__dict__.update(
+            a=a, b=b, n=n, c=c, m=m, _key_a=key_a, _key_c=key_c, _key_c_n1=K.terms_scale(key_c, (n - 1, 1)),
+            _shift=shift, _shift_a=shift + (n - 1) * const_a,
+        )
 
     def apply(self, x: Element) -> Element:
         key, const = split_const(x)
@@ -207,7 +234,6 @@ class E2Affine(Descriptor):
         return ((self.a, self.b), (self.c, self.c))
 
 
-@dataclass(frozen=True)
 class E3Shift(Descriptor):
     """Identity on the class of elements dominated by every power of c, and
     ``rep -> c*rep`` on the other class representatives (a1 representing
@@ -223,25 +249,25 @@ class E3Shift(Descriptor):
     c: Element
     kind = "e3_shift"
 
-    def __post_init__(self):
-        if self.c.dim != 2:
+    def __init__(self, a1: Element, a2: Element, c: Element):
+        if c.dim != 2:
             raise InvariantViolation("dominated-class shift needs the dim-2 lattice")
-        if is_standard(self.c):
+        if is_standard(c):
             raise InvariantViolation("scaling companion must be a nonstandard monomial")
-        object.__setattr__(self, "_inv_c", monomial_inverse(self.c))
-        lvl = deg(self.c).level()
+        inv_c = monomial_inverse(c)
+        lvl = deg(c).level()
         if lvl < 1:
             raise InvariantViolation("scaling companion must be dominated by the anchors")
-        if is_standard(self.a1) or deg(self.a1).level() >= lvl:
+        if is_standard(a1) or deg(a1).level() >= lvl:
             raise InvariantViolation("anchor must dominate every power of the companion")
-        if self.a2 != self.a1 * self.c:
+        if a2 != a1 * c:
             raise InvariantViolation("normalized anchor must satisfy a2 = c * a1")
-        object.__setattr__(self, "_lvl", lvl)
-        object.__setattr__(self, "_key_a1", split_level(self.a1, lvl)[0])
-        object.__setattr__(self, "_key_c", split_const(self.c)[0])
         # c's exponent has a zero first component and a positive second, so
         # a2 = c*a1 > a1, and c*key moves no term across the split
-        object.__setattr__(self, "_step", sub(self.a2, self.a1))
+        self.__dict__.update(
+            a1=a1, a2=a2, c=c, _inv_c=inv_c, _lvl=lvl, _key_a1=split_level(a1, lvl)[0],
+            _key_c=split_const(c)[0], _step=sub(a2, a1),
+        )
 
     def apply(self, x: Element) -> Element:
         key, rest = split_level(x, self._lvl)
@@ -264,10 +290,12 @@ class E3Shift(Descriptor):
         return ((self.a1, self.a2),)
 
 
-@dataclass(frozen=True)
 class Compose(Descriptor):
     parts: tuple[Descriptor, ...]
     kind = "compose"
+
+    def __init__(self, parts: tuple):
+        self.__dict__["parts"] = parts
 
     def apply(self, x: Element) -> Element:
         for part in reversed(self.parts):
@@ -286,10 +314,12 @@ class Compose(Descriptor):
         return self.parts
 
 
-@dataclass(frozen=True)
 class Inverse(Descriptor):
     of: Descriptor
     kind = "inverse"
+
+    def __init__(self, of: Descriptor):
+        self.__dict__["of"] = of
 
     def apply(self, x: Element) -> Element:
         return self.of.apply_inverse(x)
@@ -301,19 +331,19 @@ class Inverse(Descriptor):
         return self.of
 
 
-@dataclass(frozen=True)
 class SegmentExtend(Descriptor):
     below: Descriptor
     a: Element
     b: Element
     kind = "segment_extend"
 
-    def __post_init__(self):
+    def __init__(self, below: Descriptor, a: Element, b: Element):
         # below is an automorphism (every kind is checked where it is built),
         # so it maps {x < a} onto {y < below(a)}: the glued map is one iff
         # below(a) == b
-        if self.below.apply(self.a) != self.b:
+        if below.apply(a) != b:
             raise InvariantViolation("segment extension needs below(a) == b")
+        self.__dict__.update(below=below, a=a, b=b)
 
     def apply(self, x: Element) -> Element:
         if x < self.a:
@@ -411,8 +441,7 @@ def prove_E5(a: Element, b: Element) -> Descriptor:
 # --- validation and instrumentation -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     probes: int
     pairs: int
 

@@ -16,8 +16,9 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
      ``"io"``; an input larger than the package does work for is a
      ``ResourceLimit`` (a ``--budget`` above 1024, a sequence count above
      1024, a power past its ceilings on terms, products or coefficient
-     bits, as in ``arith pow``, ``seq b11`` and ``equiv --level 4``, or a
-     result too long to print)
+     bits, as in ``arith pow``, ``seq b11`` and ``equiv --level 4``, a
+     dim-1 root expansion of more than 64 steps, or a result too long to
+     print)
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
   4  internal errors: any exception that is not a lexarith error (a bug,
      never partiality); the document is ``{"error": "internal", "detail": ...}``
@@ -26,7 +27,9 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 import sys
 
 from . import analysis, automorph, equiv, jsonio, suites, textform
@@ -42,12 +45,38 @@ from .model import (
 )
 
 
+# what argparse reads as a negative number, and so as a positional argument
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals are lexarith errors, not exits;
-    subcommand parsers are of the same class."""
+    subcommand parsers are of the same class.
+
+    argparse reports a missing argument before an unknown option, so
+    ``lexarith eval -t`` would only say that ``expr`` is missing; this
+    parser names the unknown option first.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.strings = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        if message.startswith("the following arguments are required"):
+            unknown = [s for s in itertools.takewhile(lambda s: s != "--", self.strings) if self._unknown(s)]
+            if unknown:
+                message = f"unrecognized arguments: {' '.join(unknown)}"
         raise InvariantViolation(f"{self.prog}: {message}")
+
+    def _unknown(self, s: str) -> bool:
+        """Whether argparse takes s for an option that is none of this
+        parser's, nor a prefix of one: not a negative number, not a string
+        with a space, not a lone dash."""
+        if len(s) < 2 or s[0] != "-" or " " in s or _NEGATIVE_NUMBER.fullmatch(s):
+            return False
+        head = s.partition("=")[0]
+        return not any(option.startswith(head) for option in self._option_string_actions)
 
 
 def _element_doc(e: Element) -> dict:

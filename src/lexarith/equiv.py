@@ -37,8 +37,7 @@ Two neighboring notions are documented here but intentionally undecided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle
 from .errors import InvariantViolation, NotEquivalent, StandardInput
@@ -57,8 +56,7 @@ from .model import (
 from .oracle import BOUND_LEVELS, LEVELS, BoundN, Companion, Witness
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     level: int
     equivalent: bool
     witness: Optional[Witness]

@@ -7,8 +7,8 @@ Each lexarith error type carries its exit code as the class attribute
 - 2: usage, input and precondition errors (the base class's code),
   including :class:`ResourceLimit`, an input larger than the package does
   work for: a term budget above 1024, a sequence count above 1024, a
-  power past its ceilings on terms, products or coefficient bits, or a
-  result too long to print;
+  power past its ceilings on terms, products or coefficient bits, a dim-1
+  root expansion of more than 64 steps, or a result too long to print;
 - 3: model partiality (:class:`NonTerminatingQuotient`,
   :class:`CoefficientNotRepresentable`);
 - 1: a negative result where a command promises a positive
@@ -50,10 +50,10 @@ class Underflow(LexarithError, ArithmeticError):
 
 class ResourceLimit(LexarithError):
     """An input is larger than the package does work for, refused as soon
-    as its size is known: a term budget, a sequence count or a power's
-    coefficient width before the work starts, a power's terms or products
-    at the multiply that passes the ceiling, a rational longer than the
-    parser reads when it is printed.
+    as its size is known: a term budget, a sequence count, a power's
+    coefficient width or a dim-1 root's expansion steps before the work
+    starts, a power's terms or products at the multiply that passes the
+    ceiling, a rational longer than the parser reads when it is printed.
 
     A refused precondition on input size, like a term budget below 1, so
     exit 2: the model is not partial there, and a smaller input gets an

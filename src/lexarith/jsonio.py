@@ -7,9 +7,10 @@ canonical: fixed key order via sorted dumps, no whitespace, so equal values
 are byte-identical.
 
 Descriptors are ``{"kind": ..., <fields>}``, walked generically over the
-dataclass fields of the kind in :data:`lexarith.automorph.KINDS`: an
-``Element`` field is an element, an ``int`` a JSON integer, a ``Descriptor``
-a nested descriptor and a ``tuple[Descriptor, ...]`` a list of them.
+declared fields (``_fields``) of the kind in :data:`lexarith.automorph.KINDS`:
+an ``Element`` field is an element, an ``int`` a JSON integer, a
+``Descriptor`` a nested descriptor and a ``tuple[Descriptor, ...]`` a list of
+them.
 Loading raises :class:`~lexarith.errors.InvariantViolation` on anything
 else: not an object, an unknown kind, missing or extra fields, an integer
 that is a string, float or boolean, a rational that is not a ``"p"`` or
@@ -19,7 +20,6 @@ rejects.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import re
@@ -114,9 +114,10 @@ def descriptor_from_json(obj, dim: int) -> automorph.Descriptor:
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, to JSON, from JSON) of each dataclass field of a descriptor kind."""
+    """(name, to JSON, from JSON) of each declared field of a descriptor kind,
+    in order, by its annotation."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, *_CODECS[hints[f.name]]) for f in dataclasses.fields(cls))
+    return tuple((name, *_CODECS[hints[name]]) for name in cls._fields)
 
 
 def _int_from_json(v, dim: int) -> int:

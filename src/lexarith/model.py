@@ -74,6 +74,10 @@ MAX_DIV_BUDGET = 1024
 MAX_POW_PRODUCTS = 1 << 16
 # the most bits a power may need for a coefficient's numerator or denominator
 MAX_POW_BITS = 1 << 20
+# the most steps of a dim-1 root expansion, which has no budget, counted on
+# exponents before any coefficient work: the work grows with the square of
+# the steps, and the suites take at most 6
+MAX_ROOT_STEPS = 64
 
 
 def _to_rat(x: RatLike) -> tuple:
@@ -689,8 +693,9 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     root), and NonTerminatingQuotient when the dim-2 root expansion has an
     unbounded nonnegative-exponent part.  The budget counts expansion steps,
     taken on exponents before any coefficient work: a dim-2 expansion of
-    ``budget`` steps or more raises.  The truncated expansion is certified
-    exactly by :func:`certified_max`.
+    ``budget`` steps or more raises, and a dim-1 expansion of more than
+    MAX_ROOT_STEPS raises ResourceLimit.  The truncated expansion is
+    certified exactly by :func:`certified_max`.
     """
     _require_budget(budget)
     if k < 1:
@@ -728,6 +733,8 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
             raise NonTerminatingQuotient(
                 f"root expansion exceeded {budget} terms with nonnegative exponent"
             )
+        if dim == 1 and steps > MAX_ROOT_STEPS:
+            raise ResourceLimit(f"root expansion needs more than {MAX_ROOT_STEPS} steps")
     acc = upow = ((zero_exp, (1, 1)),)
     binom = (1, 1)
     for j in range(1, steps + 1):

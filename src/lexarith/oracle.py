@@ -29,8 +29,7 @@ closed-form verdicts are justified by the decider's reason field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InvariantViolation, StandardInput
 from .model import Element, Exponent, deg, is_standard, pow_lt
@@ -39,13 +38,11 @@ from .model import Element, Exponent, deg, is_standard, pow_lt
 from .model import pow_int  # noqa: F401
 
 
-@dataclass(frozen=True)
-class BoundN:
+class BoundN(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class Companion:
+class Companion(NamedTuple):
     c: Element
 
 

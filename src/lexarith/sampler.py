@@ -14,7 +14,7 @@ sorting again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .model import Element, exponent_key, is_standard, rat
@@ -25,24 +25,21 @@ EXP_NUM_BOUND = 6
 EXP_DEN_BOUND = 3
 
 
-@dataclass(frozen=True)
-class SampleProfile:
+class SampleProfile(NamedTuple):
     max_terms: int = 3
     coeff_bound: int = 9
     dim: int = 1
     seed: int = 0
 
-    def __post_init__(self):
-        if min(self.max_terms, self.coeff_bound) < 1:
-            raise InvariantViolation("profile bounds must be >= 1")
-        if self.dim not in (1, 2):
-            raise InvariantViolation(f"dim must be 1 or 2, got {self.dim}")
-
 
 class Sampler:
-    """A deterministic stream of sampled elements."""
+    """A deterministic stream of sampled elements; its profile is checked here."""
 
     def __init__(self, profile: SampleProfile):
+        if min(profile.max_terms, profile.coeff_bound) < 1:
+            raise InvariantViolation("profile bounds must be >= 1")
+        if profile.dim not in (1, 2):
+            raise InvariantViolation(f"dim must be 1 or 2, got {profile.dim}")
         self.profile = profile
         self.rng = random.Random(profile.seed)
 

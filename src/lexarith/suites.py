@@ -30,7 +30,6 @@ reason as ``stats["skipped"]``.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
 
 from . import analysis, automorph, equiv, jsonio, oracle, textform
 from .errors import (
@@ -53,15 +52,34 @@ from .oracle import BoundN
 from .sampler import SampleProfile, Sampler
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    dim: int
-    samples: int
-    seed: int
-    cases: int = 0
-    violations: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    """A suite's arguments and what it found; the suite body fills in the
+    cases, violations and stats.  Equal results have equal fields, and a
+    result, being mutable, has no hash."""
+
+    _fields = ("name", "dim", "samples", "seed", "cases", "violations", "stats")
+    __slots__ = _fields
+    __hash__ = None
+
+    def __init__(self, name: str, dim: int, samples: int, seed: int):
+        self.name = name
+        self.dim = dim
+        self.samples = samples
+        self.seed = seed
+        self.cases = 0
+        self.violations = []
+        self.stats = {}
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if type(other) is not SuiteResult:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __repr__(self) -> str:
+        return f"SuiteResult({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
 
     @property
     def ok(self) -> bool:
@@ -548,4 +566,4 @@ def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
 
 
 def result_to_json(r: SuiteResult) -> dict:
-    return {**asdict(r), "ok": r.ok}
+    return {**r._asdict(), "ok": r.ok}

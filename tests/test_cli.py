@@ -308,7 +308,7 @@ BAD_LIMITS = {
     "root-index-zero": (("arith", "root", "t", "0"), "root index must be >= 1"),
     "root-of-zero": (("arith", "root", "0", "2"), "requires a >= 1"),
     # command lines the argument parser refuses
-    "option-unknown": (("eval", "-t"), "lexarith eval:"),
+    "option-unknown": (("eval", "-t"), "lexarith eval: unrecognized arguments: -t"),
     "dim-not-a-choice": (("eval", "t", "--dim", "3"), "invalid choice: 3"),
     "level-missing": (("equiv", "t", "t"), "--level"),
     "command-unknown": (("nope", "t"), "invalid choice: 'nope'"),
@@ -361,6 +361,17 @@ def test_root_expansion_ends_within_the_budget(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert json.loads(out)["error"] == "NonTerminatingQuotient"
+
+
+@pytest.mark.parametrize("a", ("t^2 + 2*t^(1999/1000) + t^(1998/1000)", "t^2000 + t^(3999/2)"))
+def test_dim1_root_expansion_past_the_ceiling_is_a_resource_limit(capsys, a):
+    # about 1000 and 2000 expansion steps: refused on exponents, before the
+    # coefficient work that grows with the square of the steps
+    start = time.perf_counter()
+    code, out = run(capsys, "arith", "root", a, "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {"error": "ResourceLimit", "detail": "root expansion needs more than 64 steps"}
 
 
 # case -> (command line, exit code, result text or error type) of a root

@@ -9,7 +9,6 @@ on term products, and can run far past the deadline.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -43,7 +42,7 @@ def _descriptors(inner):
     reach the loader's field checks and the constructors."""
     return st.sampled_from(sorted(KINDS.values(), key=lambda cls: cls.kind)).flatmap(
         lambda cls: st.fixed_dictionaries(
-            {"kind": st.just(cls.kind), **{f.name: inner for f in dataclasses.fields(cls)}}
+            {"kind": st.just(cls.kind), **{name: inner for name in cls._fields}}
         )
     )
 
