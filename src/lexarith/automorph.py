@@ -116,12 +116,6 @@ class Descriptor:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
 
-    def apply(self, x: Element) -> Element:
-        raise NotImplementedError
-
-    def apply_inverse(self, y: Element) -> Element:
-        raise NotImplementedError
-
     def inverse(self) -> "Descriptor":
         return Inverse(self)
 
@@ -363,10 +357,6 @@ def apply(d: Descriptor, x: Element) -> Element:
     return d.apply(x)
 
 
-def invert(d: Descriptor) -> Descriptor:
-    return d.inverse()
-
-
 def compose(*descriptors: Descriptor) -> Descriptor:
     """Composite applying right-to-left: compose(f, g) acts as f after g."""
     parts = [p for d in descriptors for p in d.flatten()]
@@ -388,7 +378,7 @@ def build_from_e2(a: Element, b: Element) -> Descriptor:
     if a == b:
         return Identity()
     if a > b:
-        return invert(build_from_e2(b, a))
+        return build_from_e2(b, a).inverse()
     if trunc_const(a) == trunc_const(b):
         return E0ClassShift(a, const_value(b) - const_value(a))
     q, r = divmod(b, a)
@@ -416,7 +406,7 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     if equiv.holds(2, a1, a2):
         return build_from_e2(a1, a2)
     if a1 > a2:
-        return invert(build_from_e3(a2, a1))
+        return build_from_e3(a2, a1).inverse()
     c = Element([(deg(a2) - deg(a1), 1)], 2)
     mid = a1 * c
     shift = E3Shift(a1=a1, a2=mid, c=c)

@@ -14,11 +14,8 @@ Exit codes follow the one failure rule of :mod:`lexarith.errors`:
      deeply, or fails the checks of
      :func:`lexarith.jsonio.descriptor_from_json`; an unreadable file is
      ``"io"``; an input larger than the package does work for is a
-     ``ResourceLimit`` (a ``--budget`` above 1024, a sequence count above
-     1024, a power past its ceilings on terms, products or coefficient
-     bits, as in ``arith pow``, ``seq b11`` and ``equiv --level 4``, a
-     dim-1 root expansion of more than 64 steps, or a result too long to
-     print)
+     ``ResourceLimit`` (:class:`lexarith.errors.ResourceLimit` lists the
+     limits)
   3  model-partiality errors (NonTerminatingQuotient, CoefficientNotRepresentable)
   4  internal errors: any exception that is not a lexarith error (a bug,
      never partiality); the document is ``{"error": "internal", "detail": ...}``
@@ -55,19 +52,32 @@ class _Parser(argparse.ArgumentParser):
 
     argparse reports a missing argument before an unknown option, so
     ``lexarith eval -t`` would only say that ``expr`` is missing; this
-    parser names the unknown option first.
+    parser names the unknown option first.  An option before the command
+    is judged by the top-level parser, and one there that it does not know
+    is reported under its name, as ``lexarith -t eval t`` reports it.
     """
+
+    top = None  # a subcommand's parser: the top-level parser
 
     def parse_known_args(self, args=None, namespace=None):
         self.strings = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        prog = self.prog
         if message.startswith("the following arguments are required"):
-            unknown = [s for s in itertools.takewhile(lambda s: s != "--", self.strings) if self._unknown(s)]
+            unknown = self._unknown_options(self.strings)
+            if self.top is not None:
+                # a subcommand's parser gets the strings after the command
+                before = self.top._unknown_options(self.top.strings[: -len(self.strings) - 1])
+                if before:
+                    prog, unknown = self.top.prog, before + unknown
             if unknown:
                 message = f"unrecognized arguments: {' '.join(unknown)}"
-        raise InvariantViolation(f"{self.prog}: {message}")
+        raise InvariantViolation(f"{prog}: {message}")
+
+    def _unknown_options(self, strings: list) -> list:
+        return [s for s in itertools.takewhile(lambda s: s != "--", strings) if self._unknown(s)]
 
     def _unknown(self, s: str) -> bool:
         """Whether argparse takes s for an option that is none of this
@@ -194,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, run, summary):
         """A subcommand that returns (json document, exit code) from run(args)."""
         sp = sub_p.add_parser(name, help=summary)
+        sp.top = p
         sp.add_argument("--dim", type=int, default=1, choices=(1, 2))
         sp.set_defaults(run=run)
         return sp

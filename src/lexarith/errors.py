@@ -6,9 +6,7 @@ Each lexarith error type carries its exit code as the class attribute
 
 - 2: usage, input and precondition errors (the base class's code),
   including :class:`ResourceLimit`, an input larger than the package does
-  work for: a term budget above 1024, a sequence count above 1024, a
-  power past its ceilings on terms, products or coefficient bits, a dim-1
-  root expansion of more than 64 steps, or a result too long to print;
+  work for (its docstring lists the limits);
 - 3: model partiality (:class:`NonTerminatingQuotient`,
   :class:`CoefficientNotRepresentable`);
 - 1: a negative result where a command promises a positive
@@ -50,10 +48,19 @@ class Underflow(LexarithError, ArithmeticError):
 
 class ResourceLimit(LexarithError):
     """An input is larger than the package does work for, refused as soon
-    as its size is known: a term budget, a sequence count, a power's
-    coefficient width or a dim-1 root's expansion steps before the work
-    starts, a power's terms or products at the multiply that passes the
-    ceiling, a rational longer than the parser reads when it is printed.
+    as its size is known.  The limits, the model's constants named:
+
+    - before the work starts: a term budget above 1024
+      (``MAX_DIV_BUDGET``), a sequence count above 1024, a power that needs
+      a coefficient of more than 2**20 bits (``MAX_POW_BITS``), a dim-1
+      root expansion of more than 64 steps (``MAX_ROOT_STEPS``);
+    - at the step that passes the ceiling: a dim-1 quotient of more than
+      1024 terms; a multiply inside a power (``arith pow``, ``seq b11``,
+      ``equiv --level 4``) of more than 2**16 term products
+      (``MAX_POW_PRODUCTS``) or of more than 7*10**7 word products, term
+      products times the 64-bit words of each factor's widest coefficient
+      (``MAX_POW_WORDS``); a power of more than 1024 terms;
+    - when it is printed: a rational longer than the parser reads.
 
     A refused precondition on input size, like a term budget below 1, so
     exit 2: the model is not partial there, and a smaller input gets an

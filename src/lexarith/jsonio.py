@@ -7,10 +7,10 @@ canonical: fixed key order via sorted dumps, no whitespace, so equal values
 are byte-identical.
 
 Descriptors are ``{"kind": ..., <fields>}``, walked generically over the
-declared fields (``_fields``) of the kind in :data:`lexarith.automorph.KINDS`:
-an ``Element`` field is an element, an ``int`` a JSON integer, a
-``Descriptor`` a nested descriptor and a ``tuple[Descriptor, ...]`` a list of
-them.
+declared fields (``_fields``) of the kind in :data:`lexarith.automorph.KINDS`,
+each by its annotation text: an ``Element`` field is an element, an ``int``
+a JSON integer, a ``Descriptor`` a nested descriptor and a
+``tuple[Descriptor, ...]`` a list of them.
 Loading raises :class:`~lexarith.errors.InvariantViolation` on anything
 else: not an object, an unknown kind, missing or extra fields, an integer
 that is a string, float or boolean, a rational that is not a ``"p"`` or
@@ -20,11 +20,9 @@ rejects.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import sys
-import typing
 
 from . import automorph
 from .analysis import ClassSequence, EmbedResult
@@ -85,18 +83,13 @@ def witness_to_json(w: Witness):
 
 
 def verdict_to_json(v: Verdict) -> dict:
-    return {
-        "level": v.level,
-        "equivalent": v.equivalent,
-        "witness": witness_to_json(v.witness) if v.witness is not None else None,
-        "reason": v.reason,
-    }
+    return {**v._asdict(), "witness": witness_to_json(v.witness) if v.witness is not None else None}
 
 
 def descriptor_to_json(d: automorph.Descriptor) -> dict:
     doc = {"kind": d.kind}
-    for name, to_json, _ in _fields(type(d)):
-        doc[name] = to_json(getattr(d, name))
+    for name in d._fields:
+        doc[name] = _CODECS[type(d).__annotations__[name]][0](getattr(d, name))
     return doc
 
 
@@ -105,19 +98,9 @@ def descriptor_from_json(obj, dim: int) -> automorph.Descriptor:
     cls = automorph.KINDS.get(kind) if type(kind) is str else None
     if cls is None:
         raise InvariantViolation(f"descriptor must be an object with a kind in {sorted(automorph.KINDS)}")
-    fields = _fields(cls)
-    names = [name for name, _, _ in fields]
-    if obj.keys() != {"kind", *names}:
-        raise InvariantViolation(f"{kind} descriptor needs exactly the fields {names}, got {sorted(obj)}")
-    return cls(**{name: from_json(obj[name], dim) for name, _, from_json in fields})
-
-
-@functools.cache
-def _fields(cls) -> tuple:
-    """(name, to JSON, from JSON) of each declared field of a descriptor kind,
-    in order, by its annotation."""
-    hints = typing.get_type_hints(cls)
-    return tuple((name, *_CODECS[hints[name]]) for name in cls._fields)
+    if obj.keys() != {"kind", *cls._fields}:
+        raise InvariantViolation(f"{kind} descriptor needs exactly the fields {list(cls._fields)}, got {sorted(obj)}")
+    return cls(**{name: _CODECS[cls.__annotations__[name]][1](obj[name], dim) for name in cls._fields})
 
 
 def _int_from_json(v, dim: int) -> int:
@@ -132,13 +115,14 @@ def _parts_from_json(v, dim: int) -> tuple:
     return tuple(descriptor_from_json(p, dim) for p in v)
 
 
-# field annotation -> (to JSON, from JSON at a dimension); the module-level
-# codecs are looked up by name on each call, so a rebinding (tracing) sees them
+# field annotation text -> (to JSON, from JSON at a dimension); the
+# module-level codecs are looked up by name on each call, so a rebinding
+# (tracing) sees them
 _CODECS = {
-    Element: (lambda e: element_to_json(e), lambda v, dim: element_from_json(v, dim)),
-    int: (int, _int_from_json),
-    automorph.Descriptor: (lambda d: descriptor_to_json(d), lambda v, dim: descriptor_from_json(v, dim)),
-    tuple[automorph.Descriptor, ...]: (
+    "Element": (lambda e: element_to_json(e), lambda v, dim: element_from_json(v, dim)),
+    "int": (int, _int_from_json),
+    "Descriptor": (lambda d: descriptor_to_json(d), lambda v, dim: descriptor_from_json(v, dim)),
+    "tuple[Descriptor, ...]": (
         lambda parts: [descriptor_to_json(p) for p in parts],
         _parts_from_json,
     ),
@@ -147,9 +131,7 @@ _CODECS = {
 
 def sequence_to_json(seq: ClassSequence) -> dict:
     return {
-        "kind": seq.kind,
-        "level": seq.level,
-        "direction": seq.direction,
+        **seq._asdict(),
         "terms": [element_to_json(t) for t in seq.terms],
         "texts": [format_element(t) for t in seq.terms],
     }

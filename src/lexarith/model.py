@@ -65,13 +65,19 @@ from .errors import (
 RatLike = Union[int, Fraction, tuple]
 
 DEFAULT_DIV_BUDGET = 64
-# the largest term budget, and the most terms a power may build.  A dim-2
-# division that exhausts it takes tens of ms; a dim-2 root is bounded by it
-# too, its expansion steps counted on exponents before any coefficient work
+# the largest term budget, the most terms a dim-1 quotient may have, and the
+# most terms a power may build.  A dim-2 division that exhausts it takes tens
+# of ms; a dim-2 root is bounded by it too, its expansion steps counted on
+# exponents before any coefficient work
 MAX_DIV_BUDGET = 1024
 # the most coefficient products one multiply inside a power may take: four
 # times as many, squaring the 513-term (t^2 - 10)^512, takes over a second
 MAX_POW_PRODUCTS = 1 << 16
+# the most word products (term products times the 64-bit words of the
+# widest coefficient of each factor) one multiply inside a power may take:
+# the last square of (2*t)**MAX_POW_BITS reads 8193**2 and takes
+# milliseconds; (t + 10**600)**32 reads 71,961,289
+MAX_POW_WORDS = 70_000_000
 # the most bits a power may need for a coefficient's numerator or denominator
 MAX_POW_BITS = 1 << 20
 # the most steps of a dim-1 root expansion, which has no budget, counted on
@@ -117,10 +123,6 @@ def _exp_text(e: tuple) -> str:
     return f"({','.join(map(format_rational, e))})"
 
 
-def _rat_to_fraction(r: tuple) -> Fraction:
-    return Fraction(r[0], r[1])
-
-
 class Exponent:
     """A point of the degree lattice Q^d with the lexicographic order."""
 
@@ -148,7 +150,7 @@ class Exponent:
 
     @property
     def components(self) -> tuple:
-        return tuple(_rat_to_fraction(r) for r in self._raw)
+        return tuple(Fraction(*r) for r in self._raw)
 
     def component(self, i: int) -> tuple:
         """The i-th component as a canonical pair."""
@@ -268,7 +270,7 @@ class Element:
         return self._raw
 
     def terms(self) -> tuple:
-        return tuple(Term(Exponent._wrap(e), _rat_to_fraction(c)) for e, c in self._raw)
+        return tuple(Term(Exponent._wrap(e), Fraction(*c)) for e, c in self._raw)
 
     def term_pairs(self) -> tuple:
         """The terms, highest first, as (Exponent, coefficient pair)."""
@@ -338,14 +340,17 @@ class Element:
     def __repr__(self) -> str:
         if not self._raw:
             return "Element<0>"
-        bits = [f"{format_rational(c)}*t^({','.join(e.texts())})" for e, c in self.term_pairs()]
+        bits = [f"{format_rational(c)}*t^{_exp_text(e)}" for e, c in self._raw]
         return f"Element<{' + '.join(bits)}>"
 
 
 def _check_terms(raw: tuple, dim: int) -> tuple:
     """raw, if it is the kernel series of an element: exponents of dim
     canonical pairs, nonzero canonical coefficients, strictly descending
-    exponents, and the model invariants of :func:`_validate_raw`."""
+    exponents; then the model invariants: the least exponent, the last, is
+    not negative, a constant term (the last term) is an integer, and the
+    leading coefficient is positive unless the element is a constant, which
+    is nonnegative."""
     for e, (num, den) in raw:
         if len(e) != dim:
             raise InvariantViolation(f"exponent {_exp_text(e)} has wrong dimension for dim={dim}")
@@ -362,18 +367,6 @@ def _check_terms(raw: tuple, dim: int) -> tuple:
             raise InvariantViolation(f"terms out of order: exponent {_exp_text(f)} after {_exp_text(e)}")
         if side == 0:
             raise InvariantViolation(f"duplicate exponent {_exp_text(e)}")
-    return _validate_raw(raw, dim)
-
-
-def _not_canonical(num: int, den: int) -> InvariantViolation:
-    return InvariantViolation(f"rational pair ({num}, {den}) is not canonical")
-
-
-def _validate_raw(raw: tuple, dim: int) -> tuple:
-    """raw, if its terms, canonical and strictly descending, make an element:
-    the least exponent, the last, is not negative, a constant term (the last
-    term) is an integer, and the leading coefficient is positive unless the
-    element is a constant, which is nonnegative."""
     if dim not in (1, 2):
         raise InvariantViolation(f"dim must be 1 or 2, got {dim}")
     if not raw:
@@ -392,6 +385,10 @@ def _validate_raw(raw: tuple, dim: int) -> tuple:
             raise InvariantViolation("constant element must be nonnegative")
         raise InvariantViolation("leading coefficient must be positive")
     return raw
+
+
+def _not_canonical(num: int, den: int) -> InvariantViolation:
+    return InvariantViolation(f"rational pair ({num}, {den}) is not canonical")
 
 
 def sum_terms(terms: Iterable[tuple], dim: int) -> Element:
@@ -543,8 +540,10 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     """Euclidean division: q, r with a = q*b + r and 0 <= r < b.
 
     Raises NonTerminatingQuotient when dim = 2 and the expansion yields more
-    than ``budget`` nonnegative-exponent quotient terms; never raised for
-    dim 1, where the nonnegative part of any quotient expansion is finite.
+    than ``budget`` nonnegative-exponent quotient terms.  In dim 1 the
+    nonnegative part of any quotient expansion is finite, but not bounded
+    (``t^n`` by ``t - t^(1/2)`` has 2n - 1 terms): ResourceLimit when it has
+    more than MAX_DIV_BUDGET.
     """
     _require_budget(budget)
     _check_same_dim(a, b)
@@ -562,12 +561,11 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
         e = K.exp_sub(r_acc[0][0], b_lead_e)
         if K.exp_cmp(e, zero_exp) < 0:
             break
-        # dim 1 expansions are provably finite (exponents live in a bounded
-        # sublattice of (1/D)Z), so the budget only guards dim 2
-        if dim == 2 and len(q_terms) == budget:
-            raise NonTerminatingQuotient(
-                f"quotient expansion exceeded {budget} nonnegative-exponent terms"
-            )
+        # dim-1 expansions are finite (exponents live in a bounded sublattice
+        # of (1/D)Z), so a longer one is an input too large, not partiality
+        if len(q_terms) == (budget if dim == 2 else MAX_DIV_BUDGET):
+            error = NonTerminatingQuotient if dim == 2 else ResourceLimit
+            raise error(f"quotient expansion exceeded {len(q_terms)} nonnegative-exponent terms")
         term = (e, K.rat_div(r_acc[0][1], b_lead_c))
         q_terms.append(term)
         r_acc = K.terms_sub(r_acc, K.terms_mul((term,), b.raw))
@@ -595,21 +593,31 @@ def ceil_quotient_scalar(a: Element, n: int) -> Element:
     return q
 
 
+def _width(terms: tuple) -> int:
+    """The most bits of a numerator or denominator among the coefficients."""
+    return max((x.bit_length() for _, c in terms for x in c), default=1)
+
+
 def _require_pow_bits(terms: tuple, n: int) -> None:
     """Refuse the n-th power of terms with a coefficient whose numerator or
     denominator x has n*(bit_length(x) - 1) > MAX_POW_BITS: x**n has at
     least one bit more than that."""
-    width = max((x.bit_length() for _, c in terms for x in c), default=1)
+    width = _width(terms)
     if n * (width - 1) > MAX_POW_BITS:
         raise ResourceLimit(f"power {n} of a {width}-bit coefficient exceeds {MAX_POW_BITS} bits")
 
 
 def _power_mul(x: tuple, y: tuple) -> tuple:
     """The series x*y inside a power: refused before the work when it takes
-    more than MAX_POW_PRODUCTS term products, and after it when it has more
-    than MAX_DIV_BUDGET terms."""
-    if len(x) * len(y) > MAX_POW_PRODUCTS:
+    more than MAX_POW_PRODUCTS term products or MAX_POW_WORDS word products,
+    and after it when it has more than MAX_DIV_BUDGET terms."""
+    products = len(x) * len(y)
+    if products > MAX_POW_PRODUCTS:
         raise ResourceLimit(f"power needs {len(x)}x{len(y)} term products, over {MAX_POW_PRODUCTS}")
+    x_words = _width(x) + 63 >> 6
+    words = products * x_words * (x_words if y is x else _width(y) + 63 >> 6)
+    if words > MAX_POW_WORDS:
+        raise ResourceLimit(f"power needs {words} word products, over {MAX_POW_WORDS}")
     xy = K.terms_mul(x, y)
     if len(xy) > MAX_DIV_BUDGET:
         raise ResourceLimit(f"power exceeded {MAX_DIV_BUDGET} terms")

@@ -133,28 +133,23 @@ def _parse_exponent(s: _Scanner, dim: int) -> tuple:
 def _parse_term(s: _Scanner, dim: int) -> tuple:
     """One unsigned term -> (exponent components, coefficient)."""
     s.skip_ws()
-    one = ((1, 1),) + ((0, 1),) * (dim - 1)
-    if s.peek() == "t":
-        s.take()
-        if s.peek() == "^":
-            s.take()
-            return _parse_exponent(s, dim), (1, 1)
-        return one, (1, 1)
-    if s.peek() not in _DIGITS:
-        raise ParseError(s.pos, "a term ('t', coefficient, or digits)", s.peek() or "end of input")
-    coeff = s.rational(signed=False)
-    s.skip_ws()
-    if s.peek() == "*":
+    coeff = (1, 1)
+    if s.peek() != "t":
+        if s.peek() not in _DIGITS:
+            raise ParseError(s.pos, "a term ('t', coefficient, or digits)", s.peek() or "end of input")
+        coeff = s.rational(signed=False)
+        s.skip_ws()
+        if s.peek() != "*":
+            return ((0, 1),) * dim, coeff
         s.take()
         s.skip_ws()
         if s.peek() != "t":
             raise ParseError(s.pos, "'t' after '*'", s.peek() or "end of input")
+    s.take()
+    if s.peek() == "^":
         s.take()
-        if s.peek() == "^":
-            s.take()
-            return _parse_exponent(s, dim), coeff
-        return one, coeff
-    return ((0, 1),) * dim, coeff
+        return _parse_exponent(s, dim), coeff
+    return ((1, 1),) + ((0, 1),) * (dim - 1), coeff
 
 
 def parse_element(text: str, dim: int) -> Element:

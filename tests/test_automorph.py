@@ -109,6 +109,14 @@ class TestBuildFromE3:
         fx = am.apply(d, x)
         assert fx == P("t^(1,2) + t^(0,3) + 9", 2)
 
+    def test_descending_pair_inverts(self):
+        # built for the ascending pair, then inverted: a1 > a2
+        a1, a2 = P("t^(1,1)", 2), P("t^(1,0)", 2)
+        d = am.build_from_e3(a1, a2)
+        assert d == am.E3Shift(a2, a1, P("t^(0,1)", 2)).inverse()
+        assert am.apply(d, a1) == a2
+        am.validate(d, probes_for(2, 53, extra=[a1, a2]), anchors=((a1, a2),))
+
     def test_dominated_class_fixed(self):
         d = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,1)", 2))
         small = P("t^(0,7) + 3", 2)
@@ -119,13 +127,13 @@ class TestApplyInvertCompose:
     def test_identity(self):
         x = P("t^3 + t")
         assert am.apply(am.Identity(), x) == x
-        assert isinstance(am.invert(am.Identity()), am.Identity)
+        assert isinstance(am.Identity().inverse(), am.Identity)
 
     def test_class_shift_examples(self):
         sh = am.E0ClassShift(P("t"), 1)
         assert am.apply(sh, P("t + 4")) == P("t + 5")
         assert am.apply(sh, P("t^2")) == P("t^2")
-        assert am.invert(sh) == am.E0ClassShift(P("t"), -1)
+        assert sh.inverse() == am.E0ClassShift(P("t"), -1)
 
     def test_compose_right_to_left(self):
         sh1 = am.E0ClassShift(P("t"), 1)
@@ -133,15 +141,22 @@ class TestApplyInvertCompose:
         comp = am.compose(d, sh1)  # first shift, then scale
         assert am.apply(comp, P("t")) == am.apply(d, P("t + 1"))
 
+    def test_compose_of_no_factor_or_one(self):
+        d = am.build_from_e2(P("t"), P("2*t + 1"))
+        assert am.compose() == am.Identity()
+        assert am.compose(am.Identity(), am.Compose(())) == am.Identity()
+        assert am.compose(d) is d
+        assert am.compose(am.Identity(), d, am.Compose(())) is d
+
     def test_compose_with_inverse_is_identity_on_probes(self):
         d = am.build_from_e2(P("t"), P("7*t + 2"))
-        comp = am.compose(d, am.invert(d))
+        comp = am.compose(d, d.inverse())
         for x in probes_for(1, 23):
             assert am.apply(comp, x) == x
 
     def test_inverse_of_e3(self):
         d = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,1)", 2))
-        inv = am.invert(d)
+        inv = d.inverse()
         for x in probes_for(2, 29):
             assert am.apply(inv, am.apply(d, x)) == x
 
@@ -343,6 +358,24 @@ class TestValidate:
         object.__setattr__(bad, "b", d.b + 5)
         with pytest.raises(ValidationFailure):
             am.validate(bad, probes_for(1, 43), anchors=((P("t"), P("2*t + 1")),))
+
+    def test_broken_inverse_fails_the_round_trip(self):
+        d = am.build_from_e3(P("t^(1,0)", 2), P("t^(1,1)", 2))
+        # the inverse now divides by t^(0,2), the map still multiplies by t^(0,1)
+        object.__setattr__(d, "_inv_c", model.monomial_inverse(P("t^(0,2)", 2)))
+        with pytest.raises(ValidationFailure) as exc:
+            am.validate(d, probes_for(2, 59))
+        assert exc.value.check == "inverse-roundtrip"
+
+    def test_standard_image_of_a_nonstandard_fails(self):
+        # glued at 0 instead of t: x -> t + x, monotone and inverted exactly
+        # on the probes, but 0 maps to t
+        g = am.SegmentExtend(am.Identity(), P("t"), P("t"))
+        object.__setattr__(g, "a", Element.zero(1))
+        with pytest.raises(ValidationFailure) as exc:
+            am.validate(g, probes_for(1, 61, extra=[Element.zero(1)]))
+        assert exc.value.check == "standard-preservation"
+        assert exc.value.probe == Element.zero(1)
 
     def test_probes_in_any_order_with_repeats(self):
         a, b = P("t"), P("2*t + 1")

@@ -309,6 +309,9 @@ BAD_LIMITS = {
     "root-of-zero": (("arith", "root", "0", "2"), "requires a >= 1"),
     # command lines the argument parser refuses
     "option-unknown": (("eval", "-t"), "lexarith eval: unrecognized arguments: -t"),
+    "option-unknown-before-command": (("-t", "eval"), "lexarith: unrecognized arguments: -t"),
+    "option-unknown-before-command-and-argument": (("-t", "eval", "t"), "lexarith: unrecognized arguments: -t"),
+    "option-known-before-command": (("--pretty", "eval"), "the following arguments are required: expr"),
     "dim-not-a-choice": (("eval", "t", "--dim", "3"), "invalid choice: 3"),
     "level-missing": (("equiv", "t", "t"), "--level"),
     "command-unknown": (("nope", "t"), "invalid choice: 'nope'"),
@@ -401,6 +404,8 @@ POWER_LIMITS = {
     "level4-terms": ("equiv", "--level", "4", "t^1600 + 1", "t + 1"),
     "pow-bits": ("arith", "pow", "7*t", "1073741824"),
     "level4-bits": ("equiv", "--level", "4", "t^1000000000000", "2*t"),
+    # 600-digit coefficients: refused on the word products of one multiply
+    "pow-words": ("arith", "pow", "t + 1" + "0" * 600, "500"),
 }
 
 
@@ -411,6 +416,22 @@ def test_power_above_the_ceiling_is_a_resource_limit(capsys, case):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert json.loads(out)["error"] == "ResourceLimit"
+
+
+def test_dim1_quotient_past_the_ceiling_is_a_resource_limit(capsys):
+    # t^n by t - t^(1/2) has 2n - 1 terms: finite, but refused past 1024
+    start = time.perf_counter()
+    code, out = run(capsys, "arith", "divmod", "t^10000000", "t - t^(1/2)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ResourceLimit",
+        "detail": "quotient expansion exceeded 1024 nonnegative-exponent terms",
+    }
+    # the ceiling itself is still answered
+    code, out = run(capsys, "arith", "divmod", "t^(1025/2)", "t - t^(1/2)")
+    assert code == 0
+    assert len(json.loads(out)["q"]["terms"]) == 1024
 
 
 def test_power_of_a_monomial_is_not_limited_by_its_index(capsys):

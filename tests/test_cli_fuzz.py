@@ -2,10 +2,6 @@
 document with a documented exit code, and every input to the element
 loaders in an element or a lexarith error, fast, and never as an internal
 error or a traceback.
-
-Left out: the powers draw small coefficients.  A power of a multi-term
-base with coefficients of hundreds of digits is bounded only by the ceiling
-on term products, and can run far past the deadline.
 """
 
 import contextlib
@@ -56,9 +52,10 @@ json_values = st.recursive(
 )
 
 
-def _element_texts(dim: str):
+def _element_texts(dim: str, wide: bool = False):
     """Element texts of up to four signed terms with small exponents and
-    coefficients, in the grammar of dim."""
+    coefficients, some of them hundreds of digits wide if wide, in the
+    grammar of dim."""
     comps = st.sampled_from(("0", "1", "2", "3", "1/2", "5/3"))
     if dim == "1":
         exps = comps
@@ -66,15 +63,22 @@ def _element_texts(dim: str):
         signed = st.tuples(st.sampled_from(("", "-")), comps).map("".join)
         exps = st.tuples(signed, signed).map(lambda p: f"({p[0]},{p[1]})")
     coeffs = st.sampled_from(("", "2*", "1/2*", "9/4*"))
-    terms = st.tuples(coeffs, exps).map(lambda t: f"{t[0]}t^{t[1]}") | st.integers(0, 9).map(str)
+    consts = st.integers(0, 9).map(str)
+    if wide:
+        digits = st.integers(10**100, 10**700).map(str)
+        coeffs = coeffs | digits.map(lambda d: f"{d}*") | digits.map(lambda d: f"1/{d}*")
+        consts = consts | digits
+    terms = st.tuples(coeffs, exps).map(lambda t: f"{t[0]}t^{t[1]}") | consts
     signs = st.sampled_from((" + ", " - "))
     return st.lists(st.tuples(signs, terms), min_size=1, max_size=4).map(
         lambda ts: ts[0][1] + "".join(sign + term for sign, term in ts[1:])
     )
 
 
-# a dim with an element text in its grammar
+# a dim with an element text in its grammar, with small or also with wide
+# coefficients
 dim_elements = DIMS.flatmap(lambda dim: st.tuples(st.just(dim), _element_texts(dim)))
+dim_wide_elements = DIMS.flatmap(lambda dim: st.tuples(st.just(dim), _element_texts(dim, wide=True)))
 
 # an element to apply a loaded descriptor to, in each dim
 POINTS = {"1": ("0", "t + 7", "2*t^2 - t"), "2": ("0", "t^(1,0) + 3", "t^(0,1)")}
@@ -107,10 +111,21 @@ def test_cmp_any_texts(dim, a, b):
 
 
 @FUZZ
-@given(dim_elements, st.integers())
+@given(dim_wide_elements, st.integers())
 def test_pow_any_element_and_integer(dim_a, n):
     dim, a = dim_a
     assert run("arith", "pow", "--dim", dim, "--", a, str(n))[0] in (0, 2)
+
+
+@FUZZ
+@given(dim_elements, st.data(), st.integers(-3, 1100))
+def test_divmod_any_elements_and_budget(dim_a, draw, budget):
+    # budgets on both sides of the floor (1) and of the ceiling (1024); a
+    # budget runs out only in dim 2
+    dim, a = dim_a
+    b = draw.draw(_element_texts(dim))
+    argv = ("arith", "divmod", "--dim", dim, "--budget", str(budget))
+    assert run(*argv, "--", a, b)[0] in ((0, 2) if dim == "1" else (0, 2, 3))
 
 
 @FUZZ

@@ -164,7 +164,7 @@ def built_maps(draw, dim):
             # no finite ratio left: build_from_e3 shifts the dominated classes
             b = b * Element.monomial(1, (0, 1), dim=2)
     d = (am.build_from_e2 if level == 2 else am.build_from_e3)(a, b)
-    return (am.invert(d) if draw(st.booleans()) else d), a, b
+    return (d.inverse() if draw(st.booleans()) else d), a, b
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -283,4 +283,4 @@ def test_every_accepted_descriptor_is_an_automorphism(dim, data):
     probes = data.draw(st.lists(elements(dim=dim), max_size=20)) + points
     probes += [p + 1 for p in points] + [sub(p, one) for p in points if p >= one]
     am.validate(d, probes)
-    am.validate(am.invert(d), probes)
+    am.validate(d.inverse(), probes)

@@ -57,7 +57,7 @@ def _canonical_faults(raw, dim):
         if not K.exp_cmp(e1, e2) > 0:
             return f"exponents {e1}, {e2} not strictly descending"
     try:
-        model._validate_raw(raw, dim)
+        model._check_terms(raw, dim)
     except InvariantViolation as exc:
         return str(exc)
     return None
