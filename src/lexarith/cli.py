@@ -4,6 +4,15 @@ All machine output is a single JSON document on stdout, canonical enough to
 be byte-identical for identical command and seed.  ``--pretty`` switches to
 indented JSON for humans.
 
+Each request is a fresh process, so what it imports is part of its cost:
+with no bytecode cache every module it loads is compiled from source.  At
+the top this module imports only what parsing the command line and the
+element commands (``eval``, ``cmp``, ``arith``) use: the model, the text
+and JSON forms, and the oracle's level set for ``--level``.  Every other
+handler imports its own modules in its body (``equiv``; ``automorph``;
+``analysis``; ``suites``), so an ``eval`` never compiles the deciders, the
+automorphisms or the suite runner.
+
 Exit codes follow the one failure rule of :mod:`lexarith.errors`:
   0  success
   1  violation, or a negative verdict where the command promises a positive
@@ -29,7 +38,7 @@ import json
 import re
 import sys
 
-from . import analysis, automorph, equiv, jsonio, suites, textform
+from . import jsonio, oracle, textform
 from .errors import CannotProve, InvariantViolation, LexarithError
 from .model import (
     DEFAULT_DIV_BUDGET,
@@ -125,13 +134,8 @@ _ARITH = {
     "root": lambda a, args: _element_doc(root_floor(a, _index(args), args.budget)),
 }
 
-# kind -> the sequence of ``seq kind a``; the keys, in order, are the
-# parser's choices
-_SEQ = {
-    "e0": lambda a, args: analysis.e0_seq(a, args.count, args.direction),
-    "e2": lambda a, args: analysis.e2_seq(a, args.count, args.direction),
-    "b11": lambda a, args: analysis.b11_seq(a, args.count, args.direction),
-}
+# the kinds of ``seq``, in the parser's order; kind k is analysis.<k>_seq
+_SEQ_KINDS = ("e0", "e2", "b11")
 
 
 def _eval(args) -> tuple:
@@ -148,11 +152,15 @@ def _arith(args) -> tuple:
 
 
 def _equiv(args) -> tuple:
+    from . import equiv
+
     v = equiv.decide(args.level, _parse(args, args.a), _parse(args, args.b))
     return jsonio.verdict_to_json(v), 0 if v.equivalent else 1
 
 
 def _auto(args) -> tuple:
+    from . import automorph
+
     a, b = _parse(args, args.src), _parse(args, args.dst)
     try:
         d = automorph.prove_E5(a, b)
@@ -162,6 +170,8 @@ def _auto(args) -> tuple:
 
 
 def _apply(args) -> tuple:
+    from . import automorph
+
     with open(args.desc, "r", encoding="utf-8") as fh:
         try:
             desc = jsonio.descriptor_from_json(json.load(fh), args.dim)
@@ -173,15 +183,22 @@ def _apply(args) -> tuple:
 
 
 def _seq(args) -> tuple:
-    return jsonio.sequence_to_json(_SEQ[args.kind](_parse(args, args.a), args)), 0
+    from . import analysis
+
+    run = getattr(analysis, f"{args.kind}_seq")
+    return jsonio.sequence_to_json(run(_parse(args, args.a), args.count, args.direction)), 0
 
 
 def _embed(args) -> tuple:
+    from . import analysis
+
     result = analysis.real_embed(_parse(args, args.anchor), _parse(args, args.b))
     return jsonio.embed_to_json(result), 0
 
 
 def _suite(args) -> tuple:
+    from . import suites
+
     results = suites.run_suites(args.name, args.samples, args.seed, args.dim)
     doc = {
         "suites": [suites.result_to_json(r) for r in results],
@@ -223,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=DEFAULT_DIV_BUDGET)
 
     sp = command("equiv", _equiv, "decide an equivalence level")
-    sp.add_argument("--level", type=int, required=True, choices=equiv.LEVELS)
+    sp.add_argument("--level", type=int, required=True, choices=oracle.LEVELS)
     sp.add_argument("a")
     sp.add_argument("b")
 
@@ -236,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("x")
 
     sp = command("seq", _seq, "class sequences")
-    sp.add_argument("kind", choices=tuple(_SEQ))
+    sp.add_argument("kind", choices=_SEQ_KINDS)
     sp.add_argument("a")
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--direction", choices=("up", "down"), default="up")

@@ -48,12 +48,13 @@ class Underflow(LexarithError, ArithmeticError):
 
 class ResourceLimit(LexarithError):
     """An input is larger than the package does work for, refused as soon
-    as its size is known.  The limits, the model's constants named:
+    as its size is known.  The limits, each constant named:
 
     - before the work starts: a term budget above 1024
       (``MAX_DIV_BUDGET``), a sequence count above 1024, a power that needs
       a coefficient of more than 2**20 bits (``MAX_POW_BITS``), a dim-1
-      root expansion of more than 64 steps (``MAX_ROOT_STEPS``);
+      root expansion of more than 64 steps (``MAX_ROOT_STEPS``), a suite
+      run of more than 10,000 samples (``suites.MAX_SAMPLES``);
     - at the step that passes the ceiling: a dim-1 quotient of more than
       1024 terms; a multiply inside a power (``arith pow``, ``seq b11``,
       ``equiv --level 4``) of more than 2**16 term products

@@ -16,6 +16,11 @@ else: not an object, an unknown kind, missing or extra fields, an integer
 that is a string, float or boolean, a rational that is not a ``"p"`` or
 ``"p/q"`` string, a misshapen element, or fields the kind's constructor
 rejects.
+
+Only :func:`descriptor_from_json` needs :mod:`lexarith.automorph` (for
+``KINDS``), and it imports it in its body; the records named in the other
+annotations are never imported here.  So a CLI request that prints an
+element loads no automorphism, decider or analysis code.
 """
 
 from __future__ import annotations
@@ -24,12 +29,9 @@ import json
 import re
 import sys
 
-from . import automorph
-from .analysis import ClassSequence, EmbedResult
-from .equiv import Verdict
 from .errors import InvariantViolation
 from .model import Element, format_rational, rat
-from .oracle import BoundN, Witness
+from .oracle import BoundN
 from .textform import format_element
 
 
@@ -94,6 +96,8 @@ def descriptor_to_json(d: automorph.Descriptor) -> dict:
 
 
 def descriptor_from_json(obj, dim: int) -> automorph.Descriptor:
+    from . import automorph
+
     kind = obj.get("kind") if type(obj) is dict else None
     cls = automorph.KINDS.get(kind) if type(kind) is str else None
     if cls is None:

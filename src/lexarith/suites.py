@@ -36,6 +36,7 @@ from .errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
     NonTerminatingQuotient,
+    ResourceLimit,
     ValidationFailure,
 )
 from .model import (
@@ -548,10 +549,18 @@ def suite_roundtrip(r: SuiteResult, s: Sampler) -> None:
         r.check(jsonio.element_from_json(jsonio.element_to_json(e), r.dim) == e, i, "json-roundtrip", text)
 
 
+# the most samples a run takes: ``suite all`` at seed 7 ran 30 s in dim 1
+# and 41 s in dim 2 at 10,000 samples, against 2.2 s and 2.6 s at 1,000
+# (2-CPU Xeon VM, Python 3.11)
+MAX_SAMPLES = 10_000
+
+
 def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
     """Run one named suite, or all of them, deterministically."""
     if samples < 1:
         raise InvariantViolation(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimit(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:

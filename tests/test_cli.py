@@ -1,9 +1,11 @@
 """CLI contract: JSON shapes, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import time
 
@@ -13,6 +15,8 @@ from lexarith import equiv, model, suites, textform
 from lexarith.cli import main
 from lexarith.errors import ValidationFailure
 from lexarith.model import Element, Exponent
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -64,6 +68,42 @@ def test_auto_apply_roundtrip(capsys, tmp_path):
     code, out = run(capsys, "apply", "--desc", str(desc), "t + 7")
     assert code == 0
     assert json.loads(out)["text"] == "2*t + 8"
+
+
+# command -> (its command line, the package modules its process must not
+# load, one it must); "DESC" stands for a descriptor file
+HEAVY = {"analysis", "automorph", "equiv", "sampler", "suites"}
+COMMAND_MODULES = {
+    "eval": (("eval", "t^2 + 3*t + 1"), HEAVY, "textform"),
+    "cmp": (("cmp", "t", "1000"), HEAVY, "model"),
+    "arith": (("arith", "divmod", "t^2 + 1", "t"), HEAVY, "model"),
+    "equiv": (("equiv", "--level", "2", "t", "3*t+5"), {"analysis", "automorph", "sampler", "suites"}, "equiv"),
+    "auto": (("auto", "--from", "t", "--to", "2*t+1"), {"analysis", "sampler", "suites"}, "automorph"),
+    "apply": (("apply", "--desc", "DESC", "t + 7"), {"analysis", "sampler", "suites"}, "automorph"),
+    "seq": (("seq", "b11", "t^2", "--count", "3"), {"automorph", "sampler", "suites"}, "analysis"),
+    "embed": (("embed", "--anchor", "t^(1,0)", "t^(2,3)", "--dim", "2"), {"automorph", "sampler", "suites"}, "analysis"),
+}
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# package modules the process loaded
+MODULES_PROBE = (
+    "import json, sys; from lexarith.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps([code, sorted(m[9:] for m in sys.modules if m.startswith('lexarith.'))]))"
+)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_runs(capsys, tmp_path, command):
+    argv, not_loaded, loaded = COMMAND_MODULES[command]
+    if "DESC" in argv:
+        desc = tmp_path / "desc.json"
+        desc.write_text(run(capsys, "auto", "--from", "t", "--to", "2*t+1")[1])
+        argv = [str(desc) if a == "DESC" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], env=env, capture_output=True, text=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stdout
+    assert loaded in modules and not_loaded.isdisjoint(modules), modules
 
 
 def test_auto_e3_route(capsys, tmp_path):
@@ -339,6 +379,21 @@ def test_budget_above_the_ceiling_is_a_resource_limit(capsys):
     code, out = run(capsys, *argv, "1024")
     assert code == 3
     assert json.loads(out)["error"] == "NonTerminatingQuotient"
+
+
+def test_samples_above_the_ceiling_are_a_resource_limit(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "suite", "--name", "algebra", "--samples", "100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ResourceLimit",
+        "detail": f"samples must be <= {suites.MAX_SAMPLES}, got 100000000000",
+    }
+    # the ceiling is checked before any suite runs, and admits the acceptance gate's 1000
+    code, out = run(capsys, "suite", "--name", "all", "--samples", str(suites.MAX_SAMPLES + 1))
+    assert code == 2 and json.loads(out)["error"] == "ResourceLimit"
+    assert suites.MAX_SAMPLES >= 1000
 
 
 def test_sequence_count_above_the_ceiling_is_a_resource_limit(capsys):

@@ -1,11 +1,15 @@
 """Module layering.  One seam for the term layout: only the model builds or
 takes apart the raw terms of an element, only the model and automorphisms
 (on opaque class keys) call the kernel, and no module reads another
-module's private name.  No import cycle: every module imports at the top,
-never inside a function.  The oracle, which defines the equivalence
-levels, is the one module that writes the level set."""
+module's private name.  No import cycle among the top-level imports.  Only
+the I/O boundary (``cli.py``, ``jsonio.py``) imports inside a function,
+and only package modules by a plain ``from . import m``, so a CLI request
+loads only the modules its command runs; nothing imports by name at run
+time (``importlib``, ``__import__``).  The oracle, which defines the
+equivalence levels, is the one module that writes the level set."""
 
 import ast
+import graphlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lexarith"
@@ -95,13 +99,71 @@ def test_no_module_reads_another_modules_private_name():
     assert found == []
 
 
-def test_no_module_imports_inside_a_function():
-    found = [
-        f"{name}:{node.lineno}"
-        for name, tree in _trees()
+def _imports(tree):
+    """(import node, whether it runs inside a function) for every import of a module."""
+    inside = {
+        id(node)
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, id(node) in inside
+
+
+def _package_modules(node) -> set:
+    """The package modules a relative import names: ``from . import a, b``
+    names a and b, ``from .a import x`` names a."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return set()
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
+def test_the_top_level_import_graph_is_acyclic():
+    graph = {
+        name[:-3]: {m for node, late in _imports(tree) if not late for m in _package_modules(node)}
+        for name, tree in _trees()
+    }
+    # a topological sort exists only for an acyclic graph; CycleError names the cycle
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    # the edges are seen: the kernel comes before the model, the model before the CLI
+    assert order.index("_kernel_py") < order.index("model") < order.index("cli")
+
+
+# module -> the package modules it imports inside functions: the I/O
+# boundary loads what only some commands run when a command runs it
+LATE_IMPORTS = {
+    "cli.py": {"analysis", "automorph", "equiv", "suites"},
+    "jsonio.py": {"automorph"},
+}
+
+
+def test_only_the_io_boundary_imports_inside_a_function():
+    found, late = [], {}
+    for name, tree in _trees():
+        for node, inside in _imports(tree):
+            if not inside:
+                continue
+            names = _package_modules(node)
+            plain = isinstance(node, ast.ImportFrom) and node.module is None and node.level == 1
+            if name not in LATE_IMPORTS or not plain or not all((SRC / f"{m}.py").exists() for m in names):
+                found.append(f"{name}:{node.lineno}")
+            late.setdefault(name, set()).update(names)
+    assert found == []
+    assert late == LATE_IMPORTS
+
+
+def test_no_module_imports_by_name_at_run_time():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__import__"
+        or isinstance(node, ast.Attribute) and node.attr == "__import__"
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "importlib" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "importlib"
     ]
     assert found == []
