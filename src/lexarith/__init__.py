@@ -12,7 +12,6 @@ from .model import (
     deg,
     divmod_floor,
     divmod_scalar,
-    floor_quotient,
     is_standard,
     pow_int,
     root_floor,
@@ -29,7 +28,6 @@ __all__ = [
     "deg",
     "divmod_floor",
     "divmod_scalar",
-    "floor_quotient",
     "format_element",
     "is_standard",
     "parse_element",

@@ -20,7 +20,6 @@ from .model import (
     certified_max,
     deg,
     divmod_floor,
-    floor_quotient,
     is_standard,
     pow_int,
     root_floor,
@@ -89,7 +88,7 @@ def b11_lower_holds(a: Element, n: int, b: Element) -> bool:
     floor(a/b) ** (2**n) >= a (the quotient still reaches a)."""
     if b.is_zero():
         return False
-    q = floor_quotient(a, b)
+    q, _ = divmod_floor(a, b)
     return pow_int(q, 2**n) >= a
 
 
@@ -117,7 +116,7 @@ def b11_seq(a: Element, count: int, direction: str) -> ClassSequence:
         else:
             m = root_floor(a, k)
             r = m if pow_int(m, k) == a else m + one
-            term = certified_max(lambda b: b11_lower_holds(a, n, b), floor_quotient(a, r), one)
+            term = certified_max(lambda b: b11_lower_holds(a, n, b), divmod_floor(a, r)[0], one)
         terms.append(term)
     return ClassSequence(kind="b11", level=3, direction=direction, terms=tuple(terms))
 

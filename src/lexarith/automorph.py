@@ -71,6 +71,7 @@ from .model import (
     add_int,
     const_value,
     deg,
+    divmod_floor,
     divmod_scalar,
     from_key,
     is_standard,
@@ -381,7 +382,7 @@ def build_from_e2(a: Element, b: Element) -> Descriptor:
         return build_from_e2(b, a).inverse()
     if trunc_const(a) == trunc_const(b):
         return E0ClassShift(a, const_value(b) - const_value(a))
-    q, r = divmod(b, a)
+    q, r = divmod_floor(b, a)
     if r.is_zero():
         # boundary case b = q*a: build to b-1 and repair with a class shift
         inner = build_from_e2(a, sub(b, Element.integer(1, a.dim)))

@@ -174,12 +174,20 @@ def _apply(args) -> tuple:
 
     with open(args.desc, "r", encoding="utf-8") as fh:
         try:
-            desc = jsonio.descriptor_from_json(json.load(fh), args.dim)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvariantViolation(f"descriptor file is not UTF-8 JSON: {exc}") from None
+            desc = jsonio.descriptor_from_json(_load_json(fh), args.dim)
         except RecursionError:
             raise InvariantViolation("descriptor file nests too deeply") from None
     return _element_doc(automorph.apply(desc, _parse(args, args.x))), 0
+
+
+def _load_json(fh):
+    try:
+        return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvariantViolation(f"descriptor file is not UTF-8 JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise InvariantViolation(f"descriptor integers must have at most {limit} digits") from None
 
 
 def _seq(args) -> tuple:

@@ -17,7 +17,10 @@ re-exported here.  Positive verdicts carry a witness that one ladder,
 ``_witness``, builds from the closed form, one rung per level, and checks
 once against the literal definition by
 :func:`lexarith.oracle.check_witness`; a witness that fails its check is a
-bug in the closed form and raises ``AssertionError``, never a retry.
+bug in the closed form and raises ``AssertionError``, never a retry.  The
+least bound at levels 2 and 4 has one rule: the least standard n at which
+the leading terms no longer fall short, or the next one when the lower
+terms tip that tie (``_least_bound``); nothing is divided.
 Negative verdicts carry a structured reason.  The level-5 prover,
 :func:`lexarith.automorph.prove_E5`, is sound but deliberately incomplete:
 it only knows the level-2 and level-3 routes.
@@ -46,7 +49,6 @@ from .model import (
     Exponent,
     const_value,
     deg,
-    floor_quotient,
     is_standard,
     pow_lt,
     sub,
@@ -111,39 +113,39 @@ _RULES = {
 }
 
 
-def _least_power_above(a: Element, b: Element) -> int:
-    """Least n with a < b**n, for a and b in the same level-4 class.
+def _least_bound(a: Element, b: Element, below, x: tuple, y: tuple) -> int:
+    """The least n >= 1 with below(a, b, n) and below(b, a, n), at a level
+    where the leading terms compare n*y against x and n*x against y, for
+    the positive rationals x of a and y of b (canonical pairs).
 
-    b**n has degree n*deg(b): below deg(a) the power is smaller than a,
-    above it larger, and only equal degrees compare the leading terms, then
-    the elements themselves (:func:`pow_lt`).
+    Below n = max(ceil(x/y), ceil(y/x)) one side's leading term still falls
+    short; at n only a tie there, settled by the lower terms, can fail; at
+    n + 1 both leading terms clear.
     """
-    da, db = deg(a), deg(b)
-    lvl = da.level()
-    (an, ad), (bn, bd) = da.component(lvl), db.component(lvl)
-    # least k with k*db >= da at the class's first component, both positive
-    k = max(1, -(-an * bd // (ad * bn)))
-    if not pow_lt(a, b, k):
-        k += 1
-    return k
+    (xn, xd), (yn, yd) = x, y
+    n = max(-(-xn * yd // (xd * yn)), -(-yn * xd // (yd * xn)))
+    return n if below(a, b, n) and below(b, a, n) else n + 1
 
 
 def _witness(level: int, a: Element, b: Element) -> Witness:
     """The witness of a pair that holds at the level, checked once: the
     least bound n at the bound levels, a companion c at the others.  A
-    witness that fails its check is a bug in the closed form."""
+    witness that fails its check is a bug in the closed form.
+
+    Levels 2 and 4 take one rule, :func:`_least_bound`: at level 2 the
+    leading coefficients of a pair of equal degree compare, against
+    ``a < n*b``; at level 4 the degrees' first nonzero components, against
+    ``a < b**n`` (:func:`pow_lt`).  Level 3's companion for a pair of equal
+    degree is the level-2 bound, as a constant."""
     if level == 0:
         w: Witness = BoundN(abs(const_value(a) - const_value(b)) + 1)
     elif level == 1:
         w = Companion((sub(a, b) if a >= b else sub(b, a)) + Element.integer(1, a.dim))
     elif level == 4:
-        w = BoundN(max(_least_power_above(a, b), _least_power_above(b, a)))
+        lvl = deg(a).level()
+        w = BoundN(_least_bound(a, b, pow_lt, deg(a).component(lvl), deg(b).component(lvl)))
     elif level == 2 or deg(a) == deg(b):
-        # for lo <= hi of equal degree, floor(lo/hi) is 0 (1 when lo = hi),
-        # so floor(hi/lo) + 1 is the least n with hi < n*lo and lo < n*hi;
-        # at level 3 that standard ratio bound is the companion
-        lo, hi = (a, b) if a <= b else (b, a)
-        n = const_value(floor_quotient(hi, lo)) + 1
+        n = _least_bound(a, b, lambda p, q, k: p < q * k, a.term_pairs()[0][1], b.term_pairs()[0][1])
         w = BoundN(n) if level == 2 else Companion(Element.integer(n, a.dim))
     else:
         # level 3 with differing degrees: a monomial one archimedean notch

@@ -60,7 +60,9 @@ class ResourceLimit(LexarithError):
       ``equiv --level 4``) of more than 2**16 term products
       (``MAX_POW_PRODUCTS``) or of more than 7*10**7 word products, term
       products times the 64-bit words of each factor's widest coefficient
-      (``MAX_POW_WORDS``); a power of more than 1024 terms;
+      (``MAX_POW_WORDS``); a power of more than 1024 terms; a root
+      expansion (``arith root``, ``seq b11``) with a step of more than 2**16
+      term products or a series of more than 1024 terms;
     - when it is printed: a rational longer than the parser reads.
 
     A refused precondition on input size, like a term budget below 1, so

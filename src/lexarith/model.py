@@ -66,12 +66,13 @@ RatLike = Union[int, Fraction, tuple]
 
 DEFAULT_DIV_BUDGET = 64
 # the largest term budget, the most terms a dim-1 quotient may have, and the
-# most terms a power may build.  A dim-2 division that exhausts it takes tens
-# of ms; a dim-2 root is bounded by it too, its expansion steps counted on
-# exponents before any coefficient work
+# most terms a power, or the series of a root expansion, may build.  A dim-2
+# division that exhausts it takes tens of ms; a dim-2 root is bounded by it
+# too, its expansion steps counted on exponents before any coefficient work
 MAX_DIV_BUDGET = 1024
-# the most coefficient products one multiply inside a power may take: four
-# times as many, squaring the 513-term (t^2 - 10)^512, takes over a second
+# the most coefficient products one multiply inside a power, or one step of
+# a root expansion, may take: four times as many, squaring the 513-term
+# (t^2 - 10)^512, takes over a second
 MAX_POW_PRODUCTS = 1 << 16
 # the most word products (term products times the 64-bit words of the
 # widest coefficient of each factor) one multiply inside a power may take:
@@ -183,8 +184,6 @@ class Exponent:
     def __mul__(self, scalar: RatLike) -> "Exponent":
         return Exponent._wrap(K.exp_scale(self._raw, _to_rat(scalar)))
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Exponent) and self._raw == other._raw
 
@@ -194,14 +193,8 @@ class Exponent:
     def __lt__(self, other: "Exponent") -> bool:
         return K.exp_cmp(self._raw, other._raw) < 0
 
-    def __le__(self, other: "Exponent") -> bool:
-        return K.exp_cmp(self._raw, other._raw) <= 0
-
     def __gt__(self, other: "Exponent") -> bool:
         return K.exp_cmp(self._raw, other._raw) > 0
-
-    def __ge__(self, other: "Exponent") -> bool:
-        return K.exp_cmp(self._raw, other._raw) >= 0
 
     def __repr__(self) -> str:
         return f"Exponent{_exp_text(self._raw)}"
@@ -310,9 +303,6 @@ class Element:
         _check_same_dim(self, other)
         return Element._wrap(K.terms_add(self._raw, other._raw), self._dim)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         if isinstance(other, int):
             return add_int(self, -other)
@@ -327,15 +317,6 @@ class Element:
             return Element._wrap(K.terms_scale(self._raw, (other, 1)), self._dim)
         _check_same_dim(self, other)
         return Element._wrap(K.terms_mul(self._raw, other._raw), self._dim)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, n: int):
-        return pow_int(self, n)
-
-    def __divmod__(self, other: "Element"):
-        return divmod_floor(self, other)
 
     def __repr__(self) -> str:
         if not self._raw:
@@ -581,10 +562,6 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     return q, r
 
 
-def floor_quotient(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> Element:
-    return divmod_floor(a, b, budget)[0]
-
-
 def ceil_quotient_scalar(a: Element, n: int) -> Element:
     """min{b : n*b >= a}, computed from divmod_scalar."""
     q, r = divmod_scalar(a, n)
@@ -702,8 +679,10 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     unbounded nonnegative-exponent part.  The budget counts expansion steps,
     taken on exponents before any coefficient work: a dim-2 expansion of
     ``budget`` steps or more raises, and a dim-1 expansion of more than
-    MAX_ROOT_STEPS raises ResourceLimit.  The truncated expansion is
-    certified exactly by :func:`certified_max`.
+    MAX_ROOT_STEPS raises ResourceLimit, as does a step of more than
+    MAX_POW_PRODUCTS term products or a series of more than MAX_DIV_BUDGET
+    terms.  The truncated expansion is certified exactly by
+    :func:`certified_max`.
     """
     _require_budget(budget)
     if k < 1:
@@ -747,9 +726,17 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     binom = (1, 1)
     for j in range(1, steps + 1):
         binom = K.rat_mul(binom, K.rat_mul(K.rat_sub((1, k), (j - 1, 1)), (1, j)))
+        # the windowed u**j and the series grow with the number of u's
+        # exponents, not with the steps: bound each multiply as a power's,
+        # and the series as a power's terms (a root of more than 256 terms
+        # fails its certifying square anyway)
+        if len(upow) * len(u) > MAX_POW_PRODUCTS:
+            raise ResourceLimit(f"root expansion needs {len(upow)}x{len(u)} term products, over {MAX_POW_PRODUCTS}")
         # discard exponents already below the representable window
         upow = tuple(t for t in K.terms_mul(upow, u) if K.exp_cmp(t[0], neg_root_e) >= 0)
         acc = K.terms_add(acc, K.terms_scale(upow, binom))
+        if len(acc) > MAX_DIV_BUDGET:
+            raise ResourceLimit(f"root expansion exceeded {MAX_DIV_BUDGET} terms")
 
     m = _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim)
     # truncation can land a step off

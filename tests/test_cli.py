@@ -161,6 +161,13 @@ MALFORMED = {
     ),
     "parts-not-a-list": (lambda aff: {"kind": "compose", "parts": {"0": aff}}, "parts must be a JSON list"),
     "too-deep": (lambda aff: _nested_text(2000), "nests too deeply"),
+    # loads as JSON, but nests too deeply for the descriptor loader
+    "too-deep-to-load": (lambda aff: _nested_text(400), "nests too deeply"),
+    # built as text: json.dumps cannot write an int longer than int() converts
+    "overlong-integer": (
+        lambda aff: '{"kind": "e0_class_shift", "anchor": ' + json.dumps(T) + ', "offset": ' + "7" * 5000 + "}",
+        f"integers must have at most {sys.get_int_max_str_digits()} digits",
+    ),
     "segment-not-glued": (
         lambda aff: {
             "kind": "segment_extend", "below": {"kind": "identity"},
@@ -430,6 +437,29 @@ def test_dim1_root_expansion_past_the_ceiling_is_a_resource_limit(capsys, a):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert json.loads(out) == {"error": "ResourceLimit", "detail": "root expansion needs more than 64 steps"}
+
+
+# t^64 + t^63 + the terms t^(63 - 1/j) for j = 2..13 (2..9 in dim 2): each
+# power of the tail has more exponents inside the window than the one before
+WIDE_ROOT_TAIL = " + ".join(["t^64", "t^63"] + [f"t^({63 * j - 1}/{j})" for j in range(2, 14)])
+WIDE_ROOT_TAIL_DIM2 = " + ".join(["t^(64,0)", "t^(63,0)"] + [f"t^({63 * j - 1}/{j},0)" for j in range(2, 10)])
+
+
+@pytest.mark.parametrize("argv", [
+    (WIDE_ROOT_TAIL,),
+    (WIDE_ROOT_TAIL_DIM2, "--dim", "2"),
+    # 1000 steps, each adding j + 1 terms to the series
+    ("t^(2000,0) + t^(1999,5) + t^(1999,0)", "--dim", "2", "--budget", "1024"),
+])
+def test_root_expansion_past_its_terms_is_a_resource_limit(capsys, argv):
+    # the windowed powers of the tail grow, and the series with them, past
+    # MAX_DIV_BUDGET terms: refused at that step, not after the series is built
+    a, *options = argv
+    start = time.perf_counter()
+    code, out = run(capsys, "arith", "root", a, "2", *options)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "ResourceLimit"
 
 
 # case -> (command line, exit code, result text or error type) of a root

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -43,9 +44,12 @@ def _descriptors(inner):
     )
 
 
+# integers on both sides of the most digits int() converts (4300 by default)
+long_integers = st.integers(10**4290, 10**4310)
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-9, 9) | st.integers() | st.floats() | st.text(max_size=8)
-    | rationals | elements,
+    st.none() | st.booleans() | st.integers(-9, 9) | st.integers() | long_integers | st.floats()
+    | st.text(max_size=8) | rationals | elements,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
     | _descriptors(inner),
     max_leaves=24,
@@ -178,7 +182,13 @@ def test_apply_any_file_bytes(dim, data, draw):
 @FUZZ
 @given(DIMS, json_values, st.data())
 def test_apply_any_json_value(dim, value, draw):
-    data = json.dumps(value).encode()
+    # json.dumps writes no int longer than int() converts unless allowed to
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        data = json.dumps(value).encode()
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert _apply_file(dim, data, draw.draw(st.sampled_from(POINTS[dim]))) in (0, 2)
 
 

@@ -8,7 +8,7 @@ from lexarith import automorph, oracle, suites
 from lexarith.automorph import prove_E5
 from lexarith.equiv import LEVELS, decide, holds, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
-from lexarith.model import Element, deg, pow_int, sub
+from lexarith.model import Element, const_value, deg, divmod_floor, pow_int, sub
 from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -156,6 +156,61 @@ class TestMinimalBound:
             minimal_bound_n(2, P("t"), P("t^2"))
         with pytest.raises(ValueError):
             minimal_bound_n(1, P("t"), P("t"))
+
+
+def _bound_witness(level, n, dim):
+    """The witness of bound n: a constant companion at level 3."""
+    return Companion(Element.integer(n, dim)) if level == 3 else BoundN(n)
+
+
+def _assert_least_bound(level, a, b):
+    """decide's witness is the least n >= 1 the oracle accepts, counted up;
+    at levels 2 and 3 it is also floor(hi/lo) + 1, by Euclidean division."""
+    least = next(
+        n for n in itertools.count(1) if oracle.check_witness(level, a, b, _bound_witness(level, n, a.dim))
+    )
+    assert decide(level, a, b).witness == _bound_witness(level, least, a.dim), (level, a, b)
+    if level < 4:
+        lo, hi = (a, b) if a <= b else (b, a)
+        assert least == const_value(divmod_floor(hi, lo)[0]) + 1, (level, a, b)
+
+
+class TestLeastBound:
+    """The least bound at levels 2 and 4, and level 3's constant companion
+    for a pair of equal degree, against the definition."""
+
+    # (level, dim, a, b, least bound): ties of the leading terms that the
+    # lower terms keep, and ties that they tip to the next n
+    TABLE = [
+        (2, 1, "2*t - 1", "t", 2),
+        (2, 1, "2*t + 1", "t", 3),
+        (2, 1, "t", "t", 2),
+        (2, 1, "5*t", "2*t", 3),
+        (4, 1, "t^2 - 1", "t", 2),
+        (4, 1, "t^2", "t", 3),
+        (4, 2, "t^(0,2) + 1", "t^(0,1)", 3),
+        (4, 2, "t^(0,4)", "t^(0,2) + t^(0,1)", 2),
+        (3, 2, "3*t^(1,0) + 1", "t^(1,0)", 4),
+    ]
+
+    @pytest.mark.parametrize("level, dim, a, b, n", TABLE)
+    def test_table(self, level, dim, a, b, n):
+        a, b = P(a, dim), P(b, dim)
+        assert decide(level, a, b).witness == _bound_witness(level, n, dim)
+        _assert_least_bound(level, a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_sampled_pairs(self, level, dim):
+        s = Sampler(SampleProfile(dim=dim, seed=23))
+        checked = 0
+        for _ in range(40):
+            a, b = suites.equivalent_pair(s, level)
+            # level 3's companion is a constant only for equal degrees
+            if level != 3 or deg(a) == deg(b):
+                _assert_least_bound(level, a, b)
+                checked += 1
+        assert checked > 0
 
 
 class TestCompanion:
