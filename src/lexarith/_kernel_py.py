@@ -17,12 +17,30 @@ Data layout:
 Terms here are *signed* series: the model-level invariants (nonnegative
 exponents, integer constant, positive leading coefficient) are enforced one
 layer up, in :mod:`lexarith.model`.
+
+Work ceiling: :func:`terms_mul` is the one multiply of series, and it
+refuses with :class:`~lexarith.errors.ResourceLimit`, before its double
+loop, a product of more than ``MAX_MUL_PRODUCTS`` term products, or of two
+factors of more than one term each whose word products (term products
+times the 64-bit words of the widest int each factor is scaled to) pass
+``MAX_MUL_WORDS``.
 """
 
 from math import gcd, lcm
 from operator import add
 
+from .errors import ResourceLimit
+
 BACKEND = "pure"
+
+# the most term products one multiply may take: four times as many,
+# squaring the 513-term (t^2 - 10)^512, takes over a second
+MAX_MUL_PRODUCTS = 1 << 16
+# the most word products (term products times the 64-bit words of the
+# widest int each factor is scaled to) one multiply may take: the last
+# square of (2*t)**MAX_POW_BITS would read 8193**2 (a one-term factor is
+# not counted) and takes milliseconds; (t + 10**600)**32 reads 71,961,289
+MAX_MUL_WORDS = 70_000_000
 
 
 def rat(num, den=1):
@@ -176,16 +194,31 @@ def terms_mul(A, B):
     coefficients, every exponent is a vector of ints and every coefficient
     an int: the double loop only adds and multiplies ints, and the int
     vectors sort natively in the lexicographic order of the exponents.
+
+    Refused before any of that work past the ceilings of the module
+    docstring.  A factor's scaled int is at most its widest numerator times
+    the lcm of its denominators, so the word count adds their bits.  A
+    one-term factor takes no lcm and only the product ceiling: its work is
+    linear in the other factor.
     """
+    if len(A) * len(B) > MAX_MUL_PRODUCTS:
+        raise ResourceLimit(f"multiply needs {len(A)}x{len(B)} term products, over {MAX_MUL_PRODUCTS}")
     if not A or not B:
         return ()
     if len(B) == 1:
         return _shift(A, *B[0])
     if len(A) == 1:
         return _shift(B, *A[0])
-    dens = [lcm(*[e[i][1] for e, _ in A + B]) for i in range(len(A[0][0]))]
     da = lcm(*[c[1] for _, c in A])
     db = lcm(*[c[1] for _, c in B])
+    words = (
+        len(A) * len(B)
+        * (max([c[0].bit_length() for _, c in A]) + da.bit_length() + 63 >> 6)
+        * (max([c[0].bit_length() for _, c in B]) + db.bit_length() + 63 >> 6)
+    )
+    if words > MAX_MUL_WORDS:
+        raise ResourceLimit(f"multiply needs {words} word products, over {MAX_MUL_WORDS}")
+    dens = [lcm(*[e[i][1] for e, _ in A + B]) for i in range(len(A[0][0]))]
     IA = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (da // c[1])) for e, c in A]
     IB = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (db // c[1])) for e, c in B]
     acc = {}

@@ -39,7 +39,7 @@ import re
 import sys
 
 from . import jsonio, oracle, textform
-from .errors import CannotProve, InvariantViolation, LexarithError
+from .errors import CannotProve, InvariantViolation, LexarithError, ResourceLimit
 from .model import (
     DEFAULT_DIV_BUDGET,
     Element,
@@ -279,15 +279,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj, pretty: bool) -> None:
-    text = jsonio.dumps_pretty(obj) if pretty else jsonio.dumps(obj)
+    """Write obj as one JSON document; ResourceLimit, with nothing written,
+    for an int longer than ``str`` converts."""
+    try:
+        text = jsonio.dumps_pretty(obj) if pretty else jsonio.dumps(obj)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimit(f"an integer of more than {limit} digits is too long to print") from None
     sys.stdout.write(text + "\n")
 
 
 def main(argv=None) -> int:
-    args = None
+    pretty = False
     try:
         args = _build_parser().parse_args(argv)
+        pretty = args.pretty
         doc, code = args.run(args)
+        _emit(doc, pretty)
+        return code
     except SystemExit as exc:  # --help, after printing the help text
         return int(exc.code or 0)
     except LexarithError as exc:
@@ -296,7 +305,7 @@ def main(argv=None) -> int:
         doc, code = {"error": "io", "detail": str(exc)}, 2
     except Exception as exc:
         doc, code = {"error": "internal", "detail": str(exc)}, 4
-    _emit(doc, args is not None and args.pretty)
+    _emit(doc, pretty)
     return code
 
 

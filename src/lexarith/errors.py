@@ -55,15 +55,20 @@ class ResourceLimit(LexarithError):
       a coefficient of more than 2**20 bits (``MAX_POW_BITS``), a dim-1
       root expansion of more than 64 steps (``MAX_ROOT_STEPS``), a suite
       run of more than 10,000 samples (``suites.MAX_SAMPLES``);
+    - before the kernel's double loop, for every multiply of two series
+      (``arith mul``, ``divmod``, ``pow`` and ``root``, a witness check, an
+      automorphism): more than 2**16 term products
+      (``MAX_MUL_PRODUCTS``), or, when both factors have more than one term,
+      more than 7*10**7 word products, term products times the 64-bit words
+      of the widest int each factor is scaled to (``MAX_MUL_WORDS``);
     - at the step that passes the ceiling: a dim-1 quotient of more than
-      1024 terms; a multiply inside a power (``arith pow``, ``seq b11``,
-      ``equiv --level 4``) of more than 2**16 term products
-      (``MAX_POW_PRODUCTS``) or of more than 7*10**7 word products, term
-      products times the 64-bit words of each factor's widest coefficient
-      (``MAX_POW_WORDS``); a power of more than 1024 terms; a root
-      expansion (``arith root``, ``seq b11``) with a step of more than 2**16
-      term products or a series of more than 1024 terms;
-    - when it is printed: a rational longer than the parser reads.
+      1024 terms; a quotient whose steps, shifts of the divisor by one
+      term, take more than ``MAX_MUL_WORDS`` word products in all; a power
+      of more than 1024 terms; a root expansion (``arith root``,
+      ``seq b11``) with a series of more than 1024 terms;
+    - when it is printed: a rational longer than the parser reads, or an
+      integer of a document (a witness, a descriptor) longer than ``str``
+      converts.
 
     A refused precondition on input size, like a term budget below 1, so
     exit 2: the model is not partial there, and a smaller input gets an

@@ -70,15 +70,6 @@ DEFAULT_DIV_BUDGET = 64
 # division that exhausts it takes tens of ms; a dim-2 root is bounded by it
 # too, its expansion steps counted on exponents before any coefficient work
 MAX_DIV_BUDGET = 1024
-# the most coefficient products one multiply inside a power, or one step of
-# a root expansion, may take: four times as many, squaring the 513-term
-# (t^2 - 10)^512, takes over a second
-MAX_POW_PRODUCTS = 1 << 16
-# the most word products (term products times the 64-bit words of the
-# widest coefficient of each factor) one multiply inside a power may take:
-# the last square of (2*t)**MAX_POW_BITS reads 8193**2 and takes
-# milliseconds; (t + 10**600)**32 reads 71,961,289
-MAX_POW_WORDS = 70_000_000
 # the most bits a power may need for a coefficient's numerator or denominator
 MAX_POW_BITS = 1 << 20
 # the most steps of a dim-1 root expansion, which has no budget, counted on
@@ -524,7 +515,8 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     than ``budget`` nonnegative-exponent quotient terms.  In dim 1 the
     nonnegative part of any quotient expansion is finite, but not bounded
     (``t^n`` by ``t - t^(1/2)`` has 2n - 1 terms): ResourceLimit when it has
-    more than MAX_DIV_BUDGET.
+    more than MAX_DIV_BUDGET, and when its steps take more than
+    MAX_MUL_WORDS word products.
     """
     _require_budget(budget)
     _check_same_dim(a, b)
@@ -535,9 +527,14 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     b_lead_e, b_lead_c = b.raw[0]
 
     # each step cancels the remainder's leading term, so the quotient's terms
-    # come out strictly descending and are only appended
+    # come out strictly descending and are only appended.  A step shifts b by
+    # one term, which the kernel's word count skips, and the terms'
+    # coefficients can grow with the steps: count the word products of the
+    # shifts
     q_terms = []
     r_acc = a.raw
+    b_words = len(b.raw) * (max([x.bit_length() for _, c in b.raw for x in c]) + 63 >> 6)
+    words = 0
     while r_acc:
         e = K.exp_sub(r_acc[0][0], b_lead_e)
         if K.exp_cmp(e, zero_exp) < 0:
@@ -547,7 +544,10 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
         if len(q_terms) == (budget if dim == 2 else MAX_DIV_BUDGET):
             error = NonTerminatingQuotient if dim == 2 else ResourceLimit
             raise error(f"quotient expansion exceeded {len(q_terms)} nonnegative-exponent terms")
-        term = (e, K.rat_div(r_acc[0][1], b_lead_c))
+        term = (e, c := K.rat_div(r_acc[0][1], b_lead_c))
+        words += b_words * (max(c[0].bit_length(), c[1].bit_length()) + 63 >> 6)
+        if words > K.MAX_MUL_WORDS:
+            raise ResourceLimit(f"quotient needs {words} word products, over {K.MAX_MUL_WORDS}")
         q_terms.append(term)
         r_acc = K.terms_sub(r_acc, K.terms_mul((term,), b.raw))
 
@@ -570,31 +570,18 @@ def ceil_quotient_scalar(a: Element, n: int) -> Element:
     return q
 
 
-def _width(terms: tuple) -> int:
-    """The most bits of a numerator or denominator among the coefficients."""
-    return max((x.bit_length() for _, c in terms for x in c), default=1)
-
-
 def _require_pow_bits(terms: tuple, n: int) -> None:
     """Refuse the n-th power of terms with a coefficient whose numerator or
     denominator x has n*(bit_length(x) - 1) > MAX_POW_BITS: x**n has at
     least one bit more than that."""
-    width = _width(terms)
+    width = max((x.bit_length() for _, c in terms for x in c), default=1)
     if n * (width - 1) > MAX_POW_BITS:
         raise ResourceLimit(f"power {n} of a {width}-bit coefficient exceeds {MAX_POW_BITS} bits")
 
 
 def _power_mul(x: tuple, y: tuple) -> tuple:
-    """The series x*y inside a power: refused before the work when it takes
-    more than MAX_POW_PRODUCTS term products or MAX_POW_WORDS word products,
-    and after it when it has more than MAX_DIV_BUDGET terms."""
-    products = len(x) * len(y)
-    if products > MAX_POW_PRODUCTS:
-        raise ResourceLimit(f"power needs {len(x)}x{len(y)} term products, over {MAX_POW_PRODUCTS}")
-    x_words = _width(x) + 63 >> 6
-    words = products * x_words * (x_words if y is x else _width(y) + 63 >> 6)
-    if words > MAX_POW_WORDS:
-        raise ResourceLimit(f"power needs {words} word products, over {MAX_POW_WORDS}")
+    """The series x*y inside a power, refused after the multiply when it has
+    more than MAX_DIV_BUDGET terms."""
     xy = K.terms_mul(x, y)
     if len(xy) > MAX_DIV_BUDGET:
         raise ResourceLimit(f"power exceeded {MAX_DIV_BUDGET} terms")
@@ -605,8 +592,9 @@ def pow_int(a: Element, n: int) -> Element:
     """a**n by repeated squaring.
 
     Raises ResourceLimit before any work when a coefficient is too wide for
-    the power (see :func:`_require_pow_bits`), and at a multiply too large
-    for :func:`_power_mul`.
+    the power (see :func:`_require_pow_bits`), at a multiply past the
+    kernel's work ceiling, and at a partial power of more than
+    MAX_DIV_BUDGET terms.
     """
     if n < 0:
         raise InvariantViolation(f"negative power {n}")
@@ -679,10 +667,9 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     unbounded nonnegative-exponent part.  The budget counts expansion steps,
     taken on exponents before any coefficient work: a dim-2 expansion of
     ``budget`` steps or more raises, and a dim-1 expansion of more than
-    MAX_ROOT_STEPS raises ResourceLimit, as does a step of more than
-    MAX_POW_PRODUCTS term products or a series of more than MAX_DIV_BUDGET
-    terms.  The truncated expansion is certified exactly by
-    :func:`certified_max`.
+    MAX_ROOT_STEPS raises ResourceLimit, as does a step past the kernel's
+    work ceiling or a series of more than MAX_DIV_BUDGET terms.  The
+    truncated expansion is certified exactly by :func:`certified_max`.
     """
     _require_budget(budget)
     if k < 1:
@@ -727,12 +714,10 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     for j in range(1, steps + 1):
         binom = K.rat_mul(binom, K.rat_mul(K.rat_sub((1, k), (j - 1, 1)), (1, j)))
         # the windowed u**j and the series grow with the number of u's
-        # exponents, not with the steps: bound each multiply as a power's,
-        # and the series as a power's terms (a root of more than 256 terms
-        # fails its certifying square anyway)
-        if len(upow) * len(u) > MAX_POW_PRODUCTS:
-            raise ResourceLimit(f"root expansion needs {len(upow)}x{len(u)} term products, over {MAX_POW_PRODUCTS}")
-        # discard exponents already below the representable window
+        # exponents, not with the steps: the kernel bounds each multiply,
+        # and the series is bounded as a power's terms (a root of more than
+        # 256 terms fails its certifying square anyway); discard exponents
+        # already below the representable window
         upow = tuple(t for t in K.terms_mul(upow, u) if K.exp_cmp(t[0], neg_root_e) >= 0)
         acc = K.terms_add(acc, K.terms_scale(upow, binom))
         if len(acc) > MAX_DIV_BUDGET:

@@ -288,6 +288,30 @@ def test_overlong_result_is_a_resource_limit(capsys, argv):
     assert json.loads(out)["error"] == "ResourceLimit"
 
 
+# N = 4300 nines, the most digits the parser reads: a witness or descriptor
+# integer of the answer has more
+N = "9" * 4300
+OVERLONG_INTEGERS = {
+    "level0-witness": ("equiv", "--level", "0", f"t + {N}", "t"),
+    "level2-witness": ("equiv", "--level", "2", f"1/{N}*t", f"{N}*t"),
+    "level4-witness": ("equiv", "--level", "4", f"t^{N} + 1", "t"),
+    "e2-affine": ("auto", "--from", "t", "--to", f"{N}*t + {N}"),
+}
+
+
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)], ids=["compact", "pretty"])
+@pytest.mark.parametrize("case", sorted(OVERLONG_INTEGERS))
+def test_overlong_document_integer_is_a_resource_limit(capsys, case, pretty):
+    start = time.perf_counter()
+    code, out = run(capsys, *pretty, *OVERLONG_INTEGERS[case])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ResourceLimit",
+        "detail": "an integer of more than 4300 digits is too long to print",
+    }
+
+
 def test_partiality_exit_three(capsys):
     code, out = run(capsys, "arith", "divmod", "t^(2,0)", "t^(1,0) - t^(1,-1)", "--dim", "2")
     assert code == 3
@@ -503,6 +527,57 @@ def test_power_above_the_ceiling_is_a_resource_limit(capsys, case):
     assert json.loads(out)["error"] == "ResourceLimit"
 
 
+def _wide(digits: int) -> str:
+    """A 16-term element whose coefficients have distinct denominators of
+    the given number of digits."""
+    return " + ".join(f"1/{10 ** (digits - 1) + k}*t^{16 - k}" for k in range(16))
+
+
+def _many(terms: int) -> str:
+    """t^(terms - 1) + ... + t + 1."""
+    return " + ".join(f"t^{i}" for i in range(terms - 1, -1, -1))
+
+
+# multiplies past the kernel's work ceiling, refused before its double loop
+MULTIPLY_LIMITS = {
+    "mul-products": ("arith", "mul", _many(257), _many(257)),
+    "mul-words": ("arith", "mul", _wide(1000), _wide(1000)),
+    "pow-words": ("arith", "pow", _wide(4300), "2"),
+    # (t^256 + ... + 1)^2 by t^256 + ... + 1: the closing q*b of a quotient
+    # of 257 terms
+    "divmod-products": ("arith", "divmod", " + ".join(f"{min(k, 512 - k) + 1}*t^{k}" for k in range(512, -1, -1)),
+                        _many(257)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLY_LIMITS))
+def test_multiply_above_the_ceiling_is_a_resource_limit(capsys, case):
+    start = time.perf_counter()
+    code, out = run(capsys, *MULTIPLY_LIMITS[case])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "ResourceLimit"
+    assert "word products" in out or "257x257 term products" in out
+
+
+# quotients whose coefficients are powers of a wide one, so that the shifts
+# of the divisor grow with the steps: 3.8 s in dim 1, and 72 s in dim 2
+# before the budget ran out
+QUOTIENT_WORDS = {
+    "dim1": ("t^256", "t - " + "7" * 1000 + "*t^(1/2)"),
+    "dim2": ("t^(9,0)", "t^(1,0) - " + "9" * 4000 + "*t^(1,-1)", "--dim", "2", "--budget", "1024"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTIENT_WORDS))
+def test_quotient_past_its_word_ceiling_is_a_resource_limit(capsys, case):
+    start = time.perf_counter()
+    code, out = run(capsys, "arith", "divmod", *QUOTIENT_WORDS[case])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["detail"].startswith("quotient needs ")
+
+
 def test_dim1_quotient_past_the_ceiling_is_a_resource_limit(capsys):
     # t^n by t - t^(1/2) has 2n - 1 terms: finite, but refused past 1024
     start = time.perf_counter()
@@ -513,10 +588,11 @@ def test_dim1_quotient_past_the_ceiling_is_a_resource_limit(capsys):
         "error": "ResourceLimit",
         "detail": "quotient expansion exceeded 1024 nonnegative-exponent terms",
     }
-    # the ceiling itself is still answered
-    code, out = run(capsys, "arith", "divmod", "t^(1025/2)", "t - t^(1/2)")
-    assert code == 0
-    assert len(json.loads(out)["q"]["terms"]) == 1024
+    # the ceiling itself is still answered, also with wider coefficients
+    for b in ("t - t^(1/2)", "t - 12345*t^(1/2)"):
+        code, out = run(capsys, "arith", "divmod", "t^(1025/2)", b)
+        assert code == 0
+        assert len(json.loads(out)["q"]["terms"]) == 1024
 
 
 def test_power_of_a_monomial_is_not_limited_by_its_index(capsys):

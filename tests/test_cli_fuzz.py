@@ -79,6 +79,16 @@ def _element_texts(dim: str, wide: bool = False):
     )
 
 
+def _wide_denominators(dim: str):
+    """Element texts of 2 to 16 terms whose coefficients have distinct
+    denominators of hundreds to thousands of digits, in the grammar of dim."""
+    exp = "{}" if dim == "1" else "({},0)"
+    offsets = st.lists(st.integers(1, 999), min_size=2, max_size=16, unique=True)
+    return st.tuples(st.integers(100, 3000), offsets).map(
+        lambda p: " + ".join(f"1/{10 ** p[0] + k}*t^{exp.format(len(p[1]) - i)}" for i, k in enumerate(p[1]))
+    )
+
+
 # a dim with an element text in its grammar, with small or also with wide
 # coefficients
 dim_elements = DIMS.flatmap(lambda dim: st.tuples(st.just(dim), _element_texts(dim)))
@@ -119,6 +129,16 @@ def test_cmp_any_texts(dim, a, b):
 def test_pow_any_element_and_integer(dim_a, n):
     dim, a = dim_a
     assert run("arith", "pow", "--dim", dim, "--", a, str(n))[0] in (0, 2)
+
+
+@FUZZ
+@given(DIMS, st.data())
+def test_mul_and_pow_of_wide_distinct_denominators(dim, draw):
+    # the lcm of each factor's denominators is what the kernel multiplies
+    a = draw.draw(_wide_denominators(dim))
+    b = draw.draw(_wide_denominators(dim))
+    assert run("arith", "mul", "--dim", dim, "--", a, b)[0] in (0, 2)
+    assert run("arith", "pow", "--dim", dim, "--", a, str(draw.draw(st.integers(0, 4))))[0] in (0, 2)
 
 
 @FUZZ

@@ -2,12 +2,15 @@
 against a plain ``{exponent: Fraction}`` reference."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import lexarith
 from lexarith import _backend, _kernel_py
+from lexarith.errors import ResourceLimit
+from lexarith.model import Element
 
 
 def _random_terms(rng, dim):
@@ -98,3 +101,51 @@ def test_splits_of_nonnegative_series(dim):
             above, rest = _kernel_py.terms_split_level(A, lvl)
             assert above == tuple(t for t in A if any(r[0] for r in t[0][:lvl]))
             assert rest == tuple(t for t in A if not any(r[0] for r in t[0][:lvl]))
+
+
+def _counted(monkeypatch, name):
+    """A list that grows by one at each call of the kernel's global name."""
+    calls = []
+    f = getattr(_kernel_py, name)
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    monkeypatch.setattr(_kernel_py, name, counted)
+    return calls
+
+
+def _series(n, den=lambda k: 1):
+    """n descending terms t^(n-1) .. t^0 in dim 1, the k-th with
+    coefficient 1/den(k)."""
+    return tuple((((n - 1 - k, 1),), (1, den(k))) for k in range(n))
+
+
+def test_a_multiply_past_the_product_ceiling_does_no_scaling(monkeypatch):
+    lcms = _counted(monkeypatch, "lcm")
+    with pytest.raises(ResourceLimit, match="257x257 term products, over 65536"):
+        _kernel_py.terms_mul(_series(257), _series(257))
+    with pytest.raises(ResourceLimit, match="65537x1 term products"):
+        _kernel_py.terms_mul(_series(65537), _series(1))
+    assert lcms == []
+
+
+def test_the_plain_multiply_takes_the_product_ceiling():
+    a, b = Element(_series(256), 1), Element(_series(257), 1)
+    assert len((a * a).raw) == 511
+    with pytest.raises(ResourceLimit, match="256x257 term products"):
+        a * b
+
+
+def test_wide_distinct_denominators_are_refused_before_the_loop(monkeypatch):
+    # the lcm of 16 distinct 1000-digit denominators has about 16,000 digits
+    A = _series(16, lambda k: 10**999 + k)
+    loop = _counted(monkeypatch, "add")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="word products, over 70000000"):
+        _kernel_py.terms_mul(A, A)
+    assert time.perf_counter() - start < 1.0
+    assert loop == []
+    # one 1000-digit denominator is far under the ceiling
+    assert len(_kernel_py.terms_mul(A[:1] + _series(15), A[:1] + _series(15))) == 31

@@ -5,8 +5,9 @@ from the package's sampler, so two checkouts run the same requests.  They
 cover every command and every ``arith`` op in dims 1 and 2, refusals
 included; the descriptors that ``auto`` prints go to a temporary directory
 and are applied.  Each request runs through ``lexarith.cli.main`` and
-prints one line: the argv as JSON (a descriptor file as ``DESC``), the exit
-code, and the SHA-256 of stdout.  ``diff`` of the output of two checkouts
+prints one line: the argv as JSON (a descriptor file as ``DESC``, an
+argument over 200 characters as its length and a digest), the exit code,
+and the SHA-256 of stdout.  ``diff`` of the output of two checkouts
 names every request whose answer moved.  Stdlib only.
 
 Run from the repository root::
@@ -39,6 +40,23 @@ COEFFS = tuple(map(Fraction, ("1", "1", "2", "3", "1/2", "5/4")))
 # t^64 + t^63 + the terms t^(63 - 1/j): windowed powers that outgrow the
 # root expansion's term ceiling in a few steps
 _TAIL = [f"({63 * j - 1}/{j})" for j in range(2, 10)]
+
+
+def _many(n: int) -> str:
+    """t^(n-1) + ... + t + 1: n terms."""
+    return " + ".join(f"t^{i}" for i in range(n - 1, -1, -1))
+
+
+def _wide(terms: int, digits: int) -> str:
+    """Coefficients 1/(10^(digits-1) + k) with distinct denominators."""
+    return " + ".join(f"1/{10 ** (digits - 1) + k}*t^{terms - k}" for k in range(terms))
+
+
+def _square(n: int) -> str:
+    """The square of _many(n), whose quotient by _many(n) is _many(n)."""
+    return " + ".join(f"{min(k, 2 * n - 2 - k) + 1}*t^{k}" for k in range(2 * n - 2, -1, -1))
+
+
 FIXED = [
     ("eval", "t^"),
     ("eval", "-t"),
@@ -54,6 +72,19 @@ FIXED = [
     ("arith", "divmod", "t^10000000", "t - t^(1/2)"),
     ("arith", "root", " + ".join(["t^64", "t^63"] + [f"t^{e}" for e in _TAIL]), "2"),
     ("arith", "root", " + ".join(["t^(64,0)", "t^(63,0)"] + [f"t^({e[1:-1]},0)" for e in _TAIL]), "2", "--dim", "2"),
+    # many terms and wide, distinct denominators, on both sides of the
+    # multiply's work ceiling
+    ("arith", "mul", _many(256), _many(256)),
+    ("arith", "mul", _many(257), _many(257)),
+    ("arith", "mul", _wide(16, 100), _wide(16, 100)),
+    ("arith", "mul", _wide(16, 1000), _wide(16, 1000)),
+    ("arith", "pow", _wide(4, 4300), "2"),
+    ("arith", "pow", _wide(16, 4300), "2"),
+    ("arith", "divmod", _square(256), _many(256)),
+    ("arith", "divmod", _square(257), _many(257)),
+    ("arith", "divmod", "t^256", "t - " + "7" * 1000 + "*t^(1/2)"),
+    ("arith", "divmod", "t^(1025/2)", "t - 12345*t^(1/2)"),
+    ("arith", "divmod", "t^(9,0)", "t^(1,0) - " + "9" * 4000 + "*t^(1,-1)", "--dim", "2"),
     ("seq", "e0", "t", "--count", "-1"),
     ("seq", "b11", "t^2", "--count", "30"),
     ("suite", "--samples", "20000"),
@@ -152,6 +183,13 @@ def _requests(r: random.Random, rounds: int, tmp: pathlib.Path):
                 yield ["suite", "--name", r.choice(SUITES), "--samples", str(r.randint(1, 3)), "--seed", str(i), *d]
 
 
+def _short(arg: str) -> str:
+    """arg, or for one over 200 characters its length and a digest."""
+    if len(arg) <= 200:
+        return arg
+    return f"<{len(arg)} chars, sha256 {hashlib.sha256(arg.encode()).hexdigest()[:16]}>"
+
+
 def run(seed: int, rounds: int, out) -> int:
     """Print one outcome line per request; the number of requests."""
     r = random.Random(seed)
@@ -165,7 +203,7 @@ def run(seed: int, rounds: int, out) -> int:
             text = stdout.getvalue()
             if argv[0] == "auto":
                 (tmp / AUTO).write_text(text)
-            shown = ["DESC" if x.startswith(str(tmp)) else x for x in argv]
+            shown = ["DESC" if x.startswith(str(tmp)) else _short(x) for x in argv]
             digest = hashlib.sha256(text.encode()).hexdigest()
             out.write(f"{json.dumps(shown)}\t{code}\t{digest}\n")
             count += 1
