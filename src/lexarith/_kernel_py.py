@@ -18,16 +18,21 @@ Terms here are *signed* series: the model-level invariants (nonnegative
 exponents, integer constant, positive leading coefficient) are enforced one
 layer up, in :mod:`lexarith.model`.
 
+Inside :func:`terms_mul` only, each exponent is one int key, its
+components packed into power-of-two fields over one denominator per
+component, so the convolution adds and sorts plain ints (the packed
+exponent vectors of Monagan and Pearce, CASC 2007).
+
 Work ceiling: :func:`terms_mul` is the one multiply of series, and it
 refuses with :class:`~lexarith.errors.ResourceLimit`, before its double
 loop, a product of more than ``MAX_MUL_PRODUCTS`` term products, or of two
 factors of more than one term each whose word products (term products
-times the 64-bit words of the widest int each factor is scaled to) pass
-``MAX_MUL_WORDS``.
+times the 64-bit words of the widest int each factor is scaled to: a
+coefficient over the lcm of its factor's denominators, or an exponent key)
+pass ``MAX_MUL_WORDS``.
 """
 
 from math import gcd, lcm
-from operator import add
 
 from .errors import ResourceLimit
 
@@ -187,19 +192,36 @@ def _shift(A, e, c):
     return tuple([(exp_add(ea, e), rat_mul(ca, c)) for ea, ca in A])
 
 
+def _require_words(words):
+    if words > MAX_MUL_WORDS:
+        raise ResourceLimit(f"multiply needs {words} word products, over {MAX_MUL_WORDS}")
+
+
 def terms_mul(A, B):
     """Product of two series.
 
     Over one denominator per exponent component, and one per factor for the
-    coefficients, every exponent is a vector of ints and every coefficient
-    an int: the double loop only adds and multiplies ints, and the int
-    vectors sort natively in the lexicographic order of the exponents.
+    coefficients, every coefficient is an int and every exponent a vector
+    of ints, packed into one int key: x0 in dim 1, ``(x0 << b) + x1`` in
+    dim 2.  M is the widest |x1| of A plus the widest of B, so the x1 of
+    every term and of every product lies in [-M, M], and
+    ``b = (2M).bit_length()`` makes 2M < 2**b: the low field never reaches
+    into x0.  So keys add as exponents add, sort in the lexicographic order
+    of the exponents (negative components too, as two keys whose x0
+    differ are at least 2**b - 2M apart), and unpack exactly as
+    ``x0 = (k + M) >> b``, ``x1 = k - (x0 << b)``.  The fields are powers
+    of two because a shift is linear in the width of the key, and a
+    divmod by 2M + 1 is quadratic.  The double loop adds and multiplies
+    ints only, and each output term takes one gcd per component and one
+    for its coefficient.
 
-    Refused before any of that work past the ceilings of the module
-    docstring.  A factor's scaled int is at most its widest numerator times
-    the lcm of its denominators, so the word count adds their bits.  A
-    one-term factor takes no lcm and only the product ceiling: its work is
-    linear in the other factor.
+    Refused past the ceilings of the module docstring.  A factor's scaled
+    coefficient is at most its widest numerator times the lcm of its
+    denominators, so the word count adds their bits, checked before any
+    exponent is scaled; the keys descend with the terms, so a factor's
+    widest key is its first or its last, and their words are counted
+    after packing, before the loop.  A one-term factor takes no lcm and
+    only the product ceiling: its work is linear in the other factor.
     """
     if len(A) * len(B) > MAX_MUL_PRODUCTS:
         raise ResourceLimit(f"multiply needs {len(A)}x{len(B)} term products, over {MAX_MUL_PRODUCTS}")
@@ -211,28 +233,43 @@ def terms_mul(A, B):
         return _shift(B, *A[0])
     da = lcm(*[c[1] for _, c in A])
     db = lcm(*[c[1] for _, c in B])
-    words = (
-        len(A) * len(B)
-        * (max([c[0].bit_length() for _, c in A]) + da.bit_length() + 63 >> 6)
-        * (max([c[0].bit_length() for _, c in B]) + db.bit_length() + 63 >> 6)
-    )
-    if words > MAX_MUL_WORDS:
-        raise ResourceLimit(f"multiply needs {words} word products, over {MAX_MUL_WORDS}")
-    dens = [lcm(*[e[i][1] for e, _ in A + B]) for i in range(len(A[0][0]))]
-    IA = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (da // c[1])) for e, c in A]
-    IB = [(tuple([r[0] * (m // r[1]) for r, m in zip(e, dens)]), c[0] * (db // c[1])) for e, c in B]
+    wa = max([c[0].bit_length() for _, c in A]) + da.bit_length() + 63 >> 6
+    wb = max([c[0].bit_length() for _, c in B]) + db.bit_length() + 63 >> 6
+    _require_words(len(A) * len(B) * wa * wb)
+    AB = A + B
+    d0 = lcm(*[e[0][1] for e, _ in AB])
+    KA = [e[0][0] * (d0 // e[0][1]) for e, _ in A]
+    KB = [e[0][0] * (d0 // e[0][1]) for e, _ in B]
+    two = len(A[0][0]) == 2
+    M = b = 0
+    if two:
+        d1 = lcm(*[e[1][1] for e, _ in AB])
+        XA = [e[1][0] * (d1 // e[1][1]) for e, _ in A]
+        XB = [e[1][0] * (d1 // e[1][1]) for e, _ in B]
+        M = max(map(abs, XA)) + max(map(abs, XB))
+        b = (2 * M).bit_length()
+        KA = [(x0 << b) + x1 for x0, x1 in zip(KA, XA)]
+        KB = [(x0 << b) + x1 for x0, x1 in zip(KB, XB)]
+    ka = max(KA[0].bit_length(), KA[-1].bit_length()) + 63 >> 6
+    kb = max(KB[0].bit_length(), KB[-1].bit_length()) + 63 >> 6
+    if ka > wa or kb > wb:
+        _require_words(len(A) * len(B) * max(wa, ka) * max(wb, kb))
+    IB = list(zip(KB, [c[0] * (db // c[1]) for _, c in B]))
     acc = {}
     get = acc.get
-    for ka, na in IA:
-        for kb, nb in IB:
-            k = tuple(map(add, ka, kb))
+    for xa, na in zip(KA, [c[0] * (da // c[1]) for _, c in A]):
+        for xb, nb in IB:
+            k = xa + xb
             acc[k] = get(k, 0) + na * nb
     den = da * db
-    return tuple([
-        (tuple([rat(x, m) for x, m in zip(k, dens)]), rat(acc[k], den))
-        for k in sorted(acc, reverse=True)
-        if acc[k]
-    ])
+    out = []
+    for k in sorted(acc, reverse=True):
+        n = acc[k]
+        if n:
+            x0 = k + M >> b
+            e = (rat(x0, d0), rat(k - (x0 << b), d1)) if two else (rat(x0, d0),)
+            out.append((e, rat(n, den)))
+    return tuple(out)
 
 
 def terms_cmp(A, B):

@@ -60,7 +60,10 @@ class ResourceLimit(LexarithError):
       automorphism): more than 2**16 term products
       (``MAX_MUL_PRODUCTS``), or, when both factors have more than one term,
       more than 7*10**7 word products, term products times the 64-bit words
-      of the widest int each factor is scaled to (``MAX_MUL_WORDS``);
+      of the widest int each factor is scaled to: a coefficient over the
+      lcm of its factor's denominators, or an exponent packed into one int
+      key over the lcm of each component's denominators
+      (``MAX_MUL_WORDS``);
     - at the step that passes the ceiling: a dim-1 quotient of more than
       1024 terms; a quotient whose steps, shifts of the divisor by one
       term, take more than ``MAX_MUL_WORDS`` word products in all; a power

@@ -533,6 +533,13 @@ def _wide(digits: int) -> str:
     return " + ".join(f"1/{10 ** (digits - 1) + k}*t^{16 - k}" for k in range(16))
 
 
+def _wide_exponents(digits: int, offset: int = 0) -> str:
+    """t^(16/w) + t^(15/(w + 1)) + ... + t^(2/(w + 14)) + 1, where w is
+    offset plus a number of the given digits."""
+    w = 10 ** (digits - 1) + offset
+    return " + ".join(f"t^({16 - k}/{w + k})" for k in range(15)) + " + 1"
+
+
 def _many(terms: int) -> str:
     """t^(terms - 1) + ... + t + 1."""
     return " + ".join(f"t^{i}" for i in range(terms - 1, -1, -1))
@@ -543,6 +550,8 @@ MULTIPLY_LIMITS = {
     "mul-products": ("arith", "mul", _many(257), _many(257)),
     "mul-words": ("arith", "mul", _wide(1000), _wide(1000)),
     "pow-words": ("arith", "pow", _wide(4300), "2"),
+    # 30 distinct 4000-digit exponent denominators: keys of about 400,000 bits
+    "mul-exponent-words": ("arith", "mul", _wide_exponents(4000), _wide_exponents(4000, 100)),
     # (t^256 + ... + 1)^2 by t^256 + ... + 1: the closing q*b of a quotient
     # of 257 terms
     "divmod-products": ("arith", "divmod", " + ".join(f"{min(k, 512 - k) + 1}*t^{k}" for k in range(512, -1, -1)),
@@ -558,6 +567,14 @@ def test_multiply_above_the_ceiling_is_a_resource_limit(capsys, case):
     assert code == 2
     assert json.loads(out)["error"] == "ResourceLimit"
     assert "word products" in out or "257x257 term products" in out
+
+
+def test_wide_exponent_numerators_over_small_denominators_are_answered(capsys):
+    a = " + ".join(f"t^({10 ** 3999 * (16 - k) + k}/3)" for k in range(15)) + " + 1"
+    code, out = run(capsys, "arith", "mul", a, a)
+    assert code == 0
+    terms = json.loads(out)["element"]["terms"]
+    assert len(terms) == 45 and terms[0]["exp"] == [f"{2 * 16 * 10 ** 3999}/3"]
 
 
 # quotients whose coefficients are powers of a wide one, so that the shifts

@@ -4,6 +4,7 @@ against a plain ``{exponent: Fraction}`` reference."""
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -139,13 +140,110 @@ def test_the_plain_multiply_takes_the_product_ceiling():
 
 
 def test_wide_distinct_denominators_are_refused_before_the_loop(monkeypatch):
-    # the lcm of 16 distinct 1000-digit denominators has about 16,000 digits
+    # the lcm of 16 distinct 1000-digit denominators has about 16,000 digits;
+    # the gcds that reduce each output term come only after the loop
     A = _series(16, lambda k: 10**999 + k)
-    loop = _counted(monkeypatch, "add")
+    reductions = _counted(monkeypatch, "gcd")
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="word products, over 70000000"):
         _kernel_py.terms_mul(A, A)
     assert time.perf_counter() - start < 1.0
-    assert loop == []
+    assert reductions == []
     # one 1000-digit denominator is far under the ceiling
     assert len(_kernel_py.terms_mul(A[:1] + _series(15), A[:1] + _series(15))) == 31
+    assert len(reductions) == 2 * 31
+
+
+def _wide_exponents(digits, num=lambda k, w: 16 - k, den=lambda k, w: w + k):
+    """16 descending dim-1 terms: 15 with the k-th exponent num/den, where w
+    is a number of the given digits, then the constant 1."""
+    w = 10 ** (digits - 1)
+    return tuple((((num(k, w), den(k, w)),), (1, 1)) for k in range(15)) + ((((0, 1),), (1, 1)),)
+
+
+def test_wide_exponent_keys_are_refused_before_the_loop(monkeypatch):
+    # the two factors' 30 distinct 1000-digit exponent denominators make
+    # keys of about 100,000 bits; each coefficient is one word
+    A = _wide_exponents(1000)
+    B = _wide_exponents(1000, den=lambda k, w: w + 100 + k)
+    reductions = _counted(monkeypatch, "gcd")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="word products, over 70000000"):
+        _kernel_py.terms_mul(A, B)
+    assert time.perf_counter() - start < 1.0
+    assert reductions == []
+    # 4000-digit numerators over small denominators make keys of 208 words
+    C = _wide_exponents(4000, num=lambda k, w: w * (16 - k) + k, den=lambda k, w: 3)
+    assert _kernel_py.terms_mul(C, C) == _from_dict(_ref_mul(_as_dict(C), _as_dict(C)))
+
+
+def _exps(d):
+    """Terms from a ``{exponent: coefficient}`` dict of ints and Fractions."""
+    return _from_dict({tuple(Fraction(x) for x in e): Fraction(c) for e, c in d.items()})
+
+
+_W = 2**70 + 1
+_F = Fraction
+# dim-2 factors that probe the packing of (x0, x1) into one key
+PACKING = {
+    # signed series, as the lead_inv of root_floor
+    "negative-first": ({(-1, 0): 1, (-2, 3): -2, (-3, -1): 5}, {(-1, 0): 1, (-1, -4): 3, (-5, 2): -1}),
+    # M = 1 + 3, and the products reach both x1 = 4 and x1 = -4; 2M is a
+    # power of two, the one case where b = (2M - 1).bit_length() is short
+    "second-sums-to-plus-and-minus-M": ({(2, 1): 1, (1, -1): 2}, {(1, -3): -3, (0, 3): 1}),
+    "second-all-zero": ({(3, 0): 1, (1, 0): 2, (0, 0): -1}, {(2, 0): 1, (-1, 0): 4}),
+    "equal-first-straddling-zero": ({(1, 2): 1, (1, -2): 1, (1, 0): 3}, {(1, 1): 1, (1, -1): -1}),
+    "distinct-denominators": (
+        {(_F(1, 3), _F(2, 5)): 1, (_F(1, 7), _F(-3, 11)): _F(2, 9), (0, _F(1, 13)): 5},
+        {(_F(5, 6), _F(-1, 4)): _F(-3, 2), (_F(-2, 9), _F(7, 10)): 1},
+    ),
+    "numerators-past-64-bits": (
+        {(_W, -_W): 1, (_W - 1, _W): 3, (_F(-_W, 3), 0): 1},
+        {(2 * _W, _F(_W, 7)): -1, (0, -_W * _W): 2, (0, _F(-_W * _W - 1, 5)): 1},
+    ),
+    # (x + y)(x - y): the cross terms cancel to zero
+    "cancelling": ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),
+    "cancelling-wide": ({(_W, 0): 1, (0, -_W): 2, (-1, 5): 1}, {(_W, 0): 2, (0, -_W): -4, (-1, 5): 7}),
+}
+
+
+def _assert_canonical(terms):
+    """Every rational a canonical pair, no zero coefficient, exponents
+    strictly descending."""
+    for e, c in terms:
+        for n, d in e + (c,):
+            assert d > 0 and gcd(n, d) == 1
+        assert c[0]
+    keys = [tuple(Fraction(*r) for r in e) for e, _ in terms]
+    assert keys == sorted(set(keys), reverse=True)
+
+
+@pytest.mark.parametrize("case", sorted(PACKING))
+def test_packed_keys_match_the_fraction_reference(case):
+    A, B = (_exps(d) for d in PACKING[case])
+    for X, Y in ((A, B), (B, A), (A, A)):
+        product = _kernel_py.terms_mul(X, Y)
+        _assert_canonical(product)
+        assert product == _from_dict(_ref_mul(_as_dict(X), _as_dict(Y)))
+    if case.startswith("cancelling"):
+        assert len(_kernel_py.terms_mul(A, B)) < len(A) * len(B)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wide_signed_multiplies_match_the_fraction_reference(dim):
+    rng = random.Random(41 + dim)
+
+    def component():
+        num = rng.choice([0, 1, -1, rng.randint(-9, 9), rng.randint(-_W, _W), rng.choice([_W, -_W])])
+        return _kernel_py.rat(num, rng.choice([1, 1, 2, 3, 7, 12, _W]))
+
+    def series():
+        d = {tuple(Fraction(*component()) for _ in range(dim)): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             for _ in range(rng.randint(2, 6))}
+        return _from_dict(d)
+
+    for _ in range(300):
+        A, B = series(), series()
+        product = _kernel_py.terms_mul(A, B)
+        _assert_canonical(product)
+        assert product == _from_dict(_ref_mul(_as_dict(A), _as_dict(B)))
