@@ -326,19 +326,24 @@ def _check_terms(raw: tuple, dim: int) -> tuple:
     for e, (num, den) in raw:
         if len(e) != dim:
             raise InvariantViolation(f"exponent {_exp_text(e)} has wrong dimension for dim={dim}")
+        # a pair over 1 is canonical: gcd(p, 1) == 1
         for p, q in e:
-            if q < 1 or gcd(p, q) != 1:
+            if q != 1 and (q < 1 or gcd(p, q) != 1):
                 raise _not_canonical(p, q)
-        if den < 1 or gcd(num, den) != 1:
+        if den != 1 and (den < 1 or gcd(num, den) != 1):
             raise _not_canonical(num, den)
         if not num:
             raise InvariantViolation("zero coefficient term")
+    # K.exp_cmp inline: canonical pairs of equal-length exponents, so the
+    # first component that differs as a tuple decides
     for (e, _), (f, _) in zip(raw, raw[1:]):
-        side = K.exp_cmp(e, f)
-        if side < 0:
-            raise InvariantViolation(f"terms out of order: exponent {_exp_text(f)} after {_exp_text(e)}")
-        if side == 0:
+        if e == f:
             raise InvariantViolation(f"duplicate exponent {_exp_text(e)}")
+        for x, y in zip(e, f):
+            if x != y:
+                if x[0] * y[1] <= y[0] * x[1]:
+                    raise InvariantViolation(f"terms out of order: exponent {_exp_text(f)} after {_exp_text(e)}")
+                break
     if dim not in (1, 2):
         raise InvariantViolation(f"dim must be 1 or 2, got {dim}")
     if not raw:

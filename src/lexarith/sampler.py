@@ -5,8 +5,16 @@ stream.  Sampled values always satisfy the model invariants; most samples
 are nonstandard (the property suites need them), with a small standard
 admixture controlled by the profile size.
 
-Terms are built as canonical ``(num, den)`` pairs (:func:`model.rat`),
-sorted once by :data:`model.exponent_key`, and handed to
+Every integer draw goes through one primitive, :meth:`Sampler._below`,
+which runs CPython's rejection loop of ``Random._randbelow`` on
+``rng.getrandbits``: ``lo + _below(hi - lo + 1)`` is ``randint(lo, hi)``
+and ``seq[_below(len(seq))]`` is ``choice(seq)``, value for value and draw
+for draw, so the stream is the one ``randint`` and ``choice`` drew
+(``tests/test_sampler.py`` checks both against a twin ``random.Random``,
+and pins the stream).
+
+Terms are built as canonical ``(num, den)`` pairs taken from precomputed
+tables, sorted once by an int key, and handed to
 :meth:`Element.from_pairs`, which checks them without normalizing or
 sorting again.
 """
@@ -14,15 +22,30 @@ sorting again.
 from __future__ import annotations
 
 import random
+from math import lcm
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .model import Element, exponent_key, is_standard, rat
+from .model import Element, is_standard, rat
 
 
 # exponent components are p/q with 0 <= p <= EXP_NUM_BOUND, 1 <= q <= EXP_DEN_BOUND
 EXP_NUM_BOUND = 6
 EXP_DEN_BOUND = 3
+# the denominators a coefficient is drawn from, one of them uniformly
+COEFF_DENS = (1, 1, 1, 2, 3)
+
+# every drawn denominator divides _LCM, so p * (_LCM // q) is p/q scaled to
+# an int: the sort key of a dim-1 exponent, and of each component of a dim-2
+# one, packed as first * _SPAN + second (|second| <= EXP_NUM_BOUND * _LCM)
+_LCM = lcm(*range(1, EXP_DEN_BOUND + 1))
+_SPAN = 2 * EXP_NUM_BOUND * _LCM + 1
+
+# _COMPONENT[q][p]: the pair and the key of p/q, for |p| <= EXP_NUM_BOUND
+_COMPONENT = {
+    q: {p: (rat(p, q), p * (_LCM // q)) for p in range(-EXP_NUM_BOUND, EXP_NUM_BOUND + 1)}
+    for q in range(1, EXP_DEN_BOUND + 1)
+}
 
 
 class SampleProfile(NamedTuple):
@@ -42,54 +65,70 @@ class Sampler:
             raise InvariantViolation(f"dim must be 1 or 2, got {profile.dim}")
         self.profile = profile
         self.rng = random.Random(profile.seed)
+        self._getrandbits = self.rng.getrandbits
+        # _coeffs[i][n]: rat(n, COEFF_DENS[i]) for 0 <= n <= coeff_bound
+        rows = {q: [rat(n, q) for n in range(profile.coeff_bound + 1)] for q in set(COEFF_DENS)}
+        self._coeffs = [rows[q] for q in COEFF_DENS]
 
-    def _rational(self, allow_zero: bool, allow_negative: bool) -> tuple:
-        """A canonical ``(num, den)`` pair."""
-        num = self.rng.randint(0 if allow_zero else 1, EXP_NUM_BOUND)
-        den = self.rng.randint(1, EXP_DEN_BOUND)
-        if allow_negative and num and self.rng.random() < 0.3:
-            num = -num
-        return rat(num, den)
+    def _below(self, n: int) -> int:
+        """A uniform int in [0, n), as ``Random._randbelow`` draws it."""
+        if n <= 0:
+            raise ValueError(f"empty range below {n}")
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     def _exponent(self) -> tuple:
-        """A nonzero exponent >= 0 in the lexicographic order, as a tuple of
-        canonical pairs."""
+        """(sort key, exponent): a nonzero exponent >= 0 in the lexicographic
+        order, as a tuple of canonical pairs."""
+        below = self._below
         if self.profile.dim == 1:
-            return (self._rational(allow_zero=False, allow_negative=False),)
-        first = self._rational(allow_zero=True, allow_negative=False)
-        second = self._rational(allow_zero=True, allow_negative=first[0] > 0)
-        if first[0] == 0 and second[0] == 0:
-            second = rat(self.rng.randint(1, EXP_NUM_BOUND), self.rng.randint(1, EXP_DEN_BOUND))
-        return (first, second)
-
-    def _coeff(self) -> tuple:
-        p = self.profile
-        num = self.rng.randint(1, p.coeff_bound)
-        den = self.rng.choice((1, 1, 1, 2, 3))
-        return rat(num, den)
+            num = 1 + below(EXP_NUM_BOUND)
+            pair, key = _COMPONENT[1 + below(EXP_DEN_BOUND)][num]
+            return key, (pair,)
+        num = below(EXP_NUM_BOUND + 1)
+        first, high = _COMPONENT[1 + below(EXP_DEN_BOUND)][num]
+        num = below(EXP_NUM_BOUND + 1)
+        den = 1 + below(EXP_DEN_BOUND)
+        if not (high or num):
+            num = 1 + below(EXP_NUM_BOUND)
+            den = 1 + below(EXP_DEN_BOUND)
+        # a second component may be negative only behind a positive first
+        elif high and num and self.rng.random() < 0.3:
+            num = -num
+        second, low = _COMPONENT[den][num]
+        return high * _SPAN + low, (first, second)
 
     def element(self) -> Element:
         """One sample; standard with probability about 1/8."""
-        p = self.profile
+        max_terms, bound, dim, _ = self.profile
+        below = self._below
         if self.rng.random() < 0.125:
-            return Element.integer(self.rng.randint(0, p.coeff_bound), p.dim)
-        n_terms = self.rng.randint(1, p.max_terms)
-        exps = set()
+            return Element.integer(below(bound + 1), dim)
+        n_terms = 1 + below(max_terms)
+        # exponents by sort key: canonical pairs, so equal keys are equal exponents
+        exps = {}
         guard = 0
         while len(exps) < n_terms and guard < 8 * n_terms:
             guard += 1
-            exps.add(self._exponent())
+            key, e = self._exponent()
+            exps[key] = e
+        coeffs = self._coeffs
         terms = []
-        for i, e in enumerate(sorted(exps, key=exponent_key, reverse=True)):
-            coeff = self._coeff()
+        for i, key in enumerate(sorted(exps, reverse=True)):
+            num = 1 + below(bound)
+            coeff = coeffs[below(len(COEFF_DENS))][num]
             if i > 0 and self.rng.random() < 0.4:
                 coeff = (-coeff[0], coeff[1])
-            terms.append((e, coeff))
-        constant = self.rng.randint(-p.coeff_bound, p.coeff_bound)
+            terms.append((exps[key], coeff))
+        constant = below(2 * bound + 1) - bound
         # every sampled exponent is above zero, so the constant comes last
         if constant:
-            terms.append((((0, 1),) * p.dim, (constant, 1)))
-        return Element.from_pairs(terms, p.dim)
+            terms.append((((0, 1),) * dim, (constant, 1)))
+        return Element.from_pairs(terms, dim)
 
     def nonstandard(self) -> Element:
         for _ in range(64):
@@ -99,10 +138,14 @@ class Sampler:
         raise AssertionError("sampler failed to produce a nonstandard element")
 
     def integer(self, lo: int, hi: int) -> int:
-        return self.rng.randint(lo, hi)
+        """``randint(lo, hi)``: a uniform int in [lo, hi]."""
+        return lo + self._below(hi - lo + 1)
 
     def choice(self, seq):
-        return self.rng.choice(seq)
+        """``choice(seq)``: a uniform item of a nonempty sequence."""
+        if not len(seq):
+            raise IndexError("cannot choose from an empty sequence")
+        return seq[self._below(len(seq))]
 
     def chance(self, p: float) -> bool:
         return self.rng.random() < p

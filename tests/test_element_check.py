@@ -10,6 +10,7 @@ The reference below lists every fault of a term list, term by term, with
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexarith.errors import InvariantViolation
@@ -41,6 +42,11 @@ def _canon(r) -> tuple:
     return (v.numerator, v.denominator)
 
 
+def _over_zero(terms) -> bool:
+    """Whether a pair of the term list has denominator 0, and so no value."""
+    return any(d == 0 for e, c in terms for _, d in (*e, c))
+
+
 def reference(terms, dim, normalize):
     """(every fault of the term list, the element's terms if there is none).
 
@@ -58,7 +64,8 @@ def reference(terms, dim, normalize):
         ]
     faults += [f"exponent {_text(e)} has wrong dimension for dim={dim}" for e, _ in terms if len(e) != dim]
     faults += ["zero coefficient term" for _, c in terms if c[0] == 0]
-    if any(len(e) != dim for e, _ in terms):
+    # with a pair over 0 the check reports one of the faults above first
+    if any(len(e) != dim for e, _ in terms) or _over_zero(terms):
         return faults, None
     if normalize:
         terms = sorted(terms, key=lambda t: _value(t[0]), reverse=True)
@@ -121,7 +128,7 @@ def term_lists(draw):
             e, c = terms[i]
             terms[i] = (e + ((1, 1),) if dim == 1 or draw(st.booleans()) else e[:1], c)
         elif fault == "non-canonical" and terms:
-            k = draw(st.sampled_from((2, -1, -2)))
+            k = draw(st.sampled_from((2, 0, -1, -2)))
             e, c = terms[i]
             j = draw(st.integers(0, len(e)))
             if j == len(e):
@@ -144,6 +151,11 @@ def _outcome(build, terms, dim):
 def test_both_constructors_match_the_reference(case):
     dim, terms = case
     for build, normalize in ((Element, True), (Element.from_pairs, False)):
+        if normalize and _over_zero(terms):
+            # normalizing a pair over 0 divides by zero, before any check
+            with pytest.raises(ZeroDivisionError):
+                build(terms, dim)
+            continue
         faults, raw = reference(terms, dim, normalize)
         message, built = _outcome(build, terms, dim)
         # refused exactly when there is a fault, for one of the faults there
