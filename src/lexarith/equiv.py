@@ -88,11 +88,11 @@ def holds(level: int, a: Element, b: Element) -> bool:
     a != b their difference starts at the first term where they differ; so
     deg(|a - b|) < deg(a) holds exactly when a and b share their leading
     term, exponent and coefficient."""
-    da, db = deg(a), deg(b)
     if level == 0:
         return trunc_const(a) == trunc_const(b)
     if level == 1:
         return a == b or a.term_pairs()[0] == b.term_pairs()[0]
+    da, db = deg(a), deg(b)
     if level == 2:
         return da == db
     if level == 3:

@@ -21,14 +21,17 @@ the degrees and the leading coefficients tie.
 ``search(level, a, b, n_max, hint)`` hunts for a witness inside finite
 bounds.  At the bound levels 0, 2 and 4 it tries n = 1 .. n_max, raised to
 ``hint.n + 1`` by a ``BoundN`` hint; at the companion levels 1 and 3 it
-walks the companion pool of ``default_pool``, with ``hint.c`` merged in by
-a ``Companion`` hint.  The pool is built only at the companion levels.
+walks the companion pool of ``default_pool``, with ``hint.c`` inserted in
+its place by a ``Companion`` hint (:func:`_merged`: a bisection into the
+ascending pool, nothing when it is already there).  The pool is built only
+at the companion levels.
 Exhaustion is a value, not an error, and never refutes: negative
 closed-form verdicts are justified by the decider's reason field.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvariantViolation, StandardInput
@@ -133,6 +136,15 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     return tuple(candidates[:96])
 
 
+def _merged(pool: tuple, c: Element) -> tuple:
+    """The ascending pool with c in its place: ``sorted({*pool, c})`` for a
+    pool ascending with no repeats, in about log2(len(pool)) compares."""
+    i = bisect_left(pool, c)
+    if i < len(pool) and pool[i] == c:
+        return pool
+    return pool[:i] + (c,) + pool[i:]
+
+
 def search(
     level: int, a: Element, b: Element, n_max: int = 16, hint: Optional[Witness] = None
 ) -> Optional[Witness]:
@@ -152,7 +164,7 @@ def search(
     elif level in LEVELS:  # a companion level
         pool = default_pool(a, b, n_max)
         if isinstance(hint, Companion):
-            pool = sorted({*pool, hint.c})
+            pool = _merged(pool, hint.c)
         candidates = map(Companion, pool)
     else:
         raise InvariantViolation(f"no searcher for level {level}")

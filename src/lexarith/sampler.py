@@ -17,6 +17,18 @@ Terms are built as canonical ``(num, den)`` pairs taken from precomputed
 tables, sorted once by an int key, and handed to
 :meth:`Element.from_pairs`, which checks them without normalizing or
 sorting again.
+
+The tables hand out shared objects, not copies: one exponent tuple per
+exponent value (the module's ``_EXPONENT``, keyed by the sort key), and per
+sampler one coefficient pair and one negated pair per drawable coefficient
+and one constant term per drawable constant.  Sharing is safe because
+terms are immutable tuples of canonical pairs, so an element cannot tell a
+shared exponent from a fresh equal one, and every value and every draw
+stay as they were (the stream pins hold).  It keeps the many samples a
+caller may hold, such as the benchmark's operands, from each owning copies
+of the same few hundred values.  The tables are fixed in size; none grows
+with the stream.  ``tests/test_sampler.py`` checks that every sampled
+exponent, negated coefficient and constant term is the table's object.
 """
 
 from __future__ import annotations
@@ -48,6 +60,21 @@ _COMPONENT = {
 }
 
 
+def _exponents(dim: int) -> dict:
+    """The exponent of every sort key that dim draws from, one tuple per
+    value: p >= 0 in dim 1 and in a first component, signed p in a second;
+    key 0 is the zero exponent of the constant term."""
+    firsts = [c for row in _COMPONENT.values() for p, c in row.items() if p >= 0]
+    if dim == 1:
+        return {key: (pair,) for pair, key in firsts}
+    seconds = [c for row in _COMPONENT.values() for c in row.values()]
+    return {high * _SPAN + low: (first, second) for first, high in firsts for second, low in seconds}
+
+
+# _EXPONENT[dim][key]: the shared exponent tuple of a sort key
+_EXPONENT = {dim: _exponents(dim) for dim in (1, 2)}
+
+
 class SampleProfile(NamedTuple):
     max_terms: int = 3
     coeff_bound: int = 9
@@ -66,9 +93,16 @@ class Sampler:
         self.profile = profile
         self.rng = random.Random(profile.seed)
         self._getrandbits = self.rng.getrandbits
-        # _coeffs[i][n]: rat(n, COEFF_DENS[i]) for 0 <= n <= coeff_bound
-        rows = {q: [rat(n, q) for n in range(profile.coeff_bound + 1)] for q in set(COEFF_DENS)}
+        # _coeffs[i][n]: rat(n, COEFF_DENS[i]) for 0 <= n <= coeff_bound, and
+        # _negs[i][n] its negation
+        bound = profile.coeff_bound
+        rows = {q: [rat(n, q) for n in range(bound + 1)] for q in set(COEFF_DENS)}
+        negs = {q: [(-n, d) for n, d in row] for q, row in rows.items()}
         self._coeffs = [rows[q] for q in COEFF_DENS]
+        self._negs = [negs[q] for q in COEFF_DENS]
+        # _consts[bound + c]: the constant term c, None for c == 0
+        zero = _EXPONENT[profile.dim][0]
+        self._consts = [(zero, (c, 1)) if c else None for c in range(-bound, bound + 1)]
 
     def _below(self, n: int) -> int:
         """A uniform int in [0, n), as ``Random._randbelow`` draws it."""
@@ -81,16 +115,15 @@ class Sampler:
             r = getrandbits(k)
         return r
 
-    def _exponent(self) -> tuple:
-        """(sort key, exponent): a nonzero exponent >= 0 in the lexicographic
-        order, as a tuple of canonical pairs."""
+    def _exponent(self) -> int:
+        """The sort key of a nonzero exponent >= 0 in the lexicographic
+        order; ``_EXPONENT[dim]`` holds the exponent of each key."""
         below = self._below
         if self.profile.dim == 1:
             num = 1 + below(EXP_NUM_BOUND)
-            pair, key = _COMPONENT[1 + below(EXP_DEN_BOUND)][num]
-            return key, (pair,)
+            return _COMPONENT[1 + below(EXP_DEN_BOUND)][num][1]
         num = below(EXP_NUM_BOUND + 1)
-        first, high = _COMPONENT[1 + below(EXP_DEN_BOUND)][num]
+        high = _COMPONENT[1 + below(EXP_DEN_BOUND)][num][1]
         num = below(EXP_NUM_BOUND + 1)
         den = 1 + below(EXP_DEN_BOUND)
         if not (high or num):
@@ -99,8 +132,7 @@ class Sampler:
         # a second component may be negative only behind a positive first
         elif high and num and self.rng.random() < 0.3:
             num = -num
-        second, low = _COMPONENT[den][num]
-        return high * _SPAN + low, (first, second)
+        return high * _SPAN + _COMPONENT[den][num][1]
 
     def element(self) -> Element:
         """One sample; standard with probability about 1/8."""
@@ -109,25 +141,23 @@ class Sampler:
         if self.rng.random() < 0.125:
             return Element.integer(below(bound + 1), dim)
         n_terms = 1 + below(max_terms)
-        # exponents by sort key: canonical pairs, so equal keys are equal exponents
-        exps = {}
+        # exponents by sort key: equal keys are equal exponents
+        keys = set()
         guard = 0
-        while len(exps) < n_terms and guard < 8 * n_terms:
+        while len(keys) < n_terms and guard < 8 * n_terms:
             guard += 1
-            key, e = self._exponent()
-            exps[key] = e
-        coeffs = self._coeffs
+            keys.add(self._exponent())
+        exps, coeffs, negs = _EXPONENT[dim], self._coeffs, self._negs
         terms = []
-        for i, key in enumerate(sorted(exps, reverse=True)):
+        for i, key in enumerate(sorted(keys, reverse=True)):
             num = 1 + below(bound)
-            coeff = coeffs[below(len(COEFF_DENS))][num]
-            if i > 0 and self.rng.random() < 0.4:
-                coeff = (-coeff[0], coeff[1])
+            row = below(len(COEFF_DENS))
+            coeff = (negs if i > 0 and self.rng.random() < 0.4 else coeffs)[row][num]
             terms.append((exps[key], coeff))
-        constant = below(2 * bound + 1) - bound
         # every sampled exponent is above zero, so the constant comes last
+        constant = self._consts[below(2 * bound + 1)]
         if constant:
-            terms.append((((0, 1),) * dim, (constant, 1)))
+            terms.append(constant)
         return Element.from_pairs(terms, dim)
 
     def nonstandard(self) -> Element:

@@ -211,3 +211,24 @@ def test_default_pool_compares_no_elements(monkeypatch, dim):
         a, b = P("t^(2,3) + t^(1,-1) + 4", 2), P("t^(1,2) + t^(0,5)", 2)
     assert len(oracle.default_pool(a, b)) > 20
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_companion_hint_is_merged_as_sorting_would(dim):
+    # hints inside the pool, and outside it: below and above every
+    # candidate, the deciders' companions and sampled elements in between
+    s = Sampler(SampleProfile(dim=dim, seed=41))
+    inside = outside = 0
+    for _ in range(40):
+        a, b = suites.related_pair(s)
+        for n_max in (8, 16):
+            pool = oracle.default_pool(a, b, n_max)
+            assert all(x < y for x, y in zip(pool, pool[1:]))
+            hints = [pool[0], pool[len(pool) // 2], pool[-1], Element.zero(dim), pool[-1] * 2, s.nonstandard()]
+            hints += [v.witness.c for v in (decide(1, a, b), decide(3, a, b)) if v.equivalent]
+            for c in hints:
+                merged = oracle._merged(pool, c)
+                assert merged == tuple(sorted({*pool, c})), (a, b, c)
+                inside += c in pool
+                outside += c not in pool
+    assert inside and outside

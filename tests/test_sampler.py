@@ -3,7 +3,9 @@ and their pinned outcomes are drawn from it, so a change to how an element
 is built must leave both the elements and the number of RNG draws alone.
 
 Its one integer primitive is checked against the literal definition, a twin
-``random.Random``, and its exponent sort key against the model's order."""
+``random.Random``, its exponent sort key against the model's order, and its
+shared tables by identity: every sampled exponent, negated coefficient and
+constant term is the table's one object."""
 
 import hashlib
 import random
@@ -11,9 +13,11 @@ from itertools import product
 
 import pytest
 
-from lexarith.model import exponent_key, rat
+from lexarith.model import exponent_key, is_standard, rat
 from lexarith.sampler import (
     _COMPONENT,
+    _EXPONENT,
+    _LCM,
     _SPAN,
     COEFF_DENS,
     EXP_DEN_BOUND,
@@ -101,8 +105,9 @@ def _component(p, q):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_the_sort_key_orders_every_drawable_exponent_as_the_model(dim):
-    # dim 1 draws p in 1..EXP_NUM_BOUND; dim 2 is checked on signed p in both places
-    nums = range(1, EXP_NUM_BOUND + 1) if dim == 1 else range(-EXP_NUM_BOUND, EXP_NUM_BOUND + 1)
+    # dim 1 draws p in 1..EXP_NUM_BOUND, and p = 0 is the constant term's
+    # exponent; dim 2 is checked on signed p in both places
+    nums = range(0, EXP_NUM_BOUND + 1) if dim == 1 else range(-EXP_NUM_BOUND, EXP_NUM_BOUND + 1)
     comps = [_component(p, q) for p in nums for q in range(1, EXP_DEN_BOUND + 1)]
     if dim == 1:
         keyed = [(key, (pair,)) for pair, key in comps]
@@ -112,3 +117,44 @@ def test_the_sort_key_orders_every_drawable_exponent_as_the_model(dim):
     # in the model's order, the key rises exactly when the exponent does
     for (k, e), (l, f) in zip(keyed, keyed[1:]):
         assert (k < l, k == l) == (e != f, e == f), (e, f)
+    # the shared table holds the exponent of each key whose first component
+    # is drawn, p >= 0, and nothing else
+    assert _EXPONENT[dim] == {k: e for k, e in keyed if e[0][0] >= 0}
+
+
+def _key(e: tuple) -> int:
+    """The sort key of an exponent, from its canonical pairs."""
+    keys = [p * (_LCM // q) for p, q in e]
+    return keys[0] if len(e) == 1 else keys[0] * _SPAN + keys[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("profile", [{}, {"max_terms": 2, "coeff_bound": 4}], ids=["default", "small"])
+def test_samples_share_the_tables_objects(dim, profile):
+    s = Sampler(SampleProfile(dim=dim, seed=5, **profile))
+    bound = s.profile.coeff_bound
+    # the tables live as long as s, so their objects' ids are theirs alone
+    neg_ids = {id(c) for row in s._negs for c in row}
+    coeff_ids = {id(c) for row in s._coeffs for c in row}
+    negs = consts = 0
+    for _ in range(2000):
+        e = s.element()
+        if is_standard(e):
+            continue
+        for term in e.raw:
+            exp, coeff = term
+            num = coeff[0]
+            if not any(p for p, _ in exp):
+                # the constant term, always the last
+                assert term is s._consts[bound + num]
+                consts += 1
+                continue
+            assert exp is _EXPONENT[dim][_key(exp)]
+            # rat(6, 2) is (3, 1): a pair may sit in another denominator's row
+            if num < 0:
+                assert id(coeff) in neg_ids
+                negs += 1
+            else:
+                assert id(coeff) in coeff_ids
+    # both tables were reached
+    assert negs and consts
