@@ -30,6 +30,12 @@ factors of more than one term each whose word products (term products
 times the 64-bit words of the widest int each factor is scaled to: a
 coefficient over the lcm of its factor's denominators, or an exponent key)
 pass ``MAX_MUL_WORDS``.
+
+Two shortcuts leave the ceilings, their order and their messages as they
+are: a square, ``terms_mul(A, A)`` with one object as ``pow_int`` passes
+it, is counted as the product of two factors but takes each cross product
+once; and a one-term factor of coefficient 1 or exponent 0 skips that half
+of the shift, the monomial 1 returning the other factor itself.
 """
 
 from math import gcd, lcm
@@ -188,7 +194,12 @@ def terms_scale(A, r):
 
 def _shift(A, e, c):
     """A times the monomial ``c * t^e``: every exponent moves by e, so the
-    order is kept and nothing cancels."""
+    order is kept and nothing cancels.  A coefficient 1 takes no rat_mul,
+    an exponent 0 no exp_add, and the monomial 1 returns A itself."""
+    if exp_is_zero(e):
+        return A if c == (1, 1) else tuple([(ea, rat_mul(ca, c)) for ea, ca in A])
+    if c == (1, 1):
+        return tuple([(exp_add(ea, e), ca) for ea, ca in A])
     return tuple([(exp_add(ea, e), rat_mul(ca, c)) for ea, ca in A])
 
 
@@ -231,33 +242,41 @@ def terms_mul(A, B):
         return _shift(A, *B[0])
     if len(A) == 1:
         return _shift(B, *A[0])
+    # a square, A is B, aliases B's lcm, scaled lists and keys to A's
+    sq = A is B
     da = lcm(*[c[1] for _, c in A])
-    db = lcm(*[c[1] for _, c in B])
+    db = da if sq else lcm(*[c[1] for _, c in B])
     wa = max([c[0].bit_length() for _, c in A]) + da.bit_length() + 63 >> 6
-    wb = max([c[0].bit_length() for _, c in B]) + db.bit_length() + 63 >> 6
+    wb = wa if sq else max([c[0].bit_length() for _, c in B]) + db.bit_length() + 63 >> 6
     _require_words(len(A) * len(B) * wa * wb)
-    AB = A + B
+    AB = A if sq else A + B
     d0 = lcm(*[e[0][1] for e, _ in AB])
     KA = [e[0][0] * (d0 // e[0][1]) for e, _ in A]
-    KB = [e[0][0] * (d0 // e[0][1]) for e, _ in B]
+    KB = KA if sq else [e[0][0] * (d0 // e[0][1]) for e, _ in B]
     two = len(A[0][0]) == 2
     M = b = 0
     if two:
         d1 = lcm(*[e[1][1] for e, _ in AB])
         XA = [e[1][0] * (d1 // e[1][1]) for e, _ in A]
-        XB = [e[1][0] * (d1 // e[1][1]) for e, _ in B]
+        XB = XA if sq else [e[1][0] * (d1 // e[1][1]) for e, _ in B]
         M = max(map(abs, XA)) + max(map(abs, XB))
         b = (2 * M).bit_length()
         KA = [(x0 << b) + x1 for x0, x1 in zip(KA, XA)]
-        KB = [(x0 << b) + x1 for x0, x1 in zip(KB, XB)]
+        KB = KA if sq else [(x0 << b) + x1 for x0, x1 in zip(KB, XB)]
     ka = max(KA[0].bit_length(), KA[-1].bit_length()) + 63 >> 6
-    kb = max(KB[0].bit_length(), KB[-1].bit_length()) + 63 >> 6
+    kb = ka if sq else max(KB[0].bit_length(), KB[-1].bit_length()) + 63 >> 6
     if ka > wa or kb > wb:
         _require_words(len(A) * len(B) * max(wa, ka) * max(wb, kb))
-    IB = list(zip(KB, [c[0] * (db // c[1]) for _, c in B]))
+    IA = list(zip(KA, [c[0] * (da // c[1]) for _, c in A]))
+    IB = IA if sq else list(zip(KB, [c[0] * (db // c[1]) for _, c in B]))
     acc = {}
     get = acc.get
-    for xa, na in zip(KA, [c[0] * (da // c[1]) for _, c in A]):
+    for i, (xa, na) in enumerate(IA):
+        if sq:
+            # the diagonal product once, then each cross product once, doubled
+            acc[xa + xa] = get(xa + xa, 0) + na * na
+            na += na
+            IB = IA[i + 1:]
         for xb, nb in IB:
             k = xa + xb
             acc[k] = get(k, 0) + na * nb

@@ -49,7 +49,11 @@ from .model import (
     Exponent,
     const_value,
     deg,
+    deg_cmp,
+    deg_level,
+    deg_texts,
     is_standard,
+    mul_lt,
     pow_lt,
     sub,
     trunc_const,
@@ -78,7 +82,7 @@ def require_nonstandard(a: Element, b: Element) -> None:
 
 
 def _reason(rule: str, a: Element, b: Element) -> dict:
-    return {"rule": rule, "deg_a": deg(a).texts(), "deg_b": deg(b).texts()}
+    return {"rule": rule, "deg_a": deg_texts(a), "deg_b": deg_texts(b)}
 
 
 def holds(level: int, a: Element, b: Element) -> bool:
@@ -92,14 +96,13 @@ def holds(level: int, a: Element, b: Element) -> bool:
         return trunc_const(a) == trunc_const(b)
     if level == 1:
         return a == b or a.term_pairs()[0] == b.term_pairs()[0]
-    da, db = deg(a), deg(b)
     if level == 2:
-        return da == db
+        return deg_cmp(a, b) == 0
     if level == 3:
         # same Archimedean class, and the degrees differ only below it
-        return da.level() == db.level() < (da - db).level()
+        return deg_level(a) == deg_level(b) < deg_level(a, b)
     if level == 4:
-        return da.level() == db.level()
+        return deg_level(a) == deg_level(b)
     raise AssertionError(level)
 
 
@@ -134,18 +137,18 @@ def _witness(level: int, a: Element, b: Element) -> Witness:
 
     Levels 2 and 4 take one rule, :func:`_least_bound`: at level 2 the
     leading coefficients of a pair of equal degree compare, against
-    ``a < n*b``; at level 4 the degrees' first nonzero components, against
-    ``a < b**n`` (:func:`pow_lt`).  Level 3's companion for a pair of equal
-    degree is the level-2 bound, as a constant."""
+    ``a < b*n`` (:func:`mul_lt`); at level 4 the degrees' first nonzero
+    components, against ``a < b**n`` (:func:`pow_lt`).  Level 3's companion
+    for a pair of equal degree is the level-2 bound, as a constant."""
     if level == 0:
         w: Witness = BoundN(abs(const_value(a) - const_value(b)) + 1)
     elif level == 1:
         w = Companion((sub(a, b) if a >= b else sub(b, a)) + Element.integer(1, a.dim))
     elif level == 4:
-        lvl = deg(a).level()
+        lvl = deg_level(a)
         w = BoundN(_least_bound(a, b, pow_lt, deg(a).component(lvl), deg(b).component(lvl)))
-    elif level == 2 or deg(a) == deg(b):
-        n = _least_bound(a, b, lambda p, q, k: p < q * k, a.term_pairs()[0][1], b.term_pairs()[0][1])
+    elif level == 2 or deg_cmp(a, b) == 0:
+        n = _least_bound(a, b, mul_lt, a.term_pairs()[0][1], b.term_pairs()[0][1])
         w = BoundN(n) if level == 2 else Companion(Element.integer(n, a.dim))
     else:
         # level 3 with differing degrees: a monomial one archimedean notch

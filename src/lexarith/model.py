@@ -161,10 +161,7 @@ class Exponent:
         Exponents with equal level lie in the same Archimedean class of the
         lexicographic group; a lower level dominates every higher one.
         """
-        for i, r in enumerate(self._raw):
-            if r[0]:
-                return i
-        return len(self._raw)
+        return _level(self._raw)
 
     def __add__(self, other: "Exponent") -> "Exponent":
         return Exponent._wrap(K.exp_add(self._raw, other._raw))
@@ -189,6 +186,16 @@ class Exponent:
 
     def __repr__(self) -> str:
         return f"Exponent{_exp_text(self._raw)}"
+
+
+def _level(e: tuple, f: Optional[tuple] = None) -> int:
+    """The index of the first component where the exponents e and f (zero
+    by default) differ, as canonical pairs do exactly when their values
+    differ; len(e) when they agree."""
+    for i, x in enumerate(e):
+        if x != (f[i] if f else (0, 1)):
+            return i
+    return len(e)
 
 
 class Term(NamedTuple):
@@ -426,6 +433,25 @@ def deg(a: Element) -> Optional[Exponent]:
     return Exponent._wrap(a.raw[0][0])
 
 
+# The degree reads below take nonzero elements and read their leading
+# exponents in place, building no Exponent.
+
+
+def deg_cmp(a: Element, b: Element) -> int:
+    """-1, 0 or 1 as deg(a) < deg(b), deg(a) = deg(b), deg(a) > deg(b)."""
+    return K.exp_cmp(a._raw[0][0], b._raw[0][0])
+
+
+def deg_level(a: Element, b: Optional[Element] = None) -> int:
+    """``deg(a).level()``; with b, ``(deg(a) - deg(b)).level()``."""
+    return _level(a._raw[0][0], None if b is None else b._raw[0][0])
+
+
+def deg_texts(a: Element) -> list:
+    """``deg(a).texts()``: the components of the degree as ``"p/q"`` strings."""
+    return [format_rational(r) for r in a._raw[0][0]]
+
+
 def is_standard(a: Element) -> bool:
     """True iff a is a constant, i.e. lies in the embedded copy of N."""
     raw = a._raw
@@ -614,28 +640,72 @@ def pow_int(a: Element, n: int) -> Element:
     return Element._wrap(_const_terms(1, a._dim) if result is None else result, a._dim)
 
 
+def _lead_lt(a: Element, e: tuple, coeff: Callable, *args) -> Optional[bool]:
+    """``a < x`` for a nonzero a and an x whose leading term is
+    ``coeff(*args) * t^e`` with a positive coefficient, as the leading terms
+    decide it: the degrees first, then the coefficients, the second taken
+    only on a degree tie.  None when both tie, and only the whole of x
+    decides."""
+    ea, ca = a._raw[0]
+    side = K.exp_cmp(ea, e) or K.rat_cmp(ca, coeff(*args))
+    return side < 0 if side else None
+
+
+def _lc_power(b: Element, n: int) -> tuple:
+    """``lc(b)**n``, refused as pow_int refuses a coefficient too wide for
+    the power; ``(num**n, den**n)`` is still a canonical pair."""
+    _require_pow_bits(b._raw[:1], n)
+    cb = b._raw[0][1]
+    return (cb[0] ** n, cb[1] ** n)
+
+
 def pow_lt(a: Element, b: Element, n: int) -> bool:
     """Exactly ``a < pow_int(b, n)``, deciding most pairs without the power.
 
     For nonzero a and b and n >= 1, both a and the power have a positive
     leading coefficient, and the power's leading term is
-    ``lc(b)**n * t^(n*deg(b))``.  So the degrees decide first, then the
-    leading coefficients (``(num**n, den**n)`` is still a canonical pair),
-    and the power is built only when both tie, or when n < 1 or a or b is
-    zero.  Raises ResourceLimit where :func:`pow_int` would, and for a
-    leading coefficient of b too wide for ``lc(b)**n``.
+    ``lc(b)**n * t^(n*deg(b))``, so the leading terms decide
+    (:func:`_lead_lt`).  The power is built only when both the degrees and
+    the leading coefficients tie, or when n < 1 or a or b is zero; it raises
+    what :func:`pow_int` raises only there.  Otherwise it raises
+    ResourceLimit only on a degree tie with a leading coefficient of b too
+    wide for ``lc(b)**n``: a power pow_int refuses for its term count or its
+    other coefficients can still be decided here.
     """
     _check_same_dim(a, b)
     if n >= 1 and a._raw and b._raw:
-        (ea, ca), (eb, cb) = a._raw[0], b._raw[0]
-        side = K.exp_cmp(ea, K.exp_scale(eb, (n, 1)))
-        if side:
-            return side < 0
-        _require_pow_bits(b._raw[:1], n)
-        side = K.rat_cmp(ca, (cb[0] ** n, cb[1] ** n))
-        if side:
-            return side < 0
+        below = _lead_lt(a, K.exp_scale(b._raw[0][0], (n, 1)), _lc_power, b, n)
+        if below is not None:
+            return below
     return a < pow_int(b, n)
+
+
+def mul_lt(a: Element, b: Element, c: Union[Element, int]) -> bool:
+    """Exactly ``a < b * c``, for an element c or an int c >= 0, deciding
+    most triples without the product.
+
+    For nonzero a, b and c the product's leading term is
+    ``lc(b)*lc(c) * t^(deg(b) + deg(c))``, both coefficients positive, so
+    nothing cancels and the leading terms decide (:func:`_lead_lt`).  The
+    product is built only when both the degrees and the leading
+    coefficients tie, or when a, b or c is zero, and only there can it
+    raise ResourceLimit, where ``b * c`` would.  Usage errors are those of
+    ``b * c``: a negative int c, then a dimension mismatch.
+    """
+    if isinstance(c, int):
+        if c < 0:
+            raise InvariantViolation("cannot scale by a negative integer")
+        rc = _const_terms(c, b._dim)
+    else:
+        _check_same_dim(b, c)
+        rc = c._raw
+    _check_same_dim(a, b)
+    if a._raw and b._raw and rc:
+        (eb, cb), (ec, cc) = b._raw[0], rc[0]
+        below = _lead_lt(a, K.exp_add(eb, ec), K.rat_mul, cb, cc)
+        if below is not None:
+            return below
+    return a < b * c
 
 
 def int_floor_root(n: int, k: int) -> int:

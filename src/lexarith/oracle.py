@@ -13,9 +13,13 @@ against a supplied certificate: the existential inequalities exactly, and
 the universal "for all standard n" conditions by exact degree comparison
 (sampling over n would be unsound; in this model ``n*c < a`` for all n iff
 ``deg(c) < deg(a)``, and ``c**n < a`` for all n iff deg(c) sits in a
-strictly lower Archimedean class than deg(a)).  Level 4's inequalities
-``a < b**n`` and ``b < a**n`` go through :func:`lexarith.model.pow_lt`,
-which compares the leading terms first and builds a power only when both
+strictly lower Archimedean class than deg(a)), read on the leading
+exponents by :func:`lexarith.model.deg_cmp` and
+:func:`lexarith.model.deg_level`.  The inequalities of levels 2 and 3,
+``a < b*n`` and ``b < a*n``, ``a < b*c`` and ``b < a*c``, go through
+:func:`lexarith.model.mul_lt`, and level 4's ``a < b**n`` and
+``b < a**n`` through :func:`lexarith.model.pow_lt`: each compares the
+leading terms first and builds the product or the power only when both
 the degrees and the leading coefficients tie.
 
 ``search(level, a, b, n_max, hint)`` hunts for a witness inside finite
@@ -35,7 +39,7 @@ from bisect import bisect_left
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvariantViolation, StandardInput
-from .model import Element, Exponent, deg, is_standard, pow_lt
+from .model import Element, Exponent, deg_cmp, deg_level, is_standard, mul_lt, pow_lt
 # unused here: perfbench/test_perfbench.py checks that perfbench/tracing.py
 # rebinds and restores oracle.pow_int
 from .model import pow_int  # noqa: F401
@@ -64,16 +68,12 @@ def _require_nonstandard(a: Element, b: Element) -> None:
 
 def multiples_stay_below(c: Element, a: Element) -> bool:
     """n*c < a for every standard n (exact: degree comparison)."""
-    if c.is_zero():
-        return True
-    return deg(c) < deg(a)
+    return c.is_zero() or deg_cmp(c, a) < 0
 
 
 def powers_stay_below(c: Element, a: Element) -> bool:
     """c**n < a for every standard n (exact: Archimedean class comparison)."""
-    if c.is_zero():
-        return True
-    return deg(c).level() > deg(a).level()
+    return c.is_zero() or deg_level(c) > deg_level(a)
 
 
 def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
@@ -85,7 +85,7 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
         if level == 0:
             return a < b + n and b < a + n
         if level == 2:
-            return a < b * n and b < a * n
+            return mul_lt(a, b, n) and mul_lt(b, a, n)
         return pow_lt(a, b, n) and pow_lt(b, a, n)
     if level in LEVELS:  # a companion level
         if not isinstance(w, Companion) or not isinstance(w.c, Element) or w.c.dim != a.dim:
@@ -101,8 +101,8 @@ def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
         return (
             powers_stay_below(c, a)
             and powers_stay_below(c, b)
-            and a < b * c
-            and b < a * c
+            and mul_lt(a, b, c)
+            and mul_lt(b, a, c)
         )
     return False
 

@@ -83,6 +83,14 @@ def test_terms_ops_match_fraction_reference(dim):
         assert _kernel_py.terms_sub(A, B) == _from_dict(_ref_add(dA, neg_B))
         assert _kernel_py.terms_mul(A, B) == _from_dict(_ref_mul(dA, dB))
         assert _kernel_py.terms_scale(A, r) == _from_dict({e: c * Fraction(*r) for e, c in dA.items()})
+        # a square passes one object; monomials of coefficient 1 and of
+        # exponent 0 take the shift's shortcuts, on either side
+        assert _kernel_py.terms_mul(A, A) == _from_dict(_ref_mul(dA, dA))
+        e = tuple(_kernel_py.rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+        for m in (((e, (1, 1)),), ((((0, 1),) * dim, r if r[0] else (1, 1)),), ((((0, 1),) * dim, (1, 1)),)):
+            dm = _as_dict(m)
+            assert _kernel_py.terms_mul(A, m) == _from_dict(_ref_mul(dA, dm))
+            assert _kernel_py.terms_mul(m, A) == _from_dict(_ref_mul(dm, dA))
 
 
 def test_kernel_binding_is_the_pure_kernel():
@@ -175,6 +183,18 @@ def test_wide_exponent_keys_are_refused_before_the_loop(monkeypatch):
     # 4000-digit numerators over small denominators make keys of 208 words
     C = _wide_exponents(4000, num=lambda k, w: w * (16 - k) + k, den=lambda k, w: 3)
     assert _kernel_py.terms_mul(C, C) == _from_dict(_ref_mul(_as_dict(C), _as_dict(C)))
+
+
+def test_a_square_is_refused_as_the_same_product_of_distinct_tuples():
+    # wide coefficient denominators, then wide exponent keys
+    for A in (_series(16, lambda k: 10**999 + k), _wide_exponents(1000)):
+        twin = tuple(list(A))
+        assert twin == A and twin is not A
+        with pytest.raises(ResourceLimit, match="word products") as distinct:
+            _kernel_py.terms_mul(A, twin)
+        with pytest.raises(ResourceLimit, match="word products") as square:
+            _kernel_py.terms_mul(A, A)
+        assert str(square.value) == str(distinct.value)
 
 
 def _exps(d):

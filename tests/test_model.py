@@ -27,6 +27,7 @@ from lexarith.model import (
     from_key,
     is_standard,
     monomial_inverse,
+    mul_lt,
     pow_int,
     pow_lt,
     root_floor,
@@ -412,6 +413,61 @@ class TestPowLt:
             pow_lt(P("t"), P("t"), -1)
         with pytest.raises(InvariantViolation):
             pow_lt(P("t"), P("t^(1,0)", 2), 2)
+
+    def test_a_power_too_large_to_build_is_decided_on_its_leading_terms(self):
+        # 20 terms t^(1 + 1/p), one for each prime p up to 71: b**2 has 210
+        # terms and b**4 more than MAX_DIV_BUDGET, while t^1000 clears
+        # t^(4*(1 + 1/2)) on degrees alone
+        primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
+        b = Element([((Fraction(p + 1, p),), 1) for p in primes], 1)
+        assert len(primes) == 20
+        with pytest.raises(ResourceLimit, match="power exceeded 1024 terms"):
+            pow_int(b, 4)
+        assert pow_lt(P("t^1000"), b, 4) is False
+
+
+class TestMulLt:
+    """``mul_lt(x, y, c)`` against its literal definition ``x < y * c``."""
+
+    @staticmethod
+    def cases(dim):
+        s = Sampler(SampleProfile(dim=dim, seed=37))
+        one = Element.integer(1, dim)
+        ys = [Element.zero(dim), one, Element.integer(3, dim)] + [s.element() for _ in range(30)]
+        for y in ys:
+            # c: a sampled element, a monomial, a constant, an int, and zeros
+            mono = Element([(deg(s.nonstandard()) if s.chance(0.5) else [0] * dim, 1)], dim)
+            for c in (s.element(), mono, Element.integer(s.integer(0, 4), dim), s.integer(0, 5), 0, Element.zero(dim)):
+                product = y * c
+                # sampled x, exact ties, and ties of the degree alone
+                xs = [s.element(), Element.zero(dim), product, product + one, product * 2]
+                if product:
+                    xs += [sub(product, one), divmod_scalar(product, 2)[0]]
+                for x in xs:
+                    yield x, y, c, product
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_literal_comparison(self, dim):
+        lead_ties = 0
+        for x, y, c, product in self.cases(dim):
+            assert mul_lt(x, y, c) == (x < product), (x, y, c)
+            lead_ties += bool(x) and bool(product) and x.raw[0] == product.raw[0]
+        assert lead_ties > 250
+
+    def test_usage_errors_match_the_product(self):
+        for c, error in ((-1, "negative integer"), (P("t^(1,0)", 2), "dimension mismatch")):
+            with pytest.raises(InvariantViolation, match=error):
+                P("t") * c
+            with pytest.raises(InvariantViolation, match=error):
+                mul_lt(P("t"), P("t"), c)
+
+    def test_a_product_too_large_to_build_is_decided_on_its_leading_terms(self):
+        # 257 terms times 257 terms is past the kernel's product ceiling
+        y = Element([((k,), 1) for k in range(257)], 1)
+        with pytest.raises(ResourceLimit, match="257x257 term products"):
+            y * y
+        assert mul_lt(P("t^1000"), y, y) is False
+        assert mul_lt(P("t^100"), y, y) is True
 
 
 class TestStandardness:

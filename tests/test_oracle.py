@@ -5,7 +5,7 @@ import pytest
 from lexarith import model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import StandardInput
-from lexarith.model import Element, Exponent, pow_int
+from lexarith.model import Element, Exponent, deg, pow_int
 from lexarith.oracle import BoundN, Companion, check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -110,6 +110,54 @@ def test_level4_check_builds_a_power_only_on_a_leading_tie(monkeypatch, dim):
     assert not check_witness(4, a, b, BoundN(2))
     assert built == [2]
 
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level2_and_level3_checks_multiply_only_on_a_leading_tie(monkeypatch, dim):
+    a = P("6*t + 1", 1) if dim == 1 else P("6*t^(1,1) + t^(0,2)", 2)
+    b = P("2*t", 1) if dim == 1 else P("2*t^(1,1)", 2)
+    c = Element.integer(3, dim)
+    products = []
+    times = Element.__mul__
+
+    def counted(x, y):
+        products.append(y)
+        return times(x, y)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    # the leading terms differ by coefficient (a against b*n for n != 3, and
+    # b against a*n), or by degree (a companion of degree 1 or more)
+    for n in (1, 2, 4, 5):
+        check_witness(2, a, b, BoundN(n))
+    check_witness(3, a, b, Companion(Element.integer(4, dim)))
+    if dim == 2:
+        check_witness(3, a, b, Companion(P("t^(0,1)", 2)))
+    assert products == []
+    # a and b*3 share their leading term: one product, and a < b*3 fails
+    assert not check_witness(2, a, b, BoundN(3))
+    assert not check_witness(3, a, b, Companion(c))
+    assert products == [3, c]
+
+
+def _literal_check(level, a, b, w):
+    """check_witness at level 2 or 3 with its products built: the literal
+    inequalities, and level 3's universal condition as Exponent levels."""
+    if level == 2:
+        return a < b * w.n and b < a * w.n
+    c = w.c
+    dominated = c.is_zero() or deg(c).level() > max(deg(a).level(), deg(b).level())
+    return dominated and a < b * c and b < a * c
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level2_and_level3_checks_match_the_definition(dim):
+    s = Sampler(SampleProfile(dim=dim, seed=31))
+    for _ in range(40):
+        a, b = suites.related_pair(s)
+        witnesses = [(2, BoundN(n)) for n in range(1, 9)]
+        witnesses += [(3, Companion(c)) for c in oracle.default_pool(a, b) + (Element.zero(dim),)]
+        for level, w in witnesses:
+            assert check_witness(level, a, b, w) == _literal_check(level, a, b, w), (level, a, b, w)
 
 def _search_calls(dim, count):
     """Sampled (level, a, b, kwargs) in the suites' three call shapes."""
