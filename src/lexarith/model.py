@@ -800,17 +800,18 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
 
     m = _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim)
     # truncation can land a step off
-    return certified_max(lambda x: pow_int(x, k) <= a, m, one)
+    return certified_max(lambda x: pow_int(x, k) <= a, m)
 
 
-def certified_max(pred: Callable[[Element], bool], candidate: Element, step: Element) -> Element:
-    """The x with pred(x) and not pred(x + step), at most four steps from a
+def certified_max(pred: Callable[[Element], bool], candidate: Element) -> Element:
+    """The x with pred(x) and not pred(x + 1), at most four unit steps from a
     closed-form candidate.
 
     ``pred`` must hold up to some point and fail beyond it.  A candidate
     that needs more moves means the closed form is wrong: AssertionError,
     never partiality.
     """
+    step = Element.integer(1, candidate.dim)
     for _ in range(4):
         if not pred(candidate):
             candidate = sub(candidate, step)
@@ -820,4 +821,4 @@ def certified_max(pred: Callable[[Element], bool], candidate: Element, step: Ele
             return candidate
     if pred(candidate) and not pred(candidate + step):
         return candidate
-    raise AssertionError(f"closed-form candidate did not settle within 4 steps of {step!r}")
+    raise AssertionError("closed-form candidate did not settle within 4 unit steps")

@@ -9,10 +9,12 @@ from lexarith.equiv import decide
 from lexarith.errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
+    LexarithError,
     NotE4Equivalent,
     StandardInput,
 )
-from lexarith.model import Element, pow_int
+from lexarith.model import Element, deg, divmod_floor, pow_int, root_floor, sub
+from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
 
 
@@ -109,6 +111,84 @@ class TestB11Seq:
     def test_partiality_propagates(self):
         with pytest.raises(CoefficientNotRepresentable):
             an.b11_seq(P("2*t^2"), 1, "up")
+
+    @pytest.mark.parametrize(
+        "text, direction, expected",
+        [
+            ("t^(0,1)", "up", ["t^(0,3/2)", "t^(0,5/4)", "t^(0,9/8)"]),
+            ("t^(0,1)", "down", ["t^(0,1/2)", "t^(0,3/4)", "t^(0,7/8)"]),
+            (
+                "t^(2,0) + t^(1,5) + 3",
+                "up",
+                [
+                    "t^(3,0) + 3/2*t^(2,5) - t^(2,0) + 1/2*t^(1,10) - t^(1,5) + 3*t^(1,0)"
+                    " + 3/2*t^(0,5) - 3",
+                    "t^(5/2,0) + t^(3/2,5) + 3*t^(1/2,0)",
+                    "t^(9/4,0) + t^(5/4,5) + 3*t^(1/4,0)",
+                ],
+            ),
+            (
+                "t^(2,0) + t^(1,5) + 3",
+                "down",
+                [
+                    "t^(1,0) + 1/2*t^(0,5) - 1",
+                    "t^(3/2,0) - t^(1,0) + t^(1/2,5) + t^(1/2,0) - t^(0,5) - 1",
+                    "t^(7/4,0) - t^(3/2,0) + t^(5/4,0) - t^(1,0) + t^(3/4,5) + t^(3/4,0)"
+                    " - t^(1/2,5) - t^(1/2,0) + t^(1/4,5) + t^(1/4,0) - t^(0,5) - 1",
+                ],
+            ),
+        ],
+    )
+    def test_dim2_terms(self, text, direction, expected):
+        assert list(an.b11_seq(P(text, 2), 3, direction).terms) == [P(e, 2) for e in expected]
+
+
+def _literal_max(pred, candidate, step):
+    """The x with pred(x) and not pred(x + step), walked from candidate."""
+    for _ in range(4):
+        if not pred(candidate):
+            candidate = sub(candidate, step)
+        elif pred(candidate + step):
+            candidate = candidate + step
+        else:
+            return candidate
+    assert pred(candidate) and not pred(candidate + step)
+    return candidate
+
+
+def _literal_b11(a, count, direction):
+    """b11 terms found by searching the defining max-predicates."""
+    one = Element.integer(1, a.dim)
+    terms = []
+    for n in range(1, count + 1):
+        k = 2**n
+        m = root_floor(a, k)
+        if direction == "up":
+            terms.append(_literal_max(lambda b: an.b11_upper_holds(a, n, b), a * m, a))
+        else:
+            r = m if pow_int(m, k) == a else m + one
+            terms.append(_literal_max(lambda b: an.b11_lower_holds(a, n, b), divmod_floor(a, r)[0], one))
+    return tuple(terms)
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the typed error it raised."""
+    try:
+        return f(*args)
+    except LexarithError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_b11_matches_the_literal_max_search(dim):
+    s = Sampler(SampleProfile(dim=dim, seed=53))
+    for _ in range(500):
+        a = s.nonstandard()
+        if s.chance(0.5):
+            a = Element([(deg(a), 1)], dim) + s.integer(0, 5)
+        for direction in ("up", "down"):
+            built = _outcome(lambda: an.b11_seq(a, 3, direction).terms)
+            assert built == _outcome(_literal_b11, a, 3, direction), (a, direction)
 
 
 class TestRealEmbed:

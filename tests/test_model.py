@@ -526,7 +526,6 @@ class TestClassKeys:
 
 class TestCertifiedMax:
     LIMIT = Element.integer(10, 1)
-    ONE = Element.integer(1, 1)
 
     def settle(self, start):
         calls = []
@@ -535,7 +534,7 @@ class TestCertifiedMax:
             calls.append(x)
             return x <= self.LIMIT
 
-        return certified_max(pred, Element.integer(start, 1), self.ONE), len(calls)
+        return certified_max(pred, Element.integer(start, 1)), len(calls)
 
     def test_settles_without_moving(self):
         assert self.settle(10) == (self.LIMIT, 2)
