@@ -146,10 +146,6 @@ def exp_is_zero(e):
     return True
 
 
-def terms_neg(A):
-    return tuple([(e, (-c[0], c[1])) for e, c in A])
-
-
 def terms_add(A, B):
     """Merge two descending term tuples, cancelling zeros."""
     if not A:
@@ -183,7 +179,7 @@ def terms_add(A, B):
 
 
 def terms_sub(A, B):
-    return terms_add(A, terms_neg(B))
+    return terms_add(A, [(e, (-c[0], c[1])) for e, c in B])
 
 
 def terms_scale(A, r):

@@ -35,7 +35,6 @@ from .errors import InvariantViolation, NotE4Equivalent, ResourceLimit
 from .model import (
     MAX_DIV_BUDGET,
     Element,
-    add_int,
     ceil_quotient_scalar,
     deg,
     divmod_floor,
@@ -67,7 +66,7 @@ def e0_seq(a: Element, count: int, direction: str) -> ClassSequence:
     """a+n upward (cofinal in the class), a-n downward (coinitial)."""
     _require_seq_args(a, count, direction)
     step = 1 if direction == "up" else -1
-    terms = tuple(add_int(a, step * n) for n in range(count))
+    terms = tuple(a + step * n for n in range(count))
     return ClassSequence(kind="e0", level=0, direction=direction, terms=terms)
 
 
@@ -140,7 +139,7 @@ def b11_seq(a: Element, count: int, direction: str) -> ClassSequence:
         if direction == "up":
             terms.append(a * m)
         else:
-            r = m if pow_int(m, k) == a else add_int(m, 1)
+            r = m if pow_int(m, k) == a else m + 1
             terms.append(divmod_floor(a, r)[0])
     return ClassSequence(kind="b11", level=3, direction=direction, terms=tuple(terms))
 

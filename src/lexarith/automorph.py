@@ -68,7 +68,6 @@ from .errors import (
 )
 from .model import (
     Element,
-    add_int,
     const_value,
     deg,
     divmod_floor,
@@ -153,16 +152,16 @@ class E0ClassShift(Descriptor):
         self.__dict__.update(anchor=anchor, offset=offset, _key=split_const(anchor)[0])
 
     def apply(self, x: Element) -> Element:
-        return add_int(x, self.offset) if split_const(x)[0] == self._key else x
+        return x + self.offset if split_const(x)[0] == self._key else x
 
     def apply_inverse(self, y: Element) -> Element:
-        return add_int(y, -self.offset) if split_const(y)[0] == self._key else y
+        return y - self.offset if split_const(y)[0] == self._key else y
 
     def inverse(self) -> Descriptor:
         return E0ClassShift(self.anchor, -self.offset)
 
     def anchors(self) -> tuple:
-        return ((self.anchor, add_int(self.anchor, self.offset)),)
+        return ((self.anchor, self.anchor + self.offset),)
 
 
 class E2Affine(Descriptor):
@@ -385,7 +384,7 @@ def build_from_e2(a: Element, b: Element) -> Descriptor:
     q, r = divmod_floor(b, a)
     if r.is_zero():
         # boundary case b = q*a: build to b-1 and repair with a class shift
-        inner = build_from_e2(a, sub(b, Element.integer(1, a.dim)))
+        inner = build_from_e2(a, b - 1)
         return compose(E0ClassShift(b, 1), inner)
     n = const_value(q) + 1
     c2, m = divmod_scalar(sub(b, a), n - 1)

@@ -143,7 +143,7 @@ def _witness(level: int, a: Element, b: Element) -> Witness:
     if level == 0:
         w: Witness = BoundN(abs(const_value(a) - const_value(b)) + 1)
     elif level == 1:
-        w = Companion((sub(a, b) if a >= b else sub(b, a)) + Element.integer(1, a.dim))
+        w = Companion((sub(a, b) if a >= b else sub(b, a)) + 1)
     elif level == 4:
         lvl = deg_level(a)
         w = BoundN(_least_bound(a, b, pow_lt, deg(a).component(lvl), deg(b).component(lvl)))

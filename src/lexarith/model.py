@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernel as K
 from .errors import (
@@ -297,13 +297,21 @@ class Element:
 
     def __add__(self, other):
         if isinstance(other, int):
-            return add_int(self, other)
+            # an int n of either sign changes only the constant term;
+            # Underflow when -n > self
+            if not other:
+                return self
+            head, c = K.terms_split_const(self._raw)
+            const = c[0] + other
+            if const < 0 and not head:
+                raise Underflow(f"{Element.integer(-other, self._dim)!r} > {self!r}")
+            return Element._wrap(head + _const_terms(const, self._dim), self._dim)
         _check_same_dim(self, other)
         return Element._wrap(K.terms_add(self._raw, other._raw), self._dim)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            return add_int(self, -other)
+            return self + -other
         return sub(self, other)
 
     def __mul__(self, other):
@@ -405,20 +413,6 @@ def sub(a: Element, b: Element) -> Element:
     if K.terms_sign(diff) < 0:
         raise Underflow(f"{b!r} > {a!r}")
     return Element._wrap(diff, a._dim)
-
-
-def add_int(a: Element, n: int) -> Element:
-    """a + n for an integer n of either sign; raises Underflow when -n > a.
-
-    Only the constant term changes.
-    """
-    if n == 0:
-        return a
-    head, c = K.terms_split_const(a._raw)
-    const = c[0] + n
-    if const < 0 and not head:
-        raise Underflow(f"{Element.integer(-n, a._dim)!r} > {a!r}")
-    return Element._wrap(head + _const_terms(const, a._dim), a._dim)
 
 
 def cmp(a: Element, b: Element) -> int:
@@ -585,7 +579,7 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
     q = _floor_constant(q_terms, dim)
     r_raw = K.terms_sub(a.raw, K.terms_mul(q.raw, b.raw))
     if K.terms_sign(r_raw) < 0:
-        q = sub(q, Element.integer(1, dim))
+        q = q - 1
         r_raw = K.terms_add(r_raw, b.raw)
     r = Element._wrap(r_raw, dim)
     if not (K.terms_sign(r.raw) >= 0 and r < b):
@@ -596,9 +590,7 @@ def divmod_floor(a: Element, b: Element, budget: int = DEFAULT_DIV_BUDGET) -> tu
 def ceil_quotient_scalar(a: Element, n: int) -> Element:
     """min{b : n*b >= a}, computed from divmod_scalar."""
     q, r = divmod_scalar(a, n)
-    if r:
-        return q + Element.integer(1, a.dim)
-    return q
+    return q + 1 if r else q
 
 
 def _require_pow_bits(terms: tuple, n: int) -> None:
@@ -640,43 +632,30 @@ def pow_int(a: Element, n: int) -> Element:
     return Element._wrap(_const_terms(1, a._dim) if result is None else result, a._dim)
 
 
-def _lead_lt(a: Element, e: tuple, coeff: Callable, *args) -> Optional[bool]:
-    """``a < x`` for a nonzero a and an x whose leading term is
-    ``coeff(*args) * t^e`` with a positive coefficient, as the leading terms
-    decide it: the degrees first, then the coefficients, the second taken
-    only on a degree tie.  None when both tie, and only the whole of x
-    decides."""
-    ea, ca = a._raw[0]
-    side = K.exp_cmp(ea, e) or K.rat_cmp(ca, coeff(*args))
-    return side < 0 if side else None
-
-
-def _lc_power(b: Element, n: int) -> tuple:
-    """``lc(b)**n``, refused as pow_int refuses a coefficient too wide for
-    the power; ``(num**n, den**n)`` is still a canonical pair."""
-    _require_pow_bits(b._raw[:1], n)
-    cb = b._raw[0][1]
-    return (cb[0] ** n, cb[1] ** n)
-
-
 def pow_lt(a: Element, b: Element, n: int) -> bool:
     """Exactly ``a < pow_int(b, n)``, deciding most pairs without the power.
 
     For nonzero a and b and n >= 1, both a and the power have a positive
     leading coefficient, and the power's leading term is
-    ``lc(b)**n * t^(n*deg(b))``, so the leading terms decide
-    (:func:`_lead_lt`).  The power is built only when both the degrees and
-    the leading coefficients tie, or when n < 1 or a or b is zero; it raises
-    what :func:`pow_int` raises only there.  Otherwise it raises
-    ResourceLimit only on a degree tie with a leading coefficient of b too
-    wide for ``lc(b)**n``: a power pow_int refuses for its term count or its
-    other coefficients can still be decided here.
+    ``lc(b)**n * t^(n*deg(b))``, so the leading terms decide: the degrees
+    first, then the coefficients, ``lc(b)**n`` taken only on a degree tie.
+    The power is built only when both the degrees and the leading
+    coefficients tie, or when n < 1 or a or b is zero; it raises what
+    :func:`pow_int` raises only there.  Otherwise it raises ResourceLimit
+    only on a degree tie with a leading coefficient of b too wide for
+    ``lc(b)**n`` (:func:`_require_pow_bits`): a power pow_int refuses for
+    its term count or its other coefficients can still be decided here.
     """
     _check_same_dim(a, b)
     if n >= 1 and a._raw and b._raw:
-        below = _lead_lt(a, K.exp_scale(b._raw[0][0], (n, 1)), _lc_power, b, n)
-        if below is not None:
-            return below
+        (ea, ca), (eb, cb) = a._raw[0], b._raw[0]
+        side = K.exp_cmp(ea, K.exp_scale(eb, (n, 1)))
+        if not side:
+            _require_pow_bits(b._raw[:1], n)
+            # (num**n, den**n) of a canonical pair is canonical
+            side = K.rat_cmp(ca, (cb[0] ** n, cb[1] ** n))
+        if side:
+            return side < 0
     return a < pow_int(b, n)
 
 
@@ -686,7 +665,8 @@ def mul_lt(a: Element, b: Element, c: Union[Element, int]) -> bool:
 
     For nonzero a, b and c the product's leading term is
     ``lc(b)*lc(c) * t^(deg(b) + deg(c))``, both coefficients positive, so
-    nothing cancels and the leading terms decide (:func:`_lead_lt`).  The
+    nothing cancels and the leading terms decide: the degrees first, then
+    the coefficients, ``lc(b)*lc(c)`` taken only on a degree tie.  The
     product is built only when both the degrees and the leading
     coefficients tie, or when a, b or c is zero, and only there can it
     raise ResourceLimit, where ``b * c`` would.  Usage errors are those of
@@ -701,10 +681,10 @@ def mul_lt(a: Element, b: Element, c: Union[Element, int]) -> bool:
         rc = c._raw
     _check_same_dim(a, b)
     if a._raw and b._raw and rc:
-        (eb, cb), (ec, cc) = b._raw[0], rc[0]
-        below = _lead_lt(a, K.exp_add(eb, ec), K.rat_mul, cb, cc)
-        if below is not None:
-            return below
+        (ea, ca), (eb, cb), (ec, cc) = a._raw[0], b._raw[0], rc[0]
+        side = K.exp_cmp(ea, K.exp_add(eb, ec)) or K.rat_cmp(ca, K.rat_mul(cb, cc))
+        if side:
+            return side < 0
     return a < b * c
 
 
@@ -744,7 +724,8 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
     ``budget`` steps or more raises, and a dim-1 expansion of more than
     MAX_ROOT_STEPS raises ResourceLimit, as does a step past the kernel's
     work ceiling or a series of more than MAX_DIV_BUDGET terms.  The
-    truncated expansion is certified exactly by :func:`certified_max`.
+    truncated expansion is a candidate that :func:`_settle_root` settles on
+    the bracket exactly.
     """
     _require_budget(budget)
     if k < 1:
@@ -798,27 +779,25 @@ def root_floor(a: Element, k: int, budget: int = DEFAULT_DIV_BUDGET) -> Element:
         if len(acc) > MAX_DIV_BUDGET:
             raise ResourceLimit(f"root expansion exceeded {MAX_DIV_BUDGET} terms")
 
-    m = _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim)
     # truncation can land a step off
-    return certified_max(lambda x: pow_int(x, k) <= a, m)
+    return _settle_root(a, k, _floor_constant(K.terms_mul(acc, ((root_e, gamma),)), dim))
 
 
-def certified_max(pred: Callable[[Element], bool], candidate: Element) -> Element:
-    """The x with pred(x) and not pred(x + 1), at most four unit steps from a
-    closed-form candidate.
+def _settle_root(a: Element, k: int, m: Element) -> Element:
+    """The m' with m'**k <= a < (m'+1)**k, at most four unit steps from the
+    candidate m: each step checks ``m**k <= a`` first, then
+    ``a < (m+1)**k``, and moves m down or up by one when one fails.
 
-    ``pred`` must hold up to some point and fail beyond it.  A candidate
-    that needs more moves means the closed form is wrong: AssertionError,
-    never partiality.
+    A candidate that needs more moves means the expansion is wrong:
+    AssertionError, never partiality.
     """
-    step = Element.integer(1, candidate.dim)
     for _ in range(4):
-        if not pred(candidate):
-            candidate = sub(candidate, step)
-        elif pred(candidate + step):
-            candidate = candidate + step
+        if not pow_int(m, k) <= a:
+            m = m - 1
+        elif not a < pow_int(m + 1, k):
+            m = m + 1
         else:
-            return candidate
-    if pred(candidate) and not pred(candidate + step):
-        return candidate
+            return m
+    if pow_int(m, k) <= a < pow_int(m + 1, k):
+        return m
     raise AssertionError("closed-form candidate did not settle within 4 unit steps")

@@ -30,6 +30,7 @@ reason as ``stats["skipped"]``.
 from __future__ import annotations
 
 import operator
+from types import SimpleNamespace
 
 from . import analysis, automorph, equiv, jsonio, oracle, textform
 from .errors import (
@@ -53,34 +54,13 @@ from .oracle import BoundN
 from .sampler import SampleProfile, Sampler
 
 
-class SuiteResult:
+class SuiteResult(SimpleNamespace):
     """A suite's arguments and what it found; the suite body fills in the
     cases, violations and stats.  Equal results have equal fields, and a
     result, being mutable, has no hash."""
 
-    _fields = ("name", "dim", "samples", "seed", "cases", "violations", "stats")
-    __slots__ = _fields
-    __hash__ = None
-
     def __init__(self, name: str, dim: int, samples: int, seed: int):
-        self.name = name
-        self.dim = dim
-        self.samples = samples
-        self.seed = seed
-        self.cases = 0
-        self.violations = []
-        self.stats = {}
-
-    def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
-
-    def __eq__(self, other):
-        if type(other) is not SuiteResult:
-            return NotImplemented
-        return self._asdict() == other._asdict()
-
-    def __repr__(self) -> str:
-        return f"SuiteResult({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+        super().__init__(name=name, dim=dim, samples=samples, seed=seed, cases=0, violations=[], stats={})
 
     @property
     def ok(self) -> bool:
@@ -458,7 +438,7 @@ def suite_sequences(r: SuiteResult, s: Sampler) -> None:
         for n in range(1, 6):
             cq = ceil_quotient_scalar(a, n)
             r.check(
-                cq * n >= a and (cq.is_zero() or sub(cq, Element.integer(1, r.dim)) * n < a),
+                cq * n >= a and (cq.is_zero() or (cq - 1) * n < a),
                 i, "ceil-division-minimality", a, n,
             )
         # cofinality against class-mates, passing index from the witness
@@ -479,7 +459,6 @@ def suite_sequences(r: SuiteResult, s: Sampler) -> None:
 
 @_suite("b11", 0.1)
 def suite_b11(r: SuiteResult, s: Sampler) -> None:
-    one = Element.integer(1, r.dim)
     for i in range(r.samples):
         a = s.nonstandard()
         if s.chance(0.5):
@@ -508,7 +487,7 @@ def suite_b11(r: SuiteResult, s: Sampler) -> None:
                 r.check(all(x < y for x, y in zip(terms, terms[1:])), i, "b11-lower-strictly-increasing", a)
                 for n, t in enumerate(terms, start=1):
                     holds = analysis.b11_lower_holds(a, n, t)
-                    next_refuted = not analysis.b11_lower_holds(a, n, t + one)
+                    next_refuted = not analysis.b11_lower_holds(a, n, t + 1)
                     r.check(holds and next_refuted, i, "b11-lower-max-certified", a, n)
                     mate = ceil_quotient_scalar(a, s.integer(1, 3))
                     r.check(t < mate, i, "b11-lower-bounded-by-class", t, mate)
@@ -575,4 +554,4 @@ def run_suites(name: str, samples: int, seed: int, dim: int) -> list:
 
 
 def result_to_json(r: SuiteResult) -> dict:
-    return {**r._asdict(), "ok": r.ok}
+    return {**vars(r), "ok": r.ok}

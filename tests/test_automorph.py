@@ -12,7 +12,6 @@ from lexarith.errors import (
 )
 from lexarith.model import (
     Element,
-    add_int,
     const_value,
     deg,
     divmod_scalar,
@@ -193,7 +192,7 @@ def _e2_inverse_by_images(d, y):
     key, const = trunc_const(y), const_value(y)
     if key <= trunc_const(d.c):
         return y, None
-    q, _ = divmod_scalar(add_int(y + d.c * (d.n - 1), -d.m), d.n)
+    q, _ = divmod_scalar(y + d.c * (d.n - 1) - d.m, d.n)
     r = trunc_const(q)
     if r == trunc_const(d.a):
         r = d.a
@@ -201,7 +200,7 @@ def _e2_inverse_by_images(d, y):
         r = d.c
     image = sub(r * d.n + d.b, d.a * d.n)
     assert trunc_const(image) == key
-    return add_int(r, const - const_value(image)), r
+    return r + (const - const_value(image)), r
 
 
 def _class_key(x):

@@ -1,9 +1,11 @@
 """Arithmetic, order, division and roots of the concrete model."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from lexarith import model
 from lexarith._backend import kernel as K
 from lexarith.errors import (
     CoefficientNotRepresentable,
@@ -17,8 +19,6 @@ from lexarith.model import (
     MAX_POW_BITS,
     Element,
     Exponent,
-    add_int,
-    certified_max,
     cmp,
     const_value,
     deg,
@@ -136,16 +136,22 @@ class TestAddMul:
         ("0", 2), ("4", 2), ("t^(0,1)", 2), ("t^(1,-2) + 1", 2),
     ])
     def test_add_int_agrees_with_element_arithmetic(self, text, dim):
+        # a + n and a - n with an int n of either sign, against the element n
         a = P(text, dim)
         for n in range(-6, 7):
             k = Element.integer(abs(n), dim)
             if n >= 0:
-                assert add_int(a, n) == a + k
+                assert a + n == a + k
+                assert a - -n == a + k
             elif k <= a:
-                assert add_int(a, n) == sub(a, k)
+                assert a + n == sub(a, k)
+                assert a - -n == sub(a, k)
             else:
-                with pytest.raises(Underflow):
-                    add_int(a, n)
+                message = f"^{re.escape(f'{k!r} > {a!r}')}$"
+                with pytest.raises(Underflow, match=message):
+                    a + n
+                with pytest.raises(Underflow, match=message):
+                    a - -n
 
 
 class TestOrder:
@@ -524,26 +530,29 @@ class TestClassKeys:
                 monomial_inverse(P(text))
 
 
-class TestCertifiedMax:
-    LIMIT = Element.integer(10, 1)
+class TestSettleRoot:
+    A = Element.integer(100, 1)
+    ROOT = Element.integer(10, 1)
 
-    def settle(self, start):
-        calls = []
+    def settle(self, start, monkeypatch):
+        powers = []
 
-        def pred(x):
-            calls.append(x)
-            return x <= self.LIMIT
+        def counted_pow_int(x, k):
+            powers.append(x)
+            return pow_int(x, k)
 
-        return certified_max(pred, Element.integer(start, 1)), len(calls)
+        monkeypatch.setattr(model, "pow_int", counted_pow_int)
+        return model._settle_root(self.A, 2, Element.integer(start, 1)), len(powers)
 
-    def test_settles_without_moving(self):
-        assert self.settle(10) == (self.LIMIT, 2)
+    def test_settles_without_moving(self, monkeypatch):
+        # one power for each side of the bracket 10**2 <= 100 < 11**2
+        assert self.settle(10, monkeypatch) == (self.ROOT, 2)
 
-    def test_settles_after_four_moves_either_way(self):
-        assert self.settle(6)[0] == self.LIMIT
-        assert self.settle(14)[0] == self.LIMIT
+    def test_settles_after_four_moves_either_way(self, monkeypatch):
+        assert self.settle(6, monkeypatch)[0] == self.ROOT
+        assert self.settle(14, monkeypatch)[0] == self.ROOT
 
-    def test_fifth_move_is_an_internal_error(self):
+    def test_fifth_move_is_an_internal_error(self, monkeypatch):
         for start in (5, 15):
             with pytest.raises(AssertionError):
-                self.settle(start)
+                self.settle(start, monkeypatch)
