@@ -53,6 +53,7 @@ from .model import (
     deg_level,
     deg_texts,
     is_standard,
+    lead_term,
     mul_lt,
     pow_lt,
     sub,
@@ -95,7 +96,7 @@ def holds(level: int, a: Element, b: Element) -> bool:
     if level == 0:
         return trunc_const(a) == trunc_const(b)
     if level == 1:
-        return a == b or a.term_pairs()[0] == b.term_pairs()[0]
+        return a == b or lead_term(a) == lead_term(b)
     if level == 2:
         return deg_cmp(a, b) == 0
     if level == 3:
@@ -122,11 +123,14 @@ def _least_bound(a: Element, b: Element, below, x: tuple, y: tuple) -> int:
     the positive rationals x of a and y of b (canonical pairs).
 
     Below n = max(ceil(x/y), ceil(y/x)) one side's leading term still falls
-    short; at n only a tie there, settled by the lower terms, can fail; at
-    n + 1 both leading terms clear.
+    short; at n both clear unless one ties (x = n*y or y = n*x), and only
+    that tie, settled by the lower terms, is left to ``below``; at n + 1
+    both leading terms clear.
     """
     (xn, xd), (yn, yd) = x, y
     n = max(-(-xn * yd // (xd * yn)), -(-yn * xd // (yd * xn)))
+    if xn * yd != n * yn * xd and yn * xd != n * xn * yd:
+        return n
     return n if below(a, b, n) and below(b, a, n) else n + 1
 
 
@@ -146,9 +150,9 @@ def _witness(level: int, a: Element, b: Element) -> Witness:
         w = Companion((sub(a, b) if a >= b else sub(b, a)) + 1)
     elif level == 4:
         lvl = deg_level(a)
-        w = BoundN(_least_bound(a, b, pow_lt, deg(a).component(lvl), deg(b).component(lvl)))
+        w = BoundN(_least_bound(a, b, pow_lt, lead_term(a)[0][lvl], lead_term(b)[0][lvl]))
     elif level == 2 or deg_cmp(a, b) == 0:
-        n = _least_bound(a, b, mul_lt, a.term_pairs()[0][1], b.term_pairs()[0][1])
+        n = _least_bound(a, b, mul_lt, lead_term(a)[1], lead_term(b)[1])
         w = BoundN(n) if level == 2 else Companion(Element.integer(n, a.dim))
     else:
         # level 3 with differing degrees: a monomial one archimedean notch

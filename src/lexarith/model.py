@@ -27,21 +27,24 @@ formatter.
 Every element built from terms passes one check: exponents of ``dim``
 canonical pairs, nonzero canonical coefficients, strictly descending
 exponents, then the model invariants above.  :meth:`Element.from_pairs`
-takes terms in that form and only checks them; its one caller is the
+takes terms in that form and only checks them; its callers are the
 sampler, which draws canonical pairs and sorts them once with
-:data:`exponent_key`.  ``Element(...)``, the public door, first normalizes
-``int``, ``Fraction`` and pair input and sorts it; :func:`sum_terms`, the
-parser's path, collects like terms and ends in it.
+:data:`exponent_key`, and the oracle's companion pool, which builds its
+monomials on the exponents it reads.  ``Element(...)``, the public door,
+first normalizes ``int``, ``Fraction`` and pair input and sorts it;
+:func:`sum_terms`, the parser's path, collects like terms and ends in it.
 
 Who reads the term layout: only this module and the kernel take apart raw
 term tuples, read ``.raw`` and call ``Element._wrap``, which skips
 validation.  Every other module reads terms through the pair reads below:
 :meth:`Element.term_pairs`, :meth:`Exponent.component` and
-:meth:`Exponent.texts`, and builds an element through the checked doors,
-with :func:`rat` for a canonical pair.  Automorphisms
-work on opaque class keys through the four functions of the "class keys"
-section below.  ``Element.raw`` stays public because the layered benchmark
-(``perfbench/``) checks its outputs with it.
+:meth:`Exponent.texts`, and, in place with no wrapper built,
+:func:`lead_term`, :func:`exponents` and :func:`exponent_differences`,
+whose exponents are tuples of canonical pairs.  It builds an element
+through the checked doors, with :func:`rat` for a canonical pair.
+Automorphisms work on opaque class keys through the four functions of the
+"class keys" section below.  ``Element.raw`` stays public because the
+layered benchmark (``perfbench/``) checks its outputs with it.
 
 Everything here is immutable and pure.
 """
@@ -446,6 +449,26 @@ def deg_texts(a: Element) -> list:
     return [format_rational(r) for r in a._raw[0][0]]
 
 
+# The pair reads below read terms in place too, an exponent as a tuple of
+# canonical pairs.
+
+
+def lead_term(a: Element) -> tuple:
+    """The leading term of a nonzero a: (exponent, coefficient pair)."""
+    return a._raw[0]
+
+
+def exponents(a: Element) -> tuple:
+    """The exponents of a's terms, highest first."""
+    return tuple(e for e, _ in a._raw)
+
+
+def exponent_differences(exps: Iterable[tuple]) -> set:
+    """The positive differences e - f of the exponents exps."""
+    ascending = sorted(set(exps), key=exponent_key)
+    return {K.exp_sub(e, f) for i, e in enumerate(ascending) for f in ascending[:i]}
+
+
 def is_standard(a: Element) -> bool:
     """True iff a is a constant, i.e. lies in the embedded copy of N."""
     raw = a._raw
@@ -659,30 +682,42 @@ def pow_lt(a: Element, b: Element, n: int) -> bool:
     return a < pow_int(b, n)
 
 
+def mul_lead_cmp(a: Element, b: Element, c: Union[Element, int]) -> int:
+    """-1, 0 or 1 as the leading term of a lies below, at or above that of
+    ``b * c``, for nonzero elements a and b of one dimension and a nonzero
+    element or positive int c of it: the degrees first, then the
+    coefficients, ``lc(b)*lc(c)`` taken only on a degree tie.
+
+    The product's leading term is ``lc(b)*lc(c) * t^(deg(b) + deg(c))``,
+    both coefficients positive, so nothing cancels: -1 means ``a < b * c``
+    and 1 means ``a > b * c``; on 0 the lower terms decide.  Builds no
+    product and checks nothing.
+    """
+    (ea, ca), (eb, cb) = a._raw[0], b._raw[0]
+    if isinstance(c, int):
+        return K.exp_cmp(ea, eb) or K.rat_cmp(ca, K.rat_mul(cb, (c, 1)))
+    ec, cc = c._raw[0]
+    return K.exp_cmp(ea, K.exp_add(eb, ec)) or K.rat_cmp(ca, K.rat_mul(cb, cc))
+
+
 def mul_lt(a: Element, b: Element, c: Union[Element, int]) -> bool:
     """Exactly ``a < b * c``, for an element c or an int c >= 0, deciding
     most triples without the product.
 
-    For nonzero a, b and c the product's leading term is
-    ``lc(b)*lc(c) * t^(deg(b) + deg(c))``, both coefficients positive, so
-    nothing cancels and the leading terms decide: the degrees first, then
-    the coefficients, ``lc(b)*lc(c)`` taken only on a degree tie.  The
-    product is built only when both the degrees and the leading
-    coefficients tie, or when a, b or c is zero, and only there can it
-    raise ResourceLimit, where ``b * c`` would.  Usage errors are those of
-    ``b * c``: a negative int c, then a dimension mismatch.
+    For nonzero a, b and c the leading terms decide
+    (:func:`mul_lead_cmp`); the product is built only when both the degrees
+    and the leading coefficients tie, or when a, b or c is zero, and only
+    there can it raise ResourceLimit, where ``b * c`` would.  Usage errors
+    are those of ``b * c``: a negative int c, then a dimension mismatch.
     """
     if isinstance(c, int):
         if c < 0:
             raise InvariantViolation("cannot scale by a negative integer")
-        rc = _const_terms(c, b._dim)
     else:
         _check_same_dim(b, c)
-        rc = c._raw
     _check_same_dim(a, b)
-    if a._raw and b._raw and rc:
-        (ea, ca), (eb, cb), (ec, cc) = a._raw[0], b._raw[0], rc[0]
-        side = K.exp_cmp(ea, K.exp_add(eb, ec)) or K.rat_cmp(ca, K.rat_mul(cb, cc))
+    if a._raw and b._raw and c:
+        side = mul_lead_cmp(a, b, c)
         if side:
             return side < 0
     return a < b * c

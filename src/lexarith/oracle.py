@@ -23,12 +23,20 @@ leading terms first and builds the product or the power only when both
 the degrees and the leading coefficients tie.
 
 ``search(level, a, b, n_max, hint)`` hunts for a witness inside finite
-bounds.  At the bound levels 0, 2 and 4 it tries n = 1 .. n_max, raised to
-``hint.n + 1`` by a ``BoundN`` hint; at the companion levels 1 and 3 it
-walks the companion pool of ``default_pool``, with ``hint.c`` inserted in
-its place by a ``Companion`` hint (:func:`_merged`: a bisection into the
-ascending pool, nothing when it is already there).  The pool is built only
-at the companion levels.
+bounds and returns the first candidate, in ascending order, that
+``check_witness`` accepts.  At the bound levels 0, 2 and 4 it tries
+n = 1 .. n_max, raised to ``hint.n + 1`` by a ``BoundN`` hint; at the
+companion levels 1 and 3 it takes the companion pool of ``default_pool``,
+with ``hint.c`` inserted in its place by a ``Companion`` hint
+(:func:`_merged`: a bisection into the ascending pool, nothing when it is
+already there).  The pool is built only at the companion levels, from the
+exponents of a and b read in place.  Along the ascending pool a companion
+level's inequalities (``a < b + c and b < a + c``, ``a < b*c and
+b < a*c``) only ever turn from false to true, and its degree rules only
+from true to false; so the search bisects to the first candidate the
+inequalities can accept (:func:`_may_accept`: the literal sums at level 1,
+the products' leading terms at level 3, which build nothing and cannot
+raise) and checks from there, every candidate below it failing.
 Exhaustion is a value, not an error, and never refutes: negative
 closed-form verdicts are justified by the decider's reason field.
 """
@@ -39,7 +47,18 @@ from bisect import bisect_left
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvariantViolation, StandardInput
-from .model import Element, Exponent, deg_cmp, deg_level, is_standard, mul_lt, pow_lt
+from .model import (
+    Element,
+    deg_cmp,
+    deg_level,
+    exponent_differences,
+    exponent_key,
+    exponents,
+    is_standard,
+    mul_lead_cmp,
+    mul_lt,
+    pow_lt,
+)
 # unused here: perfbench/test_perfbench.py checks that perfbench/tracing.py
 # rebinds and restores oracle.pow_int
 from .model import pow_int  # noqa: F401
@@ -111,27 +130,24 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     """Deterministic companion candidates from the degree lattice of a, b,
     generated in ascending order: the integers 1..min(n_max, 9), then for
     each exponent e > 0 of the difference set, ascending, the run
-    t^e < t^e + 1 < 2*t^e.  t^f dominates every multiple of t^e for e < f,
-    so each run lies above the one before it, and the pool is sorted with
-    no repeats as it is built.  (e - 0 is a difference, so the exponents of
-    a and b themselves are in the set.)"""
+    t^e < t^e + 1 < 2*t^e, up to 96 candidates.  t^f dominates every
+    multiple of t^e for e < f, so each run lies above the one before it,
+    and the pool is sorted with no repeats as it is built.  (e - 0 is a
+    difference, so the exponents of a and b themselves are in the set.)"""
+    if a.dim != b.dim:
+        raise InvariantViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
     dim = a.dim
-    zero = Exponent.zero(dim)
-    exps = {zero}
-    for x in (a, b):
-        for e, _ in x.term_pairs():
-            exps.add(e)
-    seen_exps = {e - f for e in exps for f in exps}
+    zero = ((0, 1),) * dim
+    exps = {zero, *exponents(a), *exponents(b)}
+    diffs = exponent_differences(exps)
     if dim == 2:
-        bound = 2
-        for e in exps:
-            num, den = e.component(1)
-            bound = max(bound, abs(num) // den + 2)
-        for j in range(1, min(bound, 12) + 1):
-            seen_exps.add(Exponent((0, j)))
+        bound = max(2, *(abs(num) // den + 2 for _, (num, den) in exps))
+        diffs.update(((0, 1), (j, 1)) for j in range(1, min(bound, 12) + 1))
     candidates = [Element.integer(k, dim) for k in range(1, min(n_max, 9) + 1)]
-    for e in sorted(e for e in seen_exps if e > zero):
-        mono = Element([(e, 1)], dim)
+    for e in sorted(diffs, key=exponent_key):
+        if len(candidates) >= 96:
+            break
+        mono = Element.from_pairs(((e, (1, 1)),), dim)
         candidates += (mono, mono + 1, mono * 2)
     return tuple(candidates[:96])
 
@@ -145,27 +161,43 @@ def _merged(pool: tuple, c: Element) -> tuple:
     return pool[:i] + (c,) + pool[i:]
 
 
+def _may_accept(level: int, a: Element, b: Element):
+    """Whether a companion c may meet the level's inequalities: False only
+    for a c that fails them, and, as ``b + c`` and ``b*c`` grow with c, True
+    for every c above one it accepts.  At level 1 it is the literal sums; at
+    level 3 the leading terms of the products
+    (:func:`lexarith.model.mul_lead_cmp`), True on a tie, which the lower
+    terms settle."""
+    if level == 1:
+        return lambda c: a < b + c and b < a + c
+    return lambda c: bool(c) and mul_lead_cmp(a, b, c) <= 0 and mul_lead_cmp(b, a, c) <= 0
+
+
 def search(
     level: int, a: Element, b: Element, n_max: int = 16, hint: Optional[Witness] = None
 ) -> Optional[Witness]:
     """First witness within the bounds, or None when they are exhausted.
 
     A ``BoundN`` hint raises the bound to ``hint.n + 1``; a ``Companion``
-    hint adds ``hint.c`` to the pool.  None never refutes equivalence; it
-    only reports exhaustion.
+    hint adds ``hint.c`` to the pool.  A hint is only a candidate: one that
+    ``check_witness`` would reject for its form (a non-int bound, a
+    companion that is no element of a's dimension) is ignored.  None never
+    refutes equivalence; it only reports exhaustion.
     """
     if n_max < 2:
         raise InvariantViolation("n_max must be >= 2")
     _require_nonstandard(a, b)
     if level in BOUND_LEVELS:
-        if isinstance(hint, BoundN):
+        if isinstance(hint, BoundN) and isinstance(hint.n, int):
             n_max = max(n_max, hint.n + 1)
         candidates = map(BoundN, range(1, n_max + 1))
     elif level in LEVELS:  # a companion level
         pool = default_pool(a, b, n_max)
-        if isinstance(hint, Companion):
+        if isinstance(hint, Companion) and isinstance(hint.c, Element) and hint.c.dim == a.dim:
             pool = _merged(pool, hint.c)
-        candidates = map(Companion, pool)
+        # every candidate below the first the probe accepts fails the check
+        first = bisect_left(pool, True, key=_may_accept(level, a, b))
+        candidates = map(Companion, pool[first:])
     else:
         raise InvariantViolation(f"no searcher for level {level}")
     return next((w for w in candidates if check_witness(level, a, b, w)), None)

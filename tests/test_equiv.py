@@ -1,10 +1,11 @@
 """Closed-form deciders, witness synthesis, and the level-5 prover."""
 
 import itertools
+import math
 
 import pytest
 
-from lexarith import automorph, oracle, suites
+from lexarith import automorph, equiv, oracle, suites
 from lexarith.automorph import prove_E5
 from lexarith.equiv import LEVELS, decide, holds, minimal_bound_n
 from lexarith.errors import CannotProve, NotEquivalent, StandardInput
@@ -211,6 +212,86 @@ class TestLeastBound:
                 _assert_least_bound(level, a, b)
                 checked += 1
         assert checked > 0
+
+
+def _counting_below(monkeypatch):
+    """The n of every ``below`` call the least bound makes: mul_lt at levels
+    2 and 3, pow_lt at level 4, counted in equiv only (the oracle's check
+    keeps its own)."""
+    calls = []
+    for name in ("mul_lt", "pow_lt"):
+        def counted(a, b, n, real=getattr(equiv, name)):
+            calls.append(n)
+            return real(a, b, n)
+
+        monkeypatch.setattr(equiv, name, counted)
+    return calls
+
+
+def _leading_tie(level, a, b):
+    """Whether the leading terms tie at n = max(ceil(x/y), ceil(y/x)), from
+    the public views: x and y are the leading coefficients at levels 2 and
+    3, the degrees' first nonzero components at level 4."""
+    if level == 4:
+        lvl = deg(a).level()
+        x, y = deg(a).components[lvl], deg(b).components[lvl]
+    else:
+        x, y = a.terms()[0].coeff, b.terms()[0].coeff
+    n = max(math.ceil(x / y), math.ceil(y / x))
+    return x == n * y or y == n * x
+
+
+class TestLeastBoundReadsLowerTermsOnlyOnATie:
+    # (level, dim, a, b, least bound) with no leading tie at the first
+    # candidate n: the leading terms alone decide
+    UNTIED = [
+        (2, 1, "5*t", "2*t", 3),
+        (2, 1, "7*t + 3", "2*t", 4),
+        (2, 2, "2*t^(1,1) + t^(0,5)", "5*t^(1,1)", 3),
+        (3, 2, "5*t^(1,0) + 1", "2*t^(1,0)", 3),
+        (4, 1, "t^3", "t^2 + 9", 2),
+        (4, 2, "t^(0,3) + t^(0,1)", "t^(0,2)", 2),
+    ]
+
+    @pytest.mark.parametrize("level, dim, a, b, n", UNTIED)
+    def test_no_tie_makes_no_below_call(self, monkeypatch, level, dim, a, b, n):
+        calls = _counting_below(monkeypatch)
+        a, b = P(a, dim), P(b, dim)
+        assert not _leading_tie(level, a, b)
+        assert decide(level, a, b).witness == _bound_witness(level, n, dim)
+        assert calls == []
+        _assert_least_bound(level, a, b)
+
+    @pytest.mark.parametrize(
+        "level, dim, a, b, n", [row for row in TestLeastBound.TABLE if row[2:4] != ("5*t", "2*t")]
+    )
+    def test_a_tie_is_settled_by_below(self, monkeypatch, level, dim, a, b, n):
+        calls = _counting_below(monkeypatch)
+        a, b = P(a, dim), P(b, dim)
+        assert _leading_tie(level, a, b)
+        assert decide(level, a, b).witness == _bound_witness(level, n, dim)
+        assert calls
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_sampled_pairs_call_below_exactly_on_a_tie(self, monkeypatch, level, dim):
+        calls = _counting_below(monkeypatch)
+        s = Sampler(SampleProfile(dim=dim, seed=23))
+        seen = set()
+        for _ in range(60):
+            # leading ratios p/q, with lower terms that keep or tip a tie
+            c, p, q = s.nonstandard(), s.integer(1, 5), s.integer(1, 5)
+            if level == 4:
+                a, b = pow_int(c, p), pow_int(c, q) + s.integer(0, 3)
+            else:
+                a, b = c * p, c * q + s.integer(0, 3)
+            calls.clear()
+            decide(level, a, b)
+            tie = _leading_tie(level, a, b)
+            assert bool(calls) == tie, (level, a, b, calls)
+            seen.add(tie)
+            _assert_least_bound(level, a, b)
+        assert seen == {True, False}
 
 
 class TestCompanion:

@@ -4,7 +4,7 @@ import pytest
 
 from lexarith import model, oracle, suites
 from lexarith.equiv import decide
-from lexarith.errors import StandardInput
+from lexarith.errors import InvariantViolation, StandardInput
 from lexarith.model import Element, Exponent, deg, pow_int
 from lexarith.oracle import BoundN, Companion, check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
@@ -280,3 +280,81 @@ def test_a_companion_hint_is_merged_as_sorting_would(dim):
                 inside += c in pool
                 outside += c not in pool
     assert inside and outside
+
+
+def _search_by_scan(level, a, b, n_max=16, hint=None, check=check_witness):
+    """search as defined: every candidate in ascending order through
+    check_witness, the first that passes.  The bounds run 1..n_max, raised
+    to hint.n + 1 by a bound hint; the companions are the pool with a
+    companion hint added, sorted."""
+    if level in oracle.BOUND_LEVELS:
+        if isinstance(hint, BoundN):
+            n_max = max(n_max, hint.n + 1)
+        candidates = [BoundN(n) for n in range(1, n_max + 1)]
+    else:
+        pool = set(oracle.default_pool(a, b, n_max))
+        if isinstance(hint, Companion):
+            pool.add(hint.c)
+        candidates = [Companion(c) for c in sorted(pool)]
+    return next((w for w in candidates if check(level, a, b, w)), None)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_search_matches_a_linear_scan(monkeypatch, dim):
+    # the companion levels bisect to the first candidate their inequalities
+    # can accept: the same witness as the scan, in at most half its checks
+    check = oracle.check_witness
+    made = {"search": 0, "scan": 0}
+    side = ["search"]
+
+    def counted(level, a, b, w):
+        if level in (1, 3):
+            made[side[0]] += 1
+        return check(level, a, b, w)
+
+    monkeypatch.setattr(oracle, "check_witness", counted)
+    s = Sampler(SampleProfile(dim=dim, seed=43))
+    found = 0
+    for _ in range(30):
+        a, b = suites.related_pair(s)
+        for level in range(5):
+            for hint in (None, decide(level, a, b).witness):
+                for n_max in (2, 8, 16):
+                    side[0] = "search"
+                    w = search(level, a, b, n_max, hint)
+                    side[0] = "scan"
+                    assert w == _search_by_scan(level, a, b, n_max, hint, counted), (level, a, b, n_max, hint)
+                    found += w is not None and level in (1, 3)
+    assert found
+    assert made["search"] * 2 <= made["scan"], made
+
+
+def test_a_pair_of_different_dimensions_is_refused():
+    a, b = P("t^2 + t"), P("t^(1,0)", 2)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(InvariantViolation, match="dimension mismatch"):
+            oracle.default_pool(x, y)
+        for level in range(5):
+            with pytest.raises(InvariantViolation, match="dimension mismatch"):
+                search(level, x, y)
+
+
+@pytest.mark.parametrize(
+    "level, hint",
+    [
+        (0, BoundN("x")),
+        (2, BoundN("x")),
+        (4, BoundN("x")),
+        (1, Companion(3)),
+        (3, Companion(3)),
+        (1, Companion(P("t^(0,1)", 2))),
+        (3, Companion(P("t^(0,1)", 2))),
+    ],
+)
+def test_a_malformed_hint_is_ignored(level, hint):
+    # a hint is only a candidate: one that check_witness rejects for its
+    # form leaves the search as it is without one
+    a, b = P("t^2 + t + 3"), P("t^2 + t")
+    assert not check_witness(level, a, b, hint)
+    assert search(level, a, b, hint=hint) == search(level, a, b)
+    assert search(level, a, b, hint=hint) is not None
