@@ -36,9 +36,10 @@ from .model import (
     MAX_DIV_BUDGET,
     Element,
     ceil_quotient_scalar,
-    deg,
+    deg_level,
     divmod_floor,
     is_standard,
+    lead_term,
     pow_int,
     root_floor,
 )
@@ -161,9 +162,7 @@ def real_embed(anchor: Element, b: Element) -> EmbedResult:
     the degenerate level-4 class (vanishing first components, dim 2) it is
     the second component, flagged.
     """
-    equiv.require_nonstandard(anchor, b)
-    if not equiv.holds(4, anchor, b):
+    if not equiv.related(4, anchor, b):
         raise NotE4Equivalent(f"{b!r} is not in the level-4 class of {anchor!r}")
-    if deg(anchor).level() > 0:
-        return EmbedResult(value=Fraction(*deg(b).component(1)), degenerate=True)
-    return EmbedResult(value=Fraction(*deg(b).component(0)), degenerate=False)
+    lvl = deg_level(anchor)
+    return EmbedResult(value=Fraction(*lead_term(b)[0][lvl]), degenerate=lvl > 0)

@@ -1,6 +1,9 @@
 """Closed-form decision procedures for the equivalence levels 0..4.
 
-Every verdict for a nonstandard pair is computed from the degree lattice:
+One reader, :func:`related`, answers whether a pair is related at a
+level: it checks the level, refuses a pair the levels are not defined on
+with the oracle's one rule (:func:`lexarith.oracle.require_pair`), and
+reads the closed form off the degree lattice:
 
 - level 0: finite distance -- the nonconstant parts coincide
 - level 1: the difference is dominated in degree by the elements
@@ -13,7 +16,8 @@ Every verdict for a nonstandard pair is computed from the degree lattice:
 
 The level set and which levels take a bound are the oracle's
 (:data:`lexarith.oracle.LEVELS`, :data:`lexarith.oracle.BOUND_LEVELS`),
-re-exported here.  Positive verdicts carry a witness that one ladder,
+re-exported here.  :func:`decide` is :func:`related` plus the witness and
+the rule that decided.  Positive verdicts carry a witness that one ladder,
 ``_witness``, builds from the closed form, one rung per level, and checks
 once against the literal definition by
 :func:`lexarith.oracle.check_witness`; a witness that fails its check is a
@@ -43,7 +47,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import oracle
-from .errors import InvariantViolation, NotEquivalent, StandardInput
+from .errors import InvariantViolation, NotEquivalent
 from .model import (
     Element,
     Exponent,
@@ -51,8 +55,7 @@ from .model import (
     deg,
     deg_cmp,
     deg_level,
-    deg_texts,
-    is_standard,
+    exponent_texts,
     lead_term,
     mul_lt,
     pow_lt,
@@ -70,29 +73,21 @@ class Verdict(NamedTuple):
     reason: dict
 
 
-def _require_level(level: int) -> None:
-    if level not in LEVELS:
-        raise InvariantViolation(f"undecidable level {level}; only 0..4 have deciders")
-
-
-def require_nonstandard(a: Element, b: Element) -> None:
-    if is_standard(a) or is_standard(b):
-        raise StandardInput("equivalence levels are defined on nonstandard elements only")
-    if a.dim != b.dim:
-        raise StandardInput(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def _reason(rule: str, a: Element, b: Element) -> dict:
-    return {"rule": rule, "deg_a": deg_texts(a), "deg_b": deg_texts(b)}
+    return {"rule": rule, "deg_a": exponent_texts(lead_term(a)[0]), "deg_b": exponent_texts(lead_term(b)[0])}
 
 
-def holds(level: int, a: Element, b: Element) -> bool:
-    """Whether the nonstandard pair a, b is level-equivalent, by the closed form.
+def related(level: int, a: Element, b: Element) -> bool:
+    """Whether a and b are level-equivalent, by the closed form, for a
+    pair the oracle admits (:func:`lexarith.oracle.require_pair`).
 
     At level 1 the terms of a and b are stored in descending order, and for
     a != b their difference starts at the first term where they differ; so
     deg(|a - b|) < deg(a) holds exactly when a and b share their leading
     term, exponent and coefficient."""
+    if level not in LEVELS:
+        raise InvariantViolation(f"undecidable level {level}; only 0..4 have deciders")
+    oracle.require_pair(a, b)
     if level == 0:
         return trunc_const(a) == trunc_const(b)
     if level == 1:
@@ -102,9 +97,7 @@ def holds(level: int, a: Element, b: Element) -> bool:
     if level == 3:
         # same Archimedean class, and the degrees differ only below it
         return deg_level(a) == deg_level(b) < deg_level(a, b)
-    if level == 4:
-        return deg_level(a) == deg_level(b)
-    raise AssertionError(level)
+    return deg_level(a) == deg_level(b)
 
 
 # (positive, negative) rule name of each level
@@ -166,10 +159,9 @@ def _witness(level: int, a: Element, b: Element) -> Witness:
 
 
 def decide(level: int, a: Element, b: Element) -> Verdict:
-    """Closed-form verdict with a definitionally validated witness."""
-    _require_level(level)
-    require_nonstandard(a, b)
-    if not holds(level, a, b):
+    """:func:`related`, with a definitionally validated witness when it
+    holds and the rule that decided."""
+    if not related(level, a, b):
         return Verdict(level, False, None, _reason(_RULES[level][1], a, b))
     return Verdict(level, True, _witness(level, a, b), _reason(_RULES[level][0], a, b))
 
@@ -178,8 +170,7 @@ def minimal_bound_n(level: int, a: Element, b: Element) -> int:
     """Least witness bound for levels 0, 2, 4: n passes, n-1 does not."""
     if level not in BOUND_LEVELS:
         raise InvariantViolation(f"level {level} has companion witnesses, not bounds")
-    require_nonstandard(a, b)
-    if not holds(level, a, b):
+    if not related(level, a, b):
         raise NotEquivalent(f"pair is not level-{level} equivalent")
     n = _witness(level, a, b).n
     if oracle.check_witness(level, a, b, BoundN(n - 1)):

@@ -96,7 +96,11 @@ class CoefficientNotRepresentable(LexarithError, ArithmeticError):
 
 
 class StandardInput(LexarithError, ValueError):
-    """An equivalence operation received a standard (finite) element."""
+    """An equivalence operation received a standard (finite) element.
+
+    Raised only by :func:`lexarith.oracle.require_pair`, the one rule for
+    the pairs the levels are defined on; a pair of two dimensions is an
+    InvariantViolation there."""
 
 
 class NotEquivalent(LexarithError, ValueError):

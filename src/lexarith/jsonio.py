@@ -30,7 +30,7 @@ import re
 import sys
 
 from .errors import InvariantViolation
-from .model import Element, format_rational, rat
+from .model import Element, exponent_texts, format_rational, rat
 from .oracle import BoundN
 from .textform import format_element
 
@@ -60,7 +60,7 @@ def rational_from_json(s: str) -> tuple:
 def element_to_json(e: Element) -> dict:
     return {
         "terms": [
-            {"exp": exponent.texts(), "coeff": format_rational(coeff)}
+            {"exp": exponent_texts(exponent), "coeff": format_rational(coeff)}
             for exponent, coeff in e.term_pairs()
         ]
     }

@@ -36,15 +36,15 @@ first normalizes ``int``, ``Fraction`` and pair input and sorts it;
 
 Who reads the term layout: only this module and the kernel take apart raw
 term tuples, read ``.raw`` and call ``Element._wrap``, which skips
-validation.  Every other module reads terms through the pair reads below:
-:meth:`Element.term_pairs`, :meth:`Exponent.component` and
-:meth:`Exponent.texts`, and, in place with no wrapper built,
-:func:`lead_term`, :func:`exponents` and :func:`exponent_differences`,
-whose exponents are tuples of canonical pairs.  It builds an element
-through the checked doors, with :func:`rat` for a canonical pair.
-Automorphisms work on opaque class keys through the four functions of the
-"class keys" section below.  ``Element.raw`` stays public because the
-layered benchmark (``perfbench/``) checks its outputs with it.
+validation.  Every other module reads terms through the pair reads below,
+in place with no wrapper built, every exponent a tuple of canonical
+pairs: :meth:`Element.term_pairs`, :func:`lead_term`, :func:`exponents`
+and :func:`exponent_differences`, with :func:`exponent_texts` for an
+exponent's text.  It builds an element through the checked doors, with
+:func:`rat` for a canonical pair.  Automorphisms work on opaque class
+keys through the four functions of the "class keys" section below.
+``Element.raw`` stays public because the layered benchmark
+(``perfbench/``) checks its outputs with it.
 
 Everything here is immutable and pure.
 """
@@ -113,9 +113,15 @@ def format_rational(r: tuple) -> str:
         raise ResourceLimit(f"a {width}-bit rational is too long to print") from None
 
 
+def exponent_texts(e: tuple) -> list:
+    """The components of an exponent (a tuple of canonical pairs) as
+    ``"p/q"`` strings."""
+    return [format_rational(r) for r in e]
+
+
 def _exp_text(e: tuple) -> str:
     """``(p/q,r/s)``: an exponent's components as ``"p/q"`` texts."""
-    return f"({','.join(map(format_rational, e))})"
+    return f"({','.join(exponent_texts(e))})"
 
 
 class Exponent:
@@ -146,14 +152,6 @@ class Exponent:
     @property
     def components(self) -> tuple:
         return tuple(Fraction(*r) for r in self._raw)
-
-    def component(self, i: int) -> tuple:
-        """The i-th component as a canonical pair."""
-        return self._raw[i]
-
-    def texts(self) -> list:
-        """The components as ``"p/q"`` strings."""
-        return [format_rational(r) for r in self._raw]
 
     def is_zero(self) -> bool:
         return K.exp_is_zero(self._raw)
@@ -267,8 +265,9 @@ class Element:
         return tuple(Term(Exponent._wrap(e), Fraction(*c)) for e, c in self._raw)
 
     def term_pairs(self) -> tuple:
-        """The terms, highest first, as (Exponent, coefficient pair)."""
-        return tuple((Exponent._wrap(e), c) for e, c in self._raw)
+        """The terms, highest first, as (exponent, coefficient pair), the
+        exponent a tuple of canonical pairs."""
+        return self._raw
 
     def is_zero(self) -> bool:
         return not self._raw
@@ -442,11 +441,6 @@ def deg_cmp(a: Element, b: Element) -> int:
 def deg_level(a: Element, b: Optional[Element] = None) -> int:
     """``deg(a).level()``; with b, ``(deg(a) - deg(b)).level()``."""
     return _level(a._raw[0][0], None if b is None else b._raw[0][0])
-
-
-def deg_texts(a: Element) -> list:
-    """``deg(a).texts()``: the components of the degree as ``"p/q"`` strings."""
-    return [format_rational(r) for r in a._raw[0][0]]
 
 
 # The pair reads below read terms in place too, an exponent as a tuple of

@@ -5,8 +5,11 @@ The level set is defined here, with the definitions it names:
 :data:`LEVELS` are 0..4, and the :data:`BOUND_LEVELS` 0, 2 and 4 are
 certified by a standard bound n (:class:`BoundN`); levels 1 and 3 by a
 companion element c (:class:`Companion`).  The deciders, the suites and
-the CLI read both names.  A witness is only ever a *claim*:
-``check_witness`` decides whether it certifies.
+the CLI read both names.  Every level is defined on the same pairs, two
+nonstandard elements of one dimension, and :func:`require_pair` is that
+one rule, for the oracle and the deciders alike.  A witness is only ever
+a *claim*: ``check_witness`` decides whether it certifies, and only a
+witness of the level's form (:func:`_fits`) can.
 
 ``check_witness`` evaluates the literal defining conditions of a level
 against a supplied certificate: the existential inequalities exactly, and
@@ -24,21 +27,27 @@ the degrees and the leading coefficients tie.
 
 ``search(level, a, b, n_max, hint)`` hunts for a witness inside finite
 bounds and returns the first candidate, in ascending order, that
-``check_witness`` accepts.  At the bound levels 0, 2 and 4 it tries
-n = 1 .. n_max, raised to ``hint.n + 1`` by a ``BoundN`` hint; at the
-companion levels 1 and 3 it takes the companion pool of ``default_pool``,
+``check_witness`` accepts.  At the bound levels 0, 2 and 4 the candidates
+are n = 1 .. n_max, raised to ``hint.n + 1`` by a ``BoundN`` hint; at the
+companion levels 1 and 3 they are the companion pool of ``default_pool``,
 with ``hint.c`` inserted in its place by a ``Companion`` hint
 (:func:`_merged`: a bisection into the ascending pool, nothing when it is
-already there).  The pool is built only at the companion levels, from the
-exponents of a and b read in place.  Along the ascending pool a companion
-level's inequalities (``a < b + c and b < a + c``, ``a < b*c and
-b < a*c``) only ever turn from false to true, and its degree rules only
-from true to false; so the search bisects to the first candidate the
-inequalities can accept (:func:`_may_accept`: the literal sums at level 1,
-the products' leading terms at level 3, which build nothing and cannot
-raise) and checks from there, every candidate below it failing.
-Exhaustion is a value, not an error, and never refutes: negative
-closed-form verdicts are justified by the decider's reason field.
+already there).  A hint takes part only in the form ``check_witness``
+accepts.  Every level has one search rule: bisect the ascending
+candidates on a probe that only ever turns from false to true, and check
+from the first candidate it accepts; every candidate below that fails
+(:func:`_may_accept`).  At the bound levels the probe is ``check_witness``
+itself: for a nonstandard pair ``b + n``, ``b*n`` and ``b**n`` grow with
+n, so ``a < b + n``, ``a < b*n`` and ``a < b**n`` (and the same with a
+and b swapped) only turn from false to true, the first witness is the
+one a scan of n = 1, 2, ... finds, and a failing search makes
+O(log n_max) checks.  At the companion levels the degree rules only turn
+from true to false along the pool, so the probe is the inequalities
+alone: the literal sums ``a < b + c and b < a + c`` at level 1, the
+leading terms of ``a < b*c and b < a*c`` at level 3, which build nothing
+and cannot raise.  Exhaustion is a value, not an error, and never
+refutes: negative closed-form verdicts are justified by the decider's
+reason field.
 """
 
 from __future__ import annotations
@@ -80,9 +89,21 @@ LEVELS = (0, 1, 2, 3, 4)
 BOUND_LEVELS = (0, 2, 4)
 
 
-def _require_nonstandard(a: Element, b: Element) -> None:
+def require_pair(a: Element, b: Element) -> None:
+    """Refuse a pair the levels are not defined on: a standard element
+    raises StandardInput, two dimensions InvariantViolation."""
     if is_standard(a) or is_standard(b):
-        raise StandardInput("witness checking is defined on nonstandard elements only")
+        raise StandardInput("equivalence levels are defined on nonstandard elements only")
+    if a.dim != b.dim:
+        raise InvariantViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _fits(level: int, w, dim: int) -> bool:
+    """Whether w has the witness form of the level: an int bound n >= 1 at
+    the bound levels, a companion element of dimension dim at the others."""
+    if level in BOUND_LEVELS:
+        return isinstance(w, BoundN) and isinstance(w.n, int) and w.n >= 1
+    return level in LEVELS and isinstance(w, Companion) and isinstance(w.c, Element) and w.c.dim == dim
 
 
 def multiples_stay_below(c: Element, a: Element) -> bool:
@@ -96,34 +117,29 @@ def powers_stay_below(c: Element, a: Element) -> bool:
 
 
 def check_witness(level: int, a: Element, b: Element, w: Witness) -> bool:
-    _require_nonstandard(a, b)
-    if level in BOUND_LEVELS:
-        if not isinstance(w, BoundN) or not isinstance(w.n, int) or w.n < 1:
-            return False
-        n = w.n
-        if level == 0:
-            return a < b + n and b < a + n
-        if level == 2:
-            return mul_lt(a, b, n) and mul_lt(b, a, n)
-        return pow_lt(a, b, n) and pow_lt(b, a, n)
-    if level in LEVELS:  # a companion level
-        if not isinstance(w, Companion) or not isinstance(w.c, Element) or w.c.dim != a.dim:
-            return False
-        c = w.c
-        if level == 1:
-            return (
-                multiples_stay_below(c, a)
-                and multiples_stay_below(c, b)
-                and a < b + c
-                and b < a + c
-            )
+    require_pair(a, b)
+    if not _fits(level, w, a.dim):
+        return False
+    if level == 0:
+        return a < b + w.n and b < a + w.n
+    if level == 2:
+        return mul_lt(a, b, w.n) and mul_lt(b, a, w.n)
+    if level == 4:
+        return pow_lt(a, b, w.n) and pow_lt(b, a, w.n)
+    c = w.c
+    if level == 1:
         return (
-            powers_stay_below(c, a)
-            and powers_stay_below(c, b)
-            and mul_lt(a, b, c)
-            and mul_lt(b, a, c)
+            multiples_stay_below(c, a)
+            and multiples_stay_below(c, b)
+            and a < b + c
+            and b < a + c
         )
-    return False
+    return (
+        powers_stay_below(c, a)
+        and powers_stay_below(c, b)
+        and mul_lt(a, b, c)
+        and mul_lt(b, a, c)
+    )
 
 
 def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
@@ -134,8 +150,7 @@ def default_pool(a: Element, b: Element, n_max: int = 8) -> tuple:
     multiple of t^e for e < f, so each run lies above the one before it,
     and the pool is sorted with no repeats as it is built.  (e - 0 is a
     difference, so the exponents of a and b themselves are in the set.)"""
-    if a.dim != b.dim:
-        raise InvariantViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
+    require_pair(a, b)
     dim = a.dim
     zero = ((0, 1),) * dim
     exps = {zero, *exponents(a), *exponents(b)}
@@ -162,12 +177,16 @@ def _merged(pool: tuple, c: Element) -> tuple:
 
 
 def _may_accept(level: int, a: Element, b: Element):
-    """Whether a companion c may meet the level's inequalities: False only
-    for a c that fails them, and, as ``b + c`` and ``b*c`` grow with c, True
-    for every c above one it accepts.  At level 1 it is the literal sums; at
-    level 3 the leading terms of the products
-    (:func:`lexarith.model.mul_lead_cmp`), True on a tie, which the lower
-    terms settle."""
+    """A probe on the level's candidates, the bounds n or the companions c:
+    False only for one that ``check_witness`` rejects, and, along the
+    ascending candidates, True for every one above one it accepts.  At the
+    bound levels it is ``check_witness`` itself, as ``b + n``, ``b*n`` and
+    ``b**n`` grow with n.  At level 1 it is the literal sums, at level 3 the
+    leading terms of the products (:func:`lexarith.model.mul_lead_cmp`),
+    True on a tie, which the lower terms settle; ``b + c`` and ``b*c`` grow
+    with c."""
+    if level in BOUND_LEVELS:
+        return lambda n: check_witness(level, a, b, BoundN(n))
     if level == 1:
         return lambda c: a < b + c and b < a + c
     return lambda c: bool(c) and mul_lead_cmp(a, b, c) <= 0 and mul_lead_cmp(b, a, c) <= 0
@@ -180,24 +199,22 @@ def search(
 
     A ``BoundN`` hint raises the bound to ``hint.n + 1``; a ``Companion``
     hint adds ``hint.c`` to the pool.  A hint is only a candidate: one that
-    ``check_witness`` would reject for its form (a non-int bound, a
-    companion that is no element of a's dimension) is ignored.  None never
-    refutes equivalence; it only reports exhaustion.
+    ``check_witness`` would reject for its form (:func:`_fits`) is ignored.
+    None never refutes equivalence; it only reports exhaustion.
     """
     if n_max < 2:
         raise InvariantViolation("n_max must be >= 2")
-    _require_nonstandard(a, b)
+    require_pair(a, b)
     if level in BOUND_LEVELS:
-        if isinstance(hint, BoundN) and isinstance(hint.n, int):
+        if _fits(level, hint, a.dim):
             n_max = max(n_max, hint.n + 1)
-        candidates = map(BoundN, range(1, n_max + 1))
+        form, candidates = BoundN, range(1, n_max + 1)
     elif level in LEVELS:  # a companion level
-        pool = default_pool(a, b, n_max)
-        if isinstance(hint, Companion) and isinstance(hint.c, Element) and hint.c.dim == a.dim:
-            pool = _merged(pool, hint.c)
-        # every candidate below the first the probe accepts fails the check
-        first = bisect_left(pool, True, key=_may_accept(level, a, b))
-        candidates = map(Companion, pool[first:])
+        form, candidates = Companion, default_pool(a, b, n_max)
+        if _fits(level, hint, a.dim):
+            candidates = _merged(candidates, hint.c)
     else:
         raise InvariantViolation(f"no searcher for level {level}")
-    return next((w for w in candidates if check_witness(level, a, b, w)), None)
+    # every candidate below the first the probe accepts fails the check
+    first = bisect_left(candidates, True, key=_may_accept(level, a, b))
+    return next((w for w in map(form, candidates[first:]) if check_witness(level, a, b, w)), None)

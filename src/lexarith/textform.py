@@ -21,18 +21,17 @@ from __future__ import annotations
 import sys
 
 from .errors import ParseError
-from .model import Element, Exponent, format_rational, rat, sum_terms
+from .model import Element, exponent_texts, format_rational, rat, sum_terms
 
 _WS = " \t\n\r"
 _DIGITS = frozenset("0123456789")
 
 
-def _format_exponent(e: Exponent) -> str:
-    if e.dim == 1:
-        num, den = e.component(0)
-        if den == 1:
-            return f"t^{num}" if num != 1 else "t"
-    return f"t^({','.join(e.texts())})"
+def _format_exponent(e: tuple) -> str:
+    if len(e) == 1 and e[0][1] == 1:
+        num = e[0][0]
+        return f"t^{num}" if num != 1 else "t"
+    return f"t^({','.join(exponent_texts(e))})"
 
 
 def format_element(e: Element) -> str:
@@ -41,7 +40,7 @@ def format_element(e: Element) -> str:
     parts = []
     for i, (exponent, (num, den)) in enumerate(e.term_pairs()):
         mag = (abs(num), den)
-        if exponent.is_zero():
+        if not any(num for num, _ in exponent):
             body = format_rational(mag)
         elif mag == (1, 1):
             body = _format_exponent(exponent)

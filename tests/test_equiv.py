@@ -7,8 +7,8 @@ import pytest
 
 from lexarith import automorph, equiv, oracle, suites
 from lexarith.automorph import prove_E5
-from lexarith.equiv import LEVELS, decide, holds, minimal_bound_n
-from lexarith.errors import CannotProve, NotEquivalent, StandardInput
+from lexarith.equiv import LEVELS, decide, minimal_bound_n, related
+from lexarith.errors import CannotProve, InvariantViolation, NotEquivalent, StandardInput
 from lexarith.model import Element, const_value, deg, divmod_floor, pow_int, sub
 from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
@@ -81,6 +81,15 @@ class TestDecide:
         with pytest.raises(StandardInput):
             decide(2, P("t"), P("0"))
 
+    def test_levels_outside_0_to_4_are_refused(self):
+        a, b = P("t"), P("t + 1")
+        for level in (-1, 5):
+            for ask in (related, decide):
+                with pytest.raises(InvariantViolation, match="undecidable level"):
+                    ask(level, a, b)
+            with pytest.raises(InvariantViolation, match="no searcher"):
+                oracle.search(level, a, b)
+
     def test_positive_needs_witness(self):
         for level, a, b in [
             (0, P("t + 7"), P("t")),
@@ -102,7 +111,7 @@ def test_level1_closed_form_matches_the_definition(dim):
     for _ in range(400):
         a, b = suites.related_pair(s)
         literal = a == b or deg(sub(a, b) if a > b else sub(b, a)) < deg(a)
-        assert holds(1, a, b) == literal, (a, b)
+        assert related(1, a, b) == literal, (a, b)
         positive += literal
     assert 0 < positive < 400
 

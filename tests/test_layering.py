@@ -6,7 +6,8 @@ the I/O boundary (``cli.py``, ``jsonio.py``) imports inside a function,
 and only package modules by a plain ``from . import m``, so a CLI request
 loads only the modules its command runs; nothing imports by name at run
 time (``importlib``, ``__import__``).  The oracle, which defines the
-equivalence levels, is the one module that writes the level set."""
+equivalence levels, is the one module that writes the level set and the
+one that refuses a standard element, so the pair rule has one home."""
 
 import ast
 import graphlib
@@ -49,6 +50,19 @@ def test_only_the_oracle_writes_the_level_set():
         and _constants(node.args) == (5,)
     ]
     # the oracle's own definitions show that the check sees them
+    assert found and all(t.startswith("oracle.py:") for t in found), found
+
+
+def test_only_the_oracle_raises_standard_input():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "StandardInput" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    # the oracle's own pair rule shows that the check sees it
     assert found and all(t.startswith("oracle.py:") for t in found), found
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lexarith import model, oracle, suites
+from lexarith import analysis, automorph, equiv, model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import InvariantViolation, StandardInput
 from lexarith.model import Element, Exponent, deg, pow_int
@@ -220,10 +220,10 @@ def _pool_by_definition(a, b, n_max):
     repeats, sorted as elements, the first 96."""
     dim = a.dim
     zero = Exponent.zero(dim)
-    exps = {zero} | {e for x in (a, b) for e, _ in x.term_pairs()}
+    exps = {zero} | {term.exponent for x in (a, b) for term in x.terms()}
     diffs = {e - f for e in exps for f in exps}
     if dim == 2:
-        bound = max([2] + [abs(num) // den + 2 for num, den in (e.component(1) for e in exps)])
+        bound = max([2] + [int(abs(e.components[1])) + 2 for e in exps])
         diffs |= {Exponent((0, j)) for j in range(1, min(bound, 12) + 1)}
     pool = {Element.integer(k, dim) for k in range(1, min(n_max, 9) + 1)}
     for e in diffs:
@@ -358,3 +358,60 @@ def test_a_malformed_hint_is_ignored(level, hint):
     assert not check_witness(level, a, b, hint)
     assert search(level, a, b, hint=hint) == search(level, a, b)
     assert search(level, a, b, hint=hint) is not None
+
+
+def _pair_calls(a, b):
+    """Every decide-layer entry point that takes a pair, by name, as a call
+    on a pair: the checker at each level with a bound and with a companion
+    of a's and of b's dimension, the search, the pool, the deciders, the
+    builders and the embedding."""
+    calls = {}
+    for level in oracle.LEVELS:
+        for w in (BoundN(2), Companion(a), Companion(b)):
+            calls[f"check_witness({level}, {w})"] = lambda x, y, level=level, w=w: check_witness(level, x, y, w)
+        calls[f"search({level})"] = lambda x, y, level=level: search(level, x, y)
+        calls[f"related({level})"] = lambda x, y, level=level: equiv.related(level, x, y)
+        calls[f"decide({level})"] = lambda x, y, level=level: decide(level, x, y)
+    for level in oracle.BOUND_LEVELS:
+        calls[f"minimal_bound_n({level})"] = lambda x, y, level=level: equiv.minimal_bound_n(level, x, y)
+    calls["default_pool"] = oracle.default_pool
+    calls["build_from_e2"] = automorph.build_from_e2
+    calls["build_from_e3"] = automorph.build_from_e3
+    calls["real_embed"] = analysis.real_embed
+    return calls
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(1, 2), (2, 1)])
+def test_every_pair_entry_point_refuses_a_mixed_pair(dim_a, dim_b):
+    # one pair rule: two dimensions are an InvariantViolation whatever the
+    # level, witness or companion; a standard element is refused first
+    nonstandard = {1: P("t^2 + t"), 2: P("t^(1,0) + t^(0,1)", 2)}
+    a, b = nonstandard[dim_a], nonstandard[dim_b]
+    for name, call in _pair_calls(a, b).items():
+        with pytest.raises(InvariantViolation, match="dimension mismatch"):
+            call(a, b)
+        for x, y in ((Element.integer(3, dim_a), b), (a, Element.integer(3, dim_b))):
+            with pytest.raises(StandardInput, match="defined on nonstandard elements only"):
+                call(x, y)
+
+
+def test_a_large_bound_hint_costs_logarithmically_many_checks(monkeypatch):
+    # the bound levels bisect on check_witness itself: a hint of 10**9 makes
+    # about log2(10**9) = 30 checks, failing or not
+    t, a = P("t"), P("9*t + 4")
+    least = decide(2, a, t).witness
+    check = oracle.check_witness
+    calls = []
+
+    def counted(level, x, y, w):
+        calls.append(w)
+        if len(calls) > 100:
+            raise AssertionError("the search scans its bounds")
+        return check(level, x, y, w)
+
+    monkeypatch.setattr(oracle, "check_witness", counted)
+    assert search(0, P("t^2"), t, hint=BoundN(10**9)) is None
+    assert len(calls) <= 40, len(calls)
+    calls.clear()
+    assert search(2, a, t, hint=BoundN(10**9)) == least == BoundN(10)
+    assert len(calls) <= 40, len(calls)
