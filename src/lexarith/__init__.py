@@ -6,8 +6,6 @@ machine-checkable witness certificates, and constructive order-automorphisms.
 from ._backend import backend_name
 from .model import (
     Element,
-    Exponent,
-    Term,
     cmp,
     deg,
     divmod_floor,
@@ -21,8 +19,6 @@ from .textform import format_element, parse_element
 
 __all__ = [
     "Element",
-    "Exponent",
-    "Term",
     "backend_name",
     "cmp",
     "deg",

@@ -69,11 +69,14 @@ from .errors import (
 from .model import (
     Element,
     const_value,
-    deg,
+    deg_level,
     divmod_floor,
     divmod_scalar,
+    exponent_differences,
+    exponent_texts,
     from_key,
     is_standard,
+    lead_term,
     monomial_inverse,
     split_const,
     split_level,
@@ -249,10 +252,10 @@ class E3Shift(Descriptor):
         if is_standard(c):
             raise InvariantViolation("scaling companion must be a nonstandard monomial")
         inv_c = monomial_inverse(c)
-        lvl = deg(c).level()
+        lvl = deg_level(c)
         if lvl < 1:
             raise InvariantViolation("scaling companion must be dominated by the anchors")
-        if is_standard(a1) or deg(a1).level() >= lvl:
+        if is_standard(a1) or deg_level(a1) >= lvl:
             raise InvariantViolation("anchor must dominate every power of the companion")
         if a2 != a1 * c:
             raise InvariantViolation("normalized anchor must satisfy a2 = c * a1")
@@ -370,10 +373,15 @@ def compose(*descriptors: Descriptor) -> Descriptor:
 # --- builders ---------------------------------------------------------------
 
 
+def _deg_text(x: Element) -> str:
+    """x's degree as ``(p/q,r/s)``, for the builders' refusals."""
+    return f"({','.join(exponent_texts(lead_term(x)[0]))})"
+
+
 def build_from_e2(a: Element, b: Element) -> Descriptor:
     """An order-automorphism mapping a to b, given a finite ratio a ~ b."""
     if not equiv.related(2, a, b):
-        raise NotE2Equivalent(f"degrees differ: {deg(a)!r} vs {deg(b)!r}")
+        raise NotE2Equivalent(f"degrees differ: {_deg_text(a)} vs {_deg_text(b)}")
     if a == b:
         return Identity()
     if a > b:
@@ -400,12 +408,13 @@ def build_from_e3(a1: Element, a2: Element) -> Descriptor:
     route alone suffices.
     """
     if not equiv.related(3, a1, a2):
-        raise NotE3Equivalent(f"no dominated companion links {deg(a1)!r} and {deg(a2)!r}")
+        raise NotE3Equivalent(f"no dominated companion links {_deg_text(a1)} and {_deg_text(a2)}")
     if equiv.related(2, a1, a2):
         return build_from_e2(a1, a2)
     if a1 > a2:
         return build_from_e3(a2, a1).inverse()
-    c = Element([(deg(a2) - deg(a1), 1)], 2)
+    (gap,) = exponent_differences((lead_term(a1)[0], lead_term(a2)[0]))
+    c = Element([(gap, 1)], 2)
     mid = a1 * c
     shift = E3Shift(a1=a1, a2=mid, c=c)
     if mid == a2:

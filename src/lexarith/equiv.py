@@ -50,11 +50,10 @@ from . import oracle
 from .errors import InvariantViolation, NotEquivalent
 from .model import (
     Element,
-    Exponent,
     const_value,
-    deg,
     deg_cmp,
     deg_level,
+    exponent_differences,
     exponent_texts,
     lead_term,
     mul_lt,
@@ -148,11 +147,11 @@ def _witness(level: int, a: Element, b: Element) -> Witness:
         n = _least_bound(a, b, mul_lt, lead_term(a)[1], lead_term(b)[1])
         w = BoundN(n) if level == 2 else Companion(Element.integer(n, a.dim))
     else:
-        # level 3 with differing degrees: a monomial one archimedean notch
-        # above the second-component gap
-        da, db = deg(a), deg(b)
-        gap = da - db if da > db else db - da
-        w = Companion(Element([(gap + Exponent((0, 1)), 1)], 2))
+        # level 3 with differing degrees (dim 2, equal first components):
+        # a monomial one archimedean notch above the second-component gap
+        (gap,) = exponent_differences((lead_term(a)[0], lead_term(b)[0]))
+        num, den = gap[1]
+        w = Companion(Element([((gap[0], (num + den, den)), 1)], 2))
     if not oracle.check_witness(level, a, b, w):
         raise AssertionError(f"synthesized level-{level} witness {w!r} fails its check on {a!r}, {b!r}")
     return w

@@ -17,10 +17,12 @@ budget and a typed :class:`~lexarith.errors.NonTerminatingQuotient` error.
 
 Representation rule: inside the package a rational is the kernel's
 canonical ``(num, den)`` pair (``den > 0``, lowest terms, zero is
-``(0, 1)``), from parsing to printing.  ``fractions.Fraction`` appears only
-in the public views of this module (``Exponent.components``,
-``Element.terms()`` and :class:`Term`), in the constructors, which accept
-``int`` and ``Fraction`` besides pairs, and in the public value of
+``(0, 1)``), from parsing to printing, and an exponent is a tuple of such
+pairs; there is no second exponent form.  ``fractions.Fraction`` appears
+only in the two public views of this module, :func:`deg` (an
+:class:`Exponent`, read through ``.components``) and ``Element.terms()``
+(:class:`Term` tuples), in the constructors, which accept ``int`` and
+``Fraction`` besides pairs, and in the public value of
 ``analysis.EmbedResult``.  :func:`format_rational` is the one ``"p/q"``
 formatter.
 
@@ -38,13 +40,15 @@ Who reads the term layout: only this module and the kernel take apart raw
 term tuples, read ``.raw`` and call ``Element._wrap``, which skips
 validation.  Every other module reads terms through the pair reads below,
 in place with no wrapper built, every exponent a tuple of canonical
-pairs: :meth:`Element.term_pairs`, :func:`lead_term`, :func:`exponents`
-and :func:`exponent_differences`, with :func:`exponent_texts` for an
-exponent's text.  It builds an element through the checked doors, with
+pairs: :meth:`Element.term_pairs`, :func:`lead_term`, :func:`deg_level`,
+:func:`exponents` and :func:`exponent_differences`, with
+:func:`exponent_texts` for an exponent's text.  It builds an element through the checked doors, with
 :func:`rat` for a canonical pair.  Automorphisms work on opaque class
 keys through the four functions of the "class keys" section below.
 ``Element.raw`` stays public because the layered benchmark
-(``perfbench/``) checks its outputs with it.
+(``perfbench/``) checks its outputs with it; for the same reason
+``Exponent`` keeps ``+`` and ``==``, which its arith verifier reads as
+``deg(a * b) == deg(a) + deg(b)``.
 
 Everything here is immutable and pure.
 """
@@ -125,15 +129,13 @@ def _exp_text(e: tuple) -> str:
 
 
 class Exponent:
-    """A point of the degree lattice Q^d with the lexicographic order."""
+    """The view :func:`deg` returns: a point of the degree lattice Q^d,
+    read through ``.components`` as ``Fraction`` values.  It has no public
+    constructor and no order; ``+`` and ``==`` stay for the benchmark's
+    verifier only.  Inside the package an exponent is a tuple of canonical
+    pairs."""
 
     __slots__ = ("_raw",)
-
-    def __init__(self, components: Iterable[RatLike]):
-        raw = tuple(_to_rat(c) for c in components)
-        if not 1 <= len(raw) <= 2:
-            raise InvariantViolation(f"exponent dimension must be 1 or 2, got {len(raw)}")
-        self._raw = raw
 
     @classmethod
     def _wrap(cls, raw: tuple) -> "Exponent":
@@ -141,37 +143,12 @@ class Exponent:
         e._raw = raw
         return e
 
-    @classmethod
-    def zero(cls, dim: int) -> "Exponent":
-        return cls._wrap(((0, 1),) * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self._raw)
-
     @property
     def components(self) -> tuple:
         return tuple(Fraction(*r) for r in self._raw)
 
-    def is_zero(self) -> bool:
-        return K.exp_is_zero(self._raw)
-
-    def level(self) -> int:
-        """Index of the first nonzero component; ``dim`` for the zero vector.
-
-        Exponents with equal level lie in the same Archimedean class of the
-        lexicographic group; a lower level dominates every higher one.
-        """
-        return _level(self._raw)
-
     def __add__(self, other: "Exponent") -> "Exponent":
         return Exponent._wrap(K.exp_add(self._raw, other._raw))
-
-    def __sub__(self, other: "Exponent") -> "Exponent":
-        return Exponent._wrap(K.exp_sub(self._raw, other._raw))
-
-    def __mul__(self, scalar: RatLike) -> "Exponent":
-        return Exponent._wrap(K.exp_scale(self._raw, _to_rat(scalar)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Exponent) and self._raw == other._raw
@@ -179,24 +156,8 @@ class Exponent:
     def __hash__(self) -> int:
         return hash(self._raw)
 
-    def __lt__(self, other: "Exponent") -> bool:
-        return K.exp_cmp(self._raw, other._raw) < 0
-
-    def __gt__(self, other: "Exponent") -> bool:
-        return K.exp_cmp(self._raw, other._raw) > 0
-
     def __repr__(self) -> str:
         return f"Exponent{_exp_text(self._raw)}"
-
-
-def _level(e: tuple, f: Optional[tuple] = None) -> int:
-    """The index of the first component where the exponents e and f (zero
-    by default) differ, as canonical pairs do exactly when their values
-    differ; len(e) when they agree."""
-    for i, x in enumerate(e):
-        if x != (f[i] if f else (0, 1)):
-            return i
-    return len(e)
 
 
 class Term(NamedTuple):
@@ -211,7 +172,7 @@ class Element:
 
     def __init__(self, terms: Iterable[tuple], dim: int):
         raw = [
-            (exponent._raw if isinstance(exponent, Exponent) else tuple(map(_to_rat, exponent)), _to_rat(coeff))
+            (tuple(map(_to_rat, exponent)), _to_rat(coeff))
             for exponent, coeff in terms
         ]
         # the kernel orders equal-length exponents only; the check names a wrong length
@@ -439,8 +400,19 @@ def deg_cmp(a: Element, b: Element) -> int:
 
 
 def deg_level(a: Element, b: Optional[Element] = None) -> int:
-    """``deg(a).level()``; with b, ``(deg(a) - deg(b)).level()``."""
-    return _level(a._raw[0][0], None if b is None else b._raw[0][0])
+    """The index of the first nonzero component of deg(a), dim when a is
+    a constant; with b, the index of the first component where deg(a) and
+    deg(b) differ, dim when they are equal.
+
+    Degrees of equal level lie in the same Archimedean class of the
+    lexicographic group; a lower level dominates every higher one."""
+    e = a._raw[0][0]
+    f = None if b is None else b._raw[0][0]
+    # canonical pairs differ exactly when their values do
+    for i, x in enumerate(e):
+        if x != (f[i] if f else (0, 1)):
+            return i
+    return len(e)
 
 
 # The pair reads below read terms in place too, an exponent as a tuple of

@@ -43,9 +43,10 @@ from .errors import (
 from .model import (
     Element,
     ceil_quotient_scalar,
-    deg,
+    deg_level,
     divmod_floor,
     divmod_scalar,
+    lead_term,
     pow_int,
     root_floor,
     sub,
@@ -84,7 +85,8 @@ class SuiteResult(SimpleNamespace):
 
 def _lower_perturbation(s: Sampler, a: Element) -> Element:
     """A positive element of strictly smaller degree than a."""
-    mono = Element([(deg(a) * (1, 2), s.integer(1, 5))], a.dim)
+    # half of a's degree: p/(2q) for each pair, which Element(...) reduces
+    mono = Element([([(p, 2 * q) for p, q in lead_term(a)[0]], s.integer(1, 5))], a.dim)
     return mono + Element.integer(s.integer(0, 3), a.dim)
 
 
@@ -103,7 +105,7 @@ def equivalent_to(s: Sampler, a: Element, level: int) -> Element:
             b = b + _lower_perturbation(s, a)
         return b + s.integer(-2, 4)
     if level == 3:
-        if a.dim == 1 or deg(a).level() > 0:
+        if a.dim == 1 or deg_level(a) > 0:
             return equivalent_to(s, a, 2)
         shift = Element.monomial(1, (0, s.integer(1, 4)), dim=2)
         b = a * shift * s.integer(1, 3)
@@ -399,7 +401,7 @@ def _automorph_cases(r: SuiteResult, s: Sampler, level: int, probe_pairs: int = 
     base_probes = _probe_set(s, r.dim, probe_pairs + 1)
     for i in range(r.samples):
         a, b = equivalent_pair(s, level)
-        if level == 3 and s.chance(0.5) and a.dim == 2 and deg(a).level() == 0:
+        if level == 3 and s.chance(0.5) and a.dim == 2 and deg_level(a) == 0:
             # bias toward the genuinely non-finite-ratio regime
             b = b * Element.monomial(1, (0, 1), dim=2)
         try:
@@ -463,7 +465,7 @@ def suite_b11(r: SuiteResult, s: Sampler) -> None:
         a = s.nonstandard()
         if s.chance(0.5):
             # unit leading coefficient: every 2**n-th root floor is representable
-            a = Element([(deg(a), 1)], r.dim) + s.integer(0, 5)
+            a = Element([(lead_term(a)[0], 1)], r.dim) + s.integer(0, 5)
         for direction in ("up", "down"):
             try:
                 terms = analysis.b11_seq(a, 3, direction).terms

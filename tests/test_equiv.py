@@ -9,7 +9,7 @@ from lexarith import automorph, equiv, oracle, suites
 from lexarith.automorph import prove_E5
 from lexarith.equiv import LEVELS, decide, minimal_bound_n, related
 from lexarith.errors import CannotProve, InvariantViolation, NotEquivalent, StandardInput
-from lexarith.model import Element, const_value, deg, divmod_floor, pow_int, sub
+from lexarith.model import Element, const_value, deg, deg_level, divmod_floor, lead_term, pow_int, sub
 from lexarith.oracle import BoundN, Companion
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -110,7 +110,8 @@ def test_level1_closed_form_matches_the_definition(dim):
     positive = 0
     for _ in range(400):
         a, b = suites.related_pair(s)
-        literal = a == b or deg(sub(a, b) if a > b else sub(b, a)) < deg(a)
+        # tuples of Fraction compare lexicographically
+        literal = a == b or deg(sub(a, b) if a > b else sub(b, a)).components < deg(a).components
         assert related(1, a, b) == literal, (a, b)
         positive += literal
     assert 0 < positive < 400
@@ -217,7 +218,7 @@ class TestLeastBound:
         for _ in range(40):
             a, b = suites.equivalent_pair(s, level)
             # level 3's companion is a constant only for equal degrees
-            if level != 3 or deg(a) == deg(b):
+            if level != 3 or lead_term(a)[0] == lead_term(b)[0]:
                 _assert_least_bound(level, a, b)
                 checked += 1
         assert checked > 0
@@ -242,7 +243,7 @@ def _leading_tie(level, a, b):
     the public views: x and y are the leading coefficients at levels 2 and
     3, the degrees' first nonzero components at level 4."""
     if level == 4:
-        lvl = deg(a).level()
+        lvl = deg_level(a)
         x, y = deg(a).components[lvl], deg(b).components[lvl]
     else:
         x, y = a.terms()[0].coeff, b.terms()[0].coeff

@@ -7,7 +7,10 @@ and only package modules by a plain ``from . import m``, so a CLI request
 loads only the modules its command runs; nothing imports by name at run
 time (``importlib``, ``__import__``).  The oracle, which defines the
 equivalence levels, is the one module that writes the level set and the
-one that refuses a standard element, so the pair rule has one home."""
+one that refuses a standard element, so the pair rule has one home.  An
+exponent has one form inside the package, a tuple of canonical pairs: only
+the model names ``Exponent`` or calls ``deg``, the view built for callers
+outside the package."""
 
 import ast
 import graphlib
@@ -64,6 +67,20 @@ def test_only_the_oracle_raises_standard_input():
     ]
     # the oracle's own pair rule shows that the check sees it
     assert found and all(t.startswith("oracle.py:") for t in found), found
+
+
+def test_only_the_model_names_exponent_or_calls_deg():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "Exponent"
+        or isinstance(node, ast.Attribute) and node.attr == "Exponent"
+        or isinstance(node, ast.alias) and node.name == "Exponent"
+        or isinstance(node, ast.Call) and "deg" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    # the model's own class and view show that the check sees them
+    assert found and all(t.startswith("model.py:") for t in found), found
 
 
 def test_automorph_reads_no_raw_terms():

@@ -1,11 +1,13 @@
 """Literal witness checking and bounded search."""
 
+from fractions import Fraction
+
 import pytest
 
 from lexarith import analysis, automorph, equiv, model, oracle, suites
 from lexarith.equiv import decide
 from lexarith.errors import InvariantViolation, StandardInput
-from lexarith.model import Element, Exponent, deg, pow_int
+from lexarith.model import Element, deg, pow_int
 from lexarith.oracle import BoundN, Companion, check_witness, search
 from lexarith.sampler import SampleProfile, Sampler
 from lexarith.textform import parse_element
@@ -139,13 +141,19 @@ def test_level2_and_level3_checks_multiply_only_on_a_leading_tie(monkeypatch, di
     assert products == [3, c]
 
 
+def _level(e):
+    """The index of the first nonzero component of the degree e, its
+    dimension for 0: the Archimedean class of the lexicographic group."""
+    return next((i for i, x in enumerate(e.components) if x), len(e.components))
+
+
 def _literal_check(level, a, b, w):
     """check_witness at level 2 or 3 with its products built: the literal
-    inequalities, and level 3's universal condition as Exponent levels."""
+    inequalities, and level 3's universal condition as the degrees' levels."""
     if level == 2:
         return a < b * w.n and b < a * w.n
     c = w.c
-    dominated = c.is_zero() or deg(c).level() > max(deg(a).level(), deg(b).level())
+    dominated = c.is_zero() or _level(deg(c)) > max(_level(deg(a)), _level(deg(b)))
     return dominated and a < b * c and b < a * c
 
 
@@ -219,12 +227,13 @@ def _pool_by_definition(a, b, n_max):
     exponents of a, b and 0 (in dim 2 with (0, j) up to a bound), without
     repeats, sorted as elements, the first 96."""
     dim = a.dim
-    zero = Exponent.zero(dim)
-    exps = {zero} | {term.exponent for x in (a, b) for term in x.terms()}
-    diffs = {e - f for e in exps for f in exps}
+    # exponents as tuples of Fraction, which compare lexicographically
+    zero = (Fraction(0),) * dim
+    exps = {zero} | {term.exponent.components for x in (a, b) for term in x.terms()}
+    diffs = {tuple(x - y for x, y in zip(e, f)) for e in exps for f in exps}
     if dim == 2:
-        bound = max([2] + [int(abs(e.components[1])) + 2 for e in exps])
-        diffs |= {Exponent((0, j)) for j in range(1, min(bound, 12) + 1)}
+        bound = max([2] + [int(abs(e[1])) + 2 for e in exps])
+        diffs |= {(Fraction(0), Fraction(j)) for j in range(1, min(bound, 12) + 1)}
     pool = {Element.integer(k, dim) for k in range(1, min(n_max, 9) + 1)}
     for e in diffs:
         if e > zero:

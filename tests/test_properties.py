@@ -11,7 +11,7 @@ from lexarith.errors import InvariantViolation, NonTerminatingQuotient, Underflo
 from lexarith.model import (
     Element,
     const_value,
-    deg,
+    deg_level,
     divmod_floor,
     divmod_scalar,
     is_standard,
@@ -160,7 +160,7 @@ def built_maps(draw, dim):
     if level == 3 and draw(st.booleans()):
         if draw(st.booleans()):
             a, b = COMPOSITE_PAIR
-        elif deg(a).level() == 0:
+        elif deg_level(a) == 0:
             # no finite ratio left: build_from_e3 shifts the dominated classes
             b = b * Element.monomial(1, (0, 1), dim=2)
     d = (am.build_from_e2 if level == 2 else am.build_from_e3)(a, b)
@@ -250,7 +250,7 @@ def descriptor_fields(draw, dim, depth=2):
             b = sub(a * n + m, c * (n - 1))
             return cls(a=a, b=b, n=n, c=c, m=m), [a, b, c]
         if kind == "e3_shift":
-            a1 = draw(nonstandard(2).filter(lambda x: deg(x).level() == 0))
+            a1 = draw(nonstandard(2).filter(lambda x: deg_level(x) == 0))
             c = Element.monomial(draw(coeffs.map(abs)), (0, draw(rationals.filter(bool))), dim=2)
             a2 = draw(nonstandard(2)) if free else a1 * c
             return cls(a1=a1, a2=a2, c=c), [a1, a2]
