@@ -81,17 +81,6 @@ def e2_seq(a: Element, count: int, direction: str) -> ClassSequence:
     return ClassSequence(kind="e2", level=2, direction=direction, terms=terms)
 
 
-def e0_passing_index(a: Element, b: Element) -> int:
-    """Index at which the e0 sequence from a passes the class-mate b."""
-    return equiv.minimal_bound_n(0, a, b)
-
-
-def e2_passing_index(a: Element, b: Element, direction: str) -> int:
-    """1-based index at which the e2 sequence from a passes b."""
-    n = equiv.minimal_bound_n(2, a, b)
-    return n if direction == "up" else n + 1
-
-
 # --- root-based boundary sequences ------------------------------------------
 
 

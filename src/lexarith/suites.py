@@ -13,9 +13,19 @@ A check names the law and its subjects: ``r.check(cond, case, law,
 element in its text form and anything else through ``str``.  A passing
 check formats nothing.
 
-A suite decides each pair at each level once and reads that verdict
-wherever a later check needs it; the agreement suite hands a positive
-verdict's witness to the oracle's ``search`` as its ``hint``.
+A suite asks :func:`lexarith.equiv.related`, the closed form, where its
+law reads only whether a pair is related: refinement, convexity, the two
+closure suites and equivalence, the class reads of ``sequences`` and
+``embed``, and the fails side of ``separation``.  It asks
+:func:`lexarith.equiv.decide` only where it reads the witness, and these
+are the suites that check witnesses: ``agreement`` checks every positive
+verdict's witness with the oracle, hands it to ``search`` as its ``hint``
+and checks the least bound; ``separation`` checks the witness of each
+exhibit's holds side.  The sums, products, midpoints and sequence terms
+that the law suites build get no witness checked here;
+``tests/test_equiv.py`` checks witnesses on closure sums and products.
+Either way a suite asks about each pair at each
+level once and reads that answer wherever a later check needs it.
 
 A suite is added as one decorated body: ``@_suite(name, scale)`` over
 ``body(r, s, **kw)`` registers it in ``SUITES``, whose order (the order of
@@ -236,14 +246,14 @@ def suite_division(r: SuiteResult, s: Sampler) -> None:
 def suite_refinement(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
         a, b = related_pair(s)
-        prev = None
+        prev = False
         for level in equiv.LEVELS:
-            v = equiv.decide(level, a, b)
-            if v.equivalent:
+            held = equiv.related(level, a, b)
+            if held:
                 r.bump(f"positive_l{level}")
-            if prev is not None and prev.equivalent:
-                r.check(v.equivalent, i, f"refines-l{level - 1}-into-l{level}", a, b)
-            prev = v
+            if prev:
+                r.check(held, i, f"refines-l{level - 1}-into-l{level}", a, b)
+            prev = held
 
 
 @_suite("convexity", 0.5)
@@ -251,12 +261,12 @@ def suite_convexity(r: SuiteResult, s: Sampler) -> None:
     for i in range(r.samples):
         for level in equiv.LEVELS:
             lo, mid, hi = ordered_equiv_triple(s, level)
-            if not equiv.decide(level, lo, hi).equivalent:
+            if not equiv.related(level, lo, hi):
                 r.check(False, i, f"generator-l{level}", lo, hi)
                 continue
             r.bump(f"triples_l{level}")
             r.check(
-                equiv.decide(level, lo, mid).equivalent and equiv.decide(level, mid, hi).equivalent,
+                equiv.related(level, lo, mid) and equiv.related(level, mid, hi),
                 i, f"convex-l{level}", lo, mid, hi,
             )
 
@@ -269,7 +279,7 @@ def _closure(r: SuiteResult, s: Sampler, op, levels) -> None:
             a2, b2 = equivalent_pair(s, level)
             r.bump(f"quads_l{level}")
             r.check(
-                equiv.decide(level, op(a1, a2), op(b1, b2)).equivalent,
+                equiv.related(level, op(a1, a2), op(b1, b2)),
                 i, f"closed-under-{op.__name__}-l{level}", a1, b1, a2, b2,
             )
 
@@ -284,13 +294,13 @@ def suite_equivalence(r: SuiteResult, s: Sampler) -> None:
         for level in equiv.LEVELS:
             a, b = equivalent_pair(s, level)
             c = equivalent_to(s, b, level)
-            r.check(equiv.decide(level, a, a).equivalent, i, f"reflexive-l{level}", a)
-            vab = equiv.decide(level, a, b).equivalent
-            r.check(vab == equiv.decide(level, b, a).equivalent, i, f"symmetric-l{level}", a, b)
-            vbc = equiv.decide(level, b, c).equivalent
+            r.check(equiv.related(level, a, a), i, f"reflexive-l{level}", a)
+            vab = equiv.related(level, a, b)
+            r.check(vab == equiv.related(level, b, a), i, f"symmetric-l{level}", a, b)
+            vbc = equiv.related(level, b, c)
             if vab and vbc:
                 r.bump(f"chains_l{level}")
-                r.check(equiv.decide(level, a, c).equivalent, i, f"transitive-l{level}", a, b, c)
+                r.check(equiv.related(level, a, c), i, f"transitive-l{level}", a, b, c)
 
 
 @_suite("agreement", 0.25)
@@ -378,8 +388,7 @@ def suite_separation(r: SuiteResult, s: Sampler) -> None:
                 oracle.check_witness(holds_at, a, b, vh.witness),
                 0, f"exhibit-witness-l{holds_at}", ta, tb,
             )
-        vf = equiv.decide(fails_at, a, b)
-        r.check(not vf.equivalent, 0, f"exhibit-fails-l{fails_at}", ta, tb)
+        r.check(not equiv.related(fails_at, a, b), 0, f"exhibit-fails-l{fails_at}", ta, tb)
         found = oracle.search(fails_at, a, b, n_max=12)
         r.check(found is None, 0, f"exhibit-refuted-l{fails_at}", ta, tb)
         r.stats["exhibits"].append(
@@ -436,27 +445,24 @@ def suite_sequences(r: SuiteResult, s: Sampler) -> None:
             r.check(all(x < y for x, y in zip(up, up[1:])), i, f"e{level}-up-strictly-increasing", a)
             r.check(all(x > y for x, y in zip(down, down[1:])), i, f"e{level}-down-strictly-decreasing", a)
             for t in up + down:
-                r.check(equiv.decide(level, a, t).equivalent, i, f"e{level}-terms-in-class", t)
+                r.check(equiv.related(level, a, t), i, f"e{level}-terms-in-class", t)
         for n in range(1, 6):
             cq = ceil_quotient_scalar(a, n)
             r.check(
                 cq * n >= a and (cq.is_zero() or (cq - 1) * n < a),
                 i, "ceil-division-minimality", a, n,
             )
-        # cofinality against class-mates, passing index from the witness
+        # cofinality against class-mates: the least bound n of the pair is
+        # the index that passes the mate, a + n or n*a going up, a - n or
+        # the (n + 1)-th ceiling quotient going down
         mate0 = a + s.integer(-9, 9)
-        idx0 = analysis.e0_passing_index(a, mate0)
-        seq_up = analysis.e0_seq(a, idx0 + 1, "up")
-        seq_dn = analysis.e0_seq(a, idx0 + 1, "down")
-        r.check(seq_up.terms[idx0] > mate0, i, "e0-cofinal", a, mate0)
-        r.check(seq_dn.terms[idx0] < mate0, i, "e0-coinitial", a, mate0)
+        n = equiv.minimal_bound_n(0, a, mate0)
+        r.check(analysis.e0_seq(a, n + 1, "up").terms[n] > mate0, i, "e0-cofinal", a, mate0)
+        r.check(analysis.e0_seq(a, n + 1, "down").terms[n] < mate0, i, "e0-coinitial", a, mate0)
         mate2 = a * s.integer(1, 5) + s.integer(-2, 6)
-        up_idx = analysis.e2_passing_index(a, mate2, "up")
-        dn_idx = analysis.e2_passing_index(a, mate2, "down")
-        sequp = analysis.e2_seq(a, up_idx, "up")
-        seqdn = analysis.e2_seq(a, dn_idx, "down")
-        r.check(sequp.terms[up_idx - 1] > mate2, i, "e2-cofinal", a, mate2)
-        r.check(seqdn.terms[dn_idx - 1] < mate2, i, "e2-coinitial", a, mate2)
+        n = equiv.minimal_bound_n(2, a, mate2)
+        r.check(analysis.e2_seq(a, n, "up").terms[n - 1] > mate2, i, "e2-cofinal", a, mate2)
+        r.check(analysis.e2_seq(a, n + 1, "down").terms[n] < mate2, i, "e2-coinitial", a, mate2)
 
 
 @_suite("b11", 0.1)
@@ -512,7 +518,7 @@ def suite_embed(r: SuiteResult, s: Sampler) -> None:
         v1 = analysis.real_embed(anchor, b1)
         v2 = analysis.real_embed(anchor, b2)
         r.check(not v1.degenerate and not v2.degenerate, i, "embed-nondegenerate", b1, b2)
-        same_class = equiv.decide(3, b1, b2).equivalent
+        same_class = equiv.related(3, b1, b2)
         r.check(same_class == (v1.value == v2.value), i, "embed-constant-iff-same-class", b1, b2)
         if not same_class:
             (lo, vlo), (hi, vhi) = ((b1, v1), (b2, v2)) if b1 < b2 else ((b2, v2), (b1, v1))

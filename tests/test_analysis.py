@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lexarith import analysis as an
-from lexarith.equiv import decide
+from lexarith.equiv import decide, minimal_bound_n
 from lexarith.errors import (
     CoefficientNotRepresentable,
     InvariantViolation,
@@ -46,7 +46,8 @@ class TestE0Seq:
 
     def test_cofinality_from_witness(self):
         a, b = P("t"), P("t + 17")
-        idx = an.e0_passing_index(a, b)
+        # the least level-0 bound is the index that passes b
+        idx = minimal_bound_n(0, a, b)
         assert idx == 18
         assert an.e0_seq(a, idx + 1, "up").terms[idx] > b
         assert an.e0_seq(a, idx + 1, "down").terms[idx] < b
@@ -75,10 +76,11 @@ class TestE2Seq:
 
     def test_coinitiality_from_witness(self):
         a, b = P("t^2"), P("1/4*t^2")
-        idx = an.e2_passing_index(a, b, "down")
-        assert an.e2_seq(a, idx, "down").terms[idx - 1] < b
-        up_idx = an.e2_passing_index(a, b, "up")
-        assert an.e2_seq(a, up_idx, "up").terms[up_idx - 1] > b
+        # with the least level-2 bound n, the (n + 1)-th term down and the
+        # n-th term up pass b
+        n = minimal_bound_n(2, a, b)
+        assert an.e2_seq(a, n + 1, "down").terms[n] < b
+        assert an.e2_seq(a, n, "up").terms[n - 1] > b
 
 
 class TestB11Seq:

@@ -710,21 +710,28 @@ def test_check_formats_its_subjects_only_for_a_violation(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_suites_decide_each_pair_once(monkeypatch, dim):
-    calls = {}
-    decide = equiv.decide
+    def counting(name):
+        calls, ask = {}, getattr(equiv, name)
 
-    def counted(level, a, b):
-        calls[level] = calls.get(level, 0) + 1
-        return decide(level, a, b)
+        def counted(level, a, b):
+            calls[level] = calls.get(level, 0) + 1
+            return ask(level, a, b)
 
-    monkeypatch.setattr(equiv, "decide", counted)
+        monkeypatch.setattr(equiv, name, counted)
+        return calls
+
+    decided = counting("decide")
     suites.suite_agreement(4, 7, dim)
     # (a, b) once per sample and level; the minimal-bound checks reuse it
-    assert calls == {level: 4 for level in range(5)}
-    calls.clear()
+    assert decided == {level: 4 for level in range(5)}
+    decided.clear()
+    # decide calls related, so related is counted only from here on
+    related = counting("related")
     r = suites.suite_equivalence(4, 7, dim)
-    # (a, a), (a, b), (b, a) and (b, c) per sample and level, (a, c) per chain
-    assert calls == {level: 4 * 4 + r.stats.get(f"chains_l{level}", 0) for level in range(5)}
+    # (a, a), (a, b), (b, a) and (b, c) per sample and level, (a, c) per
+    # chain; a law suite reads no witness, so it never asks decide
+    assert related == {level: 4 * 4 + r.stats.get(f"chains_l{level}", 0) for level in range(5)}
+    assert decided == {}
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

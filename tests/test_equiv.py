@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -116,6 +117,22 @@ def test_level1_closed_form_matches_the_definition(dim):
         positive += literal
     assert 0 < positive < 400
 
+
+
+@pytest.mark.parametrize("op, levels", [(operator.add, LEVELS), (operator.mul, (2, 3, 4))])
+def test_witnesses_hold_on_closure_sums_and_products(op, levels):
+    # the closure suites ask ``related`` only; here the sums and products
+    # they build get a witness, checked against the definition
+    s = Sampler(SampleProfile(dim=2, seed=41))
+    degrees_differ = 0
+    for level in levels:
+        for _ in range(40):
+            (a1, b1), (a2, b2) = suites.equivalent_pair(s, level), suites.equivalent_pair(s, level)
+            a, b = op(a1, a2), op(b1, b2)
+            v = decide(level, a, b)
+            assert v.equivalent and oracle.check_witness(level, a, b, v.witness), (level, a, b)
+            degrees_differ += level == 3 and deg(a) != deg(b)
+    assert degrees_differ > 0
 
 class TestMinimalBound:
     def test_examples(self):

@@ -10,7 +10,8 @@ equivalence levels, is the one module that writes the level set and the
 one that refuses a standard element, so the pair rule has one home.  An
 exponent has one form inside the package, a tuple of canonical pairs: only
 the model names ``Exponent`` or calls ``deg``, the view built for callers
-outside the package."""
+outside the package.  No module reads a ``decide(...)`` call only for its
+``.equivalent``: a check that needs no witness asks ``related``."""
 
 import ast
 import graphlib
@@ -81,6 +82,24 @@ def test_only_the_model_names_exponent_or_calls_deg():
     ]
     # the model's own class and view show that the check sees them
     assert found and all(t.startswith("model.py:") for t in found), found
+
+
+def _decide_read_for_equivalent(tree) -> list:
+    """The lines where a ``decide(...)`` call is read for ``.equivalent``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "equivalent"
+        and isinstance(node.value, ast.Call)
+        and "decide" in (getattr(node.value.func, "id", None), getattr(node.value.func, "attr", None))
+    ]
+
+
+def test_no_module_reads_decide_only_for_equivalent():
+    # the check sees both spellings
+    assert _decide_read_for_equivalent(ast.parse("decide(0, a, b).equivalent\nequiv.decide(0, a, b).equivalent")) == [1, 2]
+    found = [f"{name}:{line}" for name, tree in _trees() for line in _decide_read_for_equivalent(tree)]
+    assert found == []
 
 
 def test_automorph_reads_no_raw_terms():
